@@ -748,6 +748,27 @@ mod tests {
     }
 
     #[test]
+    fn tpp_reads_weight_gradients() {
+        // The class-aware scorer's backward leaves weight gradients
+        // alone; TPP's own pass on the same net must still produce them.
+        let mut n = net();
+        let d = data();
+        let sites = find_prunable_sites(&n);
+        cap_core::evaluate_scores(&mut n, &sites, d.train(), &cap_core::ScoreConfig::default())
+            .unwrap();
+        let scores = TppCriterion::new(8)
+            .score(&mut n, &sites, d.train(), 0)
+            .unwrap();
+        for site in &scores.sites {
+            assert!(
+                site.scores.iter().any(|&v| v > 0.0),
+                "{}: all TPP scores zero",
+                site.label
+            );
+        }
+    }
+
+    #[test]
     fn depgraph_full_scores_at_least_no_grouping() {
         let mut n = net();
         let d = data();

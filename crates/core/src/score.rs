@@ -186,10 +186,12 @@ impl ClassAttribution {
 /// Evaluates class-aware importance scores for the given sites.
 ///
 /// The network is treated as frozen: forward passes run in eval mode and
-/// parameter gradients accumulated during the backward sweeps are cleared
-/// afterwards. One forward/backward pair per class scores every
-/// activation output of every site at once (the paper's single-backward
-/// Taylor approximation).
+/// the backward sweeps compute input and activation gradients only
+/// ([`Network::backward_input_only`]); parameter gradients are cleared
+/// after the class loop, also when a class batch fails. One
+/// forward/backward pair per class scores every activation output of
+/// every site at once (the paper's single-backward Taylor
+/// approximation).
 ///
 /// # Errors
 ///
@@ -254,8 +256,7 @@ pub fn evaluate_scores_with_attribution(
             let labels = vec![class; m];
             let logits = net.forward(&batch, false)?;
             let out = loss_fn.forward(&logits, &labels)?;
-            net.zero_grad();
-            net.backward(&out.grad)?;
+            net.backward_input_only(&out.grad)?;
             for ((site, acc), attr) in sites
                 .iter()
                 .zip(per_site.iter_mut())
@@ -368,7 +369,8 @@ mod tests {
     use super::*;
     use crate::find_prunable_sites;
     use cap_data::{DatasetSpec, SyntheticDataset};
-    use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
+    use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu, ResidualBlock};
+    use cap_tensor::Tensor;
 
     fn tiny_data() -> SyntheticDataset {
         SyntheticDataset::generate(
@@ -577,6 +579,191 @@ mod tests {
         )
         .unwrap();
         assert!(scores.iter_scores().all(|(_, _, v)| v == 0.0));
+    }
+
+    /// A small ResNet: a stem conv and two residual blocks, one of them
+    /// with a projection shortcut.
+    fn tiny_resnet(rng: &mut StdRng) -> Network {
+        let mut net = Network::new();
+        net.push(Conv2d::new(3, 8, 3, 1, 1, false, rng).unwrap());
+        net.push(BatchNorm2d::new(8).unwrap());
+        net.push(Relu::new());
+        net.push(ResidualBlock::new(8, 8, 1, rng).unwrap());
+        net.push(ResidualBlock::new(8, 12, 2, rng).unwrap());
+        net.push(GlobalAvgPool::new());
+        net.push(Linear::new(12, 10, rng).unwrap());
+        net
+    }
+
+    /// The scoring loop with the full `Network::backward` and a
+    /// `zero_grad` per class: what Eq. 3–7 are defined on, computing
+    /// parameter gradients the scores never read.
+    fn full_backward_reference(
+        net: &mut Network,
+        sites: &[PrunableSite],
+        data: &Dataset,
+        cfg: &ScoreConfig,
+    ) -> (NetworkScores, ClassAttribution) {
+        let classes = data.classes();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let filters: Vec<usize> = sites.iter().map(|s| s.filters(net).unwrap()).collect();
+        let mut totals: Vec<Vec<f64>> = filters.iter().map(|&f| vec![0.0; f]).collect();
+        let mut per_class: Vec<Vec<Vec<f64>>> = filters
+            .iter()
+            .map(|&f| vec![vec![0.0; classes]; f])
+            .collect();
+        net.set_record_activations(true);
+        for class in 0..classes {
+            let batch = data
+                .sample_class_batch(class, cfg.images_per_class, &mut rng)
+                .unwrap();
+            let m = batch.dim(0);
+            let logits = net.forward(&batch, false).unwrap();
+            let out = CrossEntropyLoss::new(Reduction::Sum)
+                .forward(&logits, &vec![class; m])
+                .unwrap();
+            net.zero_grad();
+            net.backward(&out.grad).unwrap();
+            for (si, site) in sites.iter().enumerate() {
+                let conv = site.conv(net).unwrap();
+                let a = conv.recorded_output().unwrap().data();
+                let g = conv.recorded_output_grad().unwrap().data();
+                let contrib = site_class_contributions(filters[si], a, g, m, cfg.tau);
+                for ((total, row), c) in totals[si]
+                    .iter_mut()
+                    .zip(per_class[si].iter_mut())
+                    .zip(contrib)
+                {
+                    *total += c;
+                    row[class] = c;
+                }
+            }
+        }
+        net.set_record_activations(false);
+        net.zero_grad();
+        let label = |si: usize| sites[si].label.clone();
+        (
+            NetworkScores {
+                sites: totals
+                    .into_iter()
+                    .enumerate()
+                    .map(|(si, scores)| SiteScores {
+                        label: label(si),
+                        scores,
+                    })
+                    .collect(),
+                classes,
+            },
+            ClassAttribution {
+                sites: per_class
+                    .into_iter()
+                    .enumerate()
+                    .map(|(si, per_class)| SiteAttribution {
+                        label: label(si),
+                        per_class,
+                    })
+                    .collect(),
+                classes,
+            },
+        )
+    }
+
+    fn assert_scores_bit_identical(
+        got: &(NetworkScores, ClassAttribution),
+        want: &(NetworkScores, ClassAttribution),
+        what: &str,
+    ) {
+        assert_eq!(got.0.total_filters(), want.0.total_filters(), "{what}");
+        for ((s, f, a), (_, _, b)) in got.0.iter_scores().zip(want.0.iter_scores()) {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: site {s} filter {f}: {a} vs {b}"
+            );
+        }
+        for (gs, ws) in got.1.sites.iter().zip(&want.1.sites) {
+            assert_eq!(gs.label, ws.label, "{what}");
+            for (f, (gr, wr)) in gs.per_class.iter().zip(&ws.per_class).enumerate() {
+                let gbits: Vec<u64> = gr.iter().map(|v| v.to_bits()).collect();
+                let wbits: Vec<u64> = wr.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(gbits, wbits, "{what}: {} filter {f}", gs.label);
+            }
+        }
+    }
+
+    #[test]
+    fn input_only_scoring_matches_full_backward_reference() {
+        let data = tiny_data();
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut dense = tiny_resnet(&mut rng);
+        // A pruned copy with odd channel counts at every site.
+        let mut pruned = dense.clone();
+        let sites = find_prunable_sites(&pruned);
+        for site in &sites {
+            let filters = site.filters(&pruned).unwrap();
+            let kept = (filters * 2 / 3) | 1;
+            let keep: Vec<usize> = (0..kept).map(|i| i * filters / kept).collect();
+            crate::apply_site_pruning(&mut pruned, site, &keep).unwrap();
+        }
+        for (what, net) in [("dense", &mut dense), ("pruned", &mut pruned)] {
+            let sites = find_prunable_sites(net);
+            if what == "pruned" {
+                assert!(sites.iter().all(|s| s.filters(net).unwrap() % 2 == 1));
+            }
+            for tau in [TauMode::default(), TauMode::SiteRelative(3.0)] {
+                let cfg = ScoreConfig {
+                    tau,
+                    ..ScoreConfig::default()
+                };
+                let want = full_backward_reference(net, &sites, data.train(), &cfg);
+                let got =
+                    evaluate_scores_with_attribution(net, &sites, data.train(), &cfg).unwrap();
+                assert_scores_bit_identical(&got, &want, &format!("{what}, {tau:?}"));
+            }
+        }
+    }
+
+    /// Every parameter gradient is zero and no convolution records.
+    fn assert_left_clean(net: &mut Network, what: &str) {
+        net.visit_params_mut(&mut |_, g| {
+            assert!(
+                g.data().iter().all(|&v| v == 0.0),
+                "{what}: gradient left non-zero"
+            );
+        });
+        net.visit_convs(&mut |c| {
+            assert!(c.recorded_output().is_none() && c.recorded_output_grad().is_none());
+        });
+        net.forward(&Tensor::ones(&[1, 3, 8, 8]), false).unwrap();
+        net.visit_convs(&mut |c| {
+            assert!(c.recorded_output().is_none(), "{what}: recording left on");
+        });
+    }
+
+    #[test]
+    fn scoring_leaves_zeroed_gradients_and_recording_off_even_on_failure() {
+        let data = tiny_data();
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut net = tiny_resnet(&mut rng);
+        let sites = find_prunable_sites(&net);
+        net.visit_params_mut(&mut |_, g| g.fill(1.5));
+        evaluate_scores(&mut net, &sites, data.train(), &ScoreConfig::default()).unwrap();
+        assert_left_clean(&mut net, "after a pass");
+
+        // Five outputs for ten classes: the class-5 batch fails in the
+        // loss after five classes have run their backward passes.
+        let mut short = Network::new();
+        short.push(Conv2d::new(3, 4, 3, 1, 1, true, &mut rng).unwrap());
+        short.push(BatchNorm2d::new(4).unwrap());
+        short.push(Relu::new());
+        short.push(GlobalAvgPool::new());
+        short.push(Linear::new(4, 5, &mut rng).unwrap());
+        let sites = find_prunable_sites(&short);
+        short.visit_params_mut(&mut |_, g| g.fill(1.5));
+        assert!(
+            evaluate_scores(&mut short, &sites, data.train(), &ScoreConfig::default()).is_err()
+        );
+        assert_left_clean(&mut short, "after a failed class batch");
     }
 
     #[test]

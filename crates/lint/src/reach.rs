@@ -38,7 +38,8 @@ fn is_entry(path: &str, name: &str) -> bool {
     (path == "crates/tensor/src/matmul.rs" && name.starts_with("matmul"))
         || (path == "crates/tensor/src/conv.rs"
             && (name.starts_with("im2col") || name.starts_with("col2im")))
-        || (path == "crates/nn/src/layer/conv.rs" && (name == "forward" || name == "backward"))
+        || (path == "crates/nn/src/layer/conv.rs"
+            && (name == "forward" || name.starts_with("backward")))
         || (path == "crates/core/src/score.rs" && name.starts_with("evaluate_scores"))
 }
 

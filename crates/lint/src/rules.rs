@@ -118,7 +118,7 @@ impl RuleId {
             RuleId::R008 => {
                 "no wall-clock read, raw std::thread call, or raw std::fs mutation may \
                  be reachable through the call graph from a tensor/nn/scoring kernel \
-                 entry point (matmul*, im2col/col2im, conv forward/backward, \
+                 entry point (matmul*, im2col/col2im, conv forward/backward*, \
                  evaluate_scores*); crates/obs and crates/par are the audited homes"
             }
             RuleId::R009 => {

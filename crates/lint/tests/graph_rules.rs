@@ -99,6 +99,18 @@ fn r008_cross_file_violation_caught_only_by_reachability() {
 }
 
 #[test]
+fn r008_covers_the_input_only_conv_backward() {
+    let (_, got) = run_graph_rules(&load("r008_input_only"));
+    assert_eq!(got.len(), 1, "{got:#?}");
+    assert!(
+        got[0].what.contains("backward_input_only -> stamp"),
+        "chain must name every hop: {}",
+        got[0].what
+    );
+    assert_case("r008_input_only");
+}
+
+#[test]
 fn r008_clean_tree_is_quiet_including_obs_instrumentation() {
     assert_case("r008_clean");
 }

@@ -1,4 +1,5 @@
 use crate::layer::conv::validate_keep;
+use crate::layer::Grads;
 use crate::NnError;
 use cap_tensor::Tensor;
 
@@ -282,6 +283,17 @@ impl BatchNorm2d {
     /// Returns [`NnError::MissingCache`] if called before `forward`, or
     /// [`NnError::BadInput`] on shape mismatch.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_pass(grad_out, Grads::Full)
+    }
+
+    /// [`BatchNorm2d::backward`] with the γ/β gradients skipped under
+    /// [`Grads::InputOnly`]. After an eval-mode forward that leaves only
+    /// `γσ̂⁻¹·g`, so the per-channel sums are not computed at all.
+    pub(crate) fn backward_pass(
+        &mut self,
+        grad_out: &Tensor,
+        grads: Grads,
+    ) -> Result<Tensor, NnError> {
         let xhat = self.cached_xhat.as_ref().ok_or(NnError::MissingCache {
             layer: "BatchNorm2d",
         })?;
@@ -303,18 +315,25 @@ impl BatchNorm2d {
         let training = self.cached_training;
         let mut grad_in = Tensor::zeros(grad_out.shape());
         // Per-channel (Σg, Σg·x̂): per-sample partials in parallel,
-        // fixed-order tree reduction across samples.
-        let sums: Vec<[f64; 2]> = channel_partials(n, c, plane, |i| {
-            let g = f64::from(grad_out.data()[i]);
-            [g, g * f64::from(xhat.data()[i])]
-        });
-        let mut ks = vec![0.0f64; c];
-        for ch in 0..c {
-            let [sum_g, sum_gx] = sums[ch];
-            self.grad_beta.data_mut()[ch] += sum_g as f32;
-            self.grad_gamma.data_mut()[ch] += sum_gx as f32;
-            ks[ch] = f64::from(self.gamma.data()[ch]) * self.cached_inv_std[ch];
+        // fixed-order tree reduction across samples. Needed by the
+        // training-mode input gradient and by the γ/β gradients.
+        let sums: Vec<[f64; 2]> = if training || grads == Grads::Full {
+            channel_partials(n, c, plane, |i| {
+                let g = f64::from(grad_out.data()[i]);
+                [g, g * f64::from(xhat.data()[i])]
+            })
+        } else {
+            Vec::new()
+        };
+        if grads == Grads::Full {
+            for (ch, [sum_g, sum_gx]) in sums.iter().enumerate() {
+                self.grad_beta.data_mut()[ch] += *sum_g as f32;
+                self.grad_gamma.data_mut()[ch] += *sum_gx as f32;
+            }
         }
+        let ks: Vec<f64> = (0..c)
+            .map(|ch| f64::from(self.gamma.data()[ch]) * self.cached_inv_std[ch])
+            .collect();
         {
             let go_data = grad_out.data();
             let xh_data = xhat.data();
@@ -322,11 +341,11 @@ impl BatchNorm2d {
                 for ch in 0..c {
                     let base = (s * c + ch) * plane;
                     let local = ch * plane;
-                    let [sum_g, sum_gx] = sums[ch];
                     let k = ks[ch];
                     for off in 0..plane {
                         let g = f64::from(go_data[base + off]);
                         let gi = if training {
+                            let [sum_g, sum_gx] = sums[ch];
                             let xh = f64::from(xh_data[base + off]);
                             k * (g - sum_g / count - xh * sum_gx / count)
                         } else {

@@ -1,3 +1,4 @@
+use crate::layer::Grads;
 use crate::NnError;
 use cap_tensor::{
     col2im_sample, im2col, kaiming_normal, matmul, matmul_transpose_a, matmul_transpose_b,
@@ -305,6 +306,26 @@ impl Conv2d {
     /// [`NnError::BadInput`] if `grad_out` does not match the cached
     /// forward geometry.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_pass(grad_out, Grads::Full)
+    }
+
+    /// Backward pass that returns the gradient w.r.t. the input and
+    /// neither reads nor writes the weight/bias gradients. The input
+    /// gradient (and the recorded output gradient) is bit-identical to
+    /// [`Conv2d::backward`]'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conv2d::backward`].
+    pub fn backward_input_only(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_pass(grad_out, Grads::InputOnly)
+    }
+
+    pub(crate) fn backward_pass(
+        &mut self,
+        grad_out: &Tensor,
+        grads: Grads,
+    ) -> Result<Tensor, NnError> {
         let geom = self
             .cached_geom
             .ok_or(NnError::MissingCache { layer: "Conv2d" })?;
@@ -326,55 +347,44 @@ impl Conv2d {
         let wmat = self
             .weight
             .reshape(&[geom.out_channels, geom.in_channels * k * k])?;
+        let grad_in = input_grad(grad_out, n, &geom, &wmat)?;
+        if grads == Grads::Full {
+            self.accumulate_param_grads(grad_out, n, &geom)?;
+        }
+        Ok(grad_in)
+    }
+
+    /// Adds this batch's weight and bias gradients to the accumulators.
+    fn accumulate_param_grads(
+        &mut self,
+        grad_out: &Tensor,
+        n: usize,
+        geom: &Conv2dGeometry,
+    ) -> Result<(), NnError> {
+        let k = geom.kernel;
         let mut grad_wmat = Tensor::zeros(&[geom.out_channels, geom.in_channels * k * k]);
-        let mut grad_in = Tensor::zeros(&[n, geom.in_channels, geom.in_h, geom.in_w]);
         let per_sample = geom.out_channels * geom.out_h * geom.out_w;
-        let per_in = geom.in_channels * geom.in_h * geom.in_w;
-        // Samples run in parallel waves: each task scatters into its own
-        // sample's grad_in slice (disjoint), while the per-sample weight
-        // gradients are held back and reduced serially in ascending
-        // sample order below — the exact summation order of the serial
-        // loop — so results are bit-identical for any thread count. The
-        // wave bounds memory to `threads` per-sample gw tensors instead
-        // of the whole batch.
+        // Per-sample weight gradients run in parallel waves and are
+        // reduced serially in ascending sample order below — the exact
+        // summation order of the serial loop — so results are
+        // bit-identical for any thread count. The wave bounds memory to
+        // `threads` per-sample gw tensors instead of the whole batch.
         let wave = cap_par::effective_parallelism().max(1);
         let cached_cols = &self.cached_cols;
-        let gin_data = grad_in.data_mut();
         let mut s0 = 0;
         while s0 < n {
             let count = wave.min(n - s0);
-            let mut gw_slots: Vec<Option<Result<Tensor, NnError>>> =
-                (0..count).map(|_| None).collect();
-            {
-                let geom = &geom;
-                let wmat = &wmat;
-                let tasks: Vec<cap_par::ScopedTask<'_>> = gin_data
-                    [s0 * per_in..(s0 + count) * per_in]
-                    .chunks_mut(per_in)
-                    .zip(gw_slots.iter_mut())
-                    .enumerate()
-                    .map(|(i, (gin_chunk, slot))| {
-                        let s = s0 + i;
-                        Box::new(move || {
-                            *slot = Some(backward_sample(
-                                grad_out,
-                                s,
-                                per_sample,
-                                geom,
-                                wmat,
-                                &cached_cols[s],
-                                gin_chunk,
-                            ));
-                        }) as cap_par::ScopedTask<'_>
-                    })
-                    .collect();
-                cap_par::run_tasks(tasks);
-            }
-            for slot in gw_slots {
-                let gw = slot.ok_or(NnError::TaskNotRun {
-                    layer: "Conv2d::backward",
-                })??;
-                grad_wmat.axpy(1.0, &gw)?;
+            let gws = cap_par::parallel_map(count, |i| {
+                let s = s0 + i;
+                let g = Tensor::from_vec(
+                    vec![geom.out_channels, geom.out_h * geom.out_w],
+                    grad_out.data()[s * per_sample..(s + 1) * per_sample].to_vec(),
+                )?;
+                // dW contribution: g · colsᵀ
+                matmul_transpose_b(&g, &cached_cols[s])
+            });
+            for gw in gws {
+                grad_wmat.axpy(1.0, &gw?)?;
             }
             s0 += count;
         }
@@ -391,7 +401,7 @@ impl Conv2d {
                 }
             }
         }
-        Ok(grad_in)
+        Ok(())
     }
 
     /// Drops forward caches (used between iterations to bound memory).
@@ -491,28 +501,96 @@ fn forward_sample(
     Ok(cols)
 }
 
-/// One sample of the backward pass: scatters the input gradient into the
-/// sample's own `grad_in` slice and returns the sample's weight-gradient
-/// contribution `g · colsᵀ` for the caller to reduce in sample order.
-fn backward_sample(
+/// Output columns one dX GEMM should reach: consecutive samples are
+/// grouped until their output planes add up to this many columns, so a
+/// small map (a 2×2 map has 4 columns per sample) stops running as many
+/// tiny GEMMs.
+const DX_GROUP_COLS: usize = 256;
+
+/// Samples per dX GEMM: enough for [`DX_GROUP_COLS`] output columns, but
+/// no more than an even share of the batch per pool thread, so the groups
+/// still spread across the pool.
+fn dx_group_size(n: usize, plane: usize) -> usize {
+    DX_GROUP_COLS
+        .div_ceil(plane)
+        .min(n.div_ceil(cap_par::effective_parallelism()))
+        .max(1)
+}
+
+/// The input gradient `dX = col2im(Wᵀ · G)`, one GEMM per group of
+/// consecutive samples (one task per group), then col2im per sample.
+/// Each element of `Wᵀ · G` sums over the output channels in the same
+/// order whatever the group width, so the result is bit-identical to
+/// one GEMM per sample and to any thread count.
+fn input_grad(
     grad_out: &Tensor,
-    s: usize,
-    per_sample: usize,
+    n: usize,
     geom: &Conv2dGeometry,
     wmat: &Tensor,
-    cols: &Tensor,
-    gin_chunk: &mut [f32],
 ) -> Result<Tensor, NnError> {
-    let g = Tensor::from_vec(
-        vec![geom.out_channels, geom.out_h * geom.out_w],
-        grad_out.data()[s * per_sample..(s + 1) * per_sample].to_vec(),
-    )?;
-    // dW contribution: g · colsᵀ
-    let gw = matmul_transpose_b(&g, cols)?;
-    // dcols = Wᵀ · g ; dX = col2im(dcols)
-    let gcols = matmul_transpose_a(wmat, &g)?;
-    col2im_sample(&gcols, gin_chunk, geom);
-    Ok(gw)
+    let mut grad_in = Tensor::zeros(&[n, geom.in_channels, geom.in_h, geom.in_w]);
+    let per_in = geom.in_channels * geom.in_h * geom.in_w;
+    let group = dx_group_size(n, geom.out_h * geom.out_w);
+    let mut slots: Vec<Option<Result<(), NnError>>> =
+        (0..n.div_ceil(group)).map(|_| None).collect();
+    {
+        let tasks: Vec<cap_par::ScopedTask<'_>> = grad_in
+            .data_mut()
+            .chunks_mut(group * per_in)
+            .zip(slots.iter_mut())
+            .enumerate()
+            .map(|(gi, (gin_chunk, slot))| {
+                Box::new(move || {
+                    *slot = Some(input_grad_group(
+                        grad_out,
+                        gi * group,
+                        geom,
+                        wmat,
+                        gin_chunk,
+                    ));
+                }) as cap_par::ScopedTask<'_>
+            })
+            .collect();
+        cap_par::run_tasks(tasks);
+    }
+    for slot in slots {
+        slot.ok_or(NnError::TaskNotRun {
+            layer: "Conv2d::backward",
+        })??;
+    }
+    Ok(grad_in)
+}
+
+/// One group of [`input_grad`]: the samples from `s0` that fill
+/// `gin_chunk`. Their output gradients are laid side by side as
+/// `G = [g_s0 | g_s0+1 | …]` (`[out_c, count · plane]`), multiplied once
+/// by `Wᵀ`, and each sample's column block is scattered into its own
+/// slice of `gin_chunk`.
+fn input_grad_group(
+    grad_out: &Tensor,
+    s0: usize,
+    geom: &Conv2dGeometry,
+    wmat: &Tensor,
+    gin_chunk: &mut [f32],
+) -> Result<(), NnError> {
+    let plane = geom.out_h * geom.out_w;
+    let per_in = geom.in_channels * geom.in_h * geom.in_w;
+    let per_out = geom.out_channels * plane;
+    let count = gin_chunk.len() / per_in;
+    let width = count * plane;
+    let mut g = vec![0.0f32; geom.out_channels * width];
+    let samples = &grad_out.data()[s0 * per_out..(s0 + count) * per_out];
+    for (i, sample) in samples.chunks_exact(per_out).enumerate() {
+        for (o, row) in sample.chunks_exact(plane).enumerate() {
+            g[o * width + i * plane..][..plane].copy_from_slice(row);
+        }
+    }
+    let g = Tensor::from_vec(vec![geom.out_channels, width], g)?;
+    let gcols = matmul_transpose_a(wmat, &g)?; // [in_c·k·k, count·plane]
+    for (i, gin) in gin_chunk.chunks_exact_mut(per_in).enumerate() {
+        col2im_sample(&gcols.data()[i * plane..], width, gin, geom);
+    }
+    Ok(())
 }
 
 pub(crate) fn validate_keep(keep: &[usize], limit: usize, what: &str) -> Result<(), NnError> {

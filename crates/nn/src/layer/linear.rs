@@ -1,4 +1,5 @@
 use crate::layer::conv::validate_keep;
+use crate::layer::Grads;
 use crate::NnError;
 use cap_tensor::{kaiming_normal, matmul, matmul_transpose_a, matmul_transpose_b, Tensor};
 use rand::Rng;
@@ -131,6 +132,14 @@ impl Linear {
     /// Returns [`NnError::MissingCache`] before `forward`, or
     /// [`NnError::BadInput`] on shape mismatch.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_pass(grad_out, Grads::Full)
+    }
+
+    pub(crate) fn backward_pass(
+        &mut self,
+        grad_out: &Tensor,
+        grads: Grads,
+    ) -> Result<Tensor, NnError> {
         let x = self
             .cached_input
             .as_ref()
@@ -146,12 +155,14 @@ impl Linear {
             });
         }
         // dW = gᵀ x ; db = column sums of g ; dx = g W.
-        let gw = matmul_transpose_a(grad_out, x)?;
-        self.grad_weight.axpy(1.0, &gw)?;
-        let (n, out) = (grad_out.dim(0), grad_out.dim(1));
-        for s in 0..n {
-            for j in 0..out {
-                self.grad_bias.data_mut()[j] += grad_out.data()[s * out + j];
+        if grads == Grads::Full {
+            let gw = matmul_transpose_a(grad_out, x)?;
+            self.grad_weight.axpy(1.0, &gw)?;
+            let (n, out) = (grad_out.dim(0), grad_out.dim(1));
+            for s in 0..n {
+                for j in 0..out {
+                    self.grad_bias.data_mut()[j] += grad_out.data()[s * out + j];
+                }
             }
         }
         Ok(matmul(grad_out, &self.weight)?)

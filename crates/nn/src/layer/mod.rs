@@ -23,6 +23,17 @@ pub use residual::ResidualBlock;
 use crate::NnError;
 use cap_tensor::Tensor;
 
+/// Which gradients a backward pass produces. Every pass returns the
+/// input gradient, bit-identical in both modes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Grads {
+    /// Input gradient plus accumulated parameter gradients (training).
+    Full,
+    /// Input gradient only: parameter gradients are neither read nor
+    /// written (importance scoring, which reads activation gradients).
+    InputOnly,
+}
+
 /// A network layer.
 ///
 /// The enum (rather than a trait object) keeps the structure of a model
@@ -112,16 +123,20 @@ impl Layer {
     ///
     /// Propagates the underlying layer's cache/shape errors.
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_pass(grad, Grads::Full)
+    }
+
+    pub(crate) fn backward_pass(&mut self, grad: &Tensor, grads: Grads) -> Result<Tensor, NnError> {
         let _span = cap_obs::SpanGuard::enter(self.span_name(true));
         match self {
-            Layer::Conv(l) => l.backward(grad),
-            Layer::BatchNorm(l) => l.backward(grad),
+            Layer::Conv(l) => l.backward_pass(grad, grads),
+            Layer::BatchNorm(l) => l.backward_pass(grad, grads),
             Layer::Relu(l) => l.backward(grad),
             Layer::MaxPool(l) => l.backward(grad),
             Layer::GlobalAvgPool(l) => l.backward(grad),
             Layer::Flatten(l) => l.backward(grad),
-            Layer::Linear(l) => l.backward(grad),
-            Layer::Residual(l) => l.backward(grad),
+            Layer::Linear(l) => l.backward_pass(grad, grads),
+            Layer::Residual(l) => l.backward_pass(grad, grads),
         }
     }
 

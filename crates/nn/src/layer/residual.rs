@@ -1,4 +1,4 @@
-use crate::layer::{activation::Relu, batchnorm::BatchNorm2d, conv::Conv2d};
+use crate::layer::{activation::Relu, batchnorm::BatchNorm2d, conv::Conv2d, Grads};
 use crate::NnError;
 use cap_tensor::Tensor;
 use rand::Rng;
@@ -173,18 +173,26 @@ impl ResidualBlock {
     ///
     /// Propagates layer errors; fails if called before `forward`.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_pass(grad_out, Grads::Full)
+    }
+
+    pub(crate) fn backward_pass(
+        &mut self,
+        grad_out: &Tensor,
+        grads: Grads,
+    ) -> Result<Tensor, NnError> {
         let g = self.relu_out.backward(grad_out)?;
         // Main path.
-        let mut gm = self.bn2.backward(&g)?;
-        gm = self.conv2.backward(&gm)?;
+        let mut gm = self.bn2.backward_pass(&g, grads)?;
+        gm = self.conv2.backward_pass(&gm, grads)?;
         gm = self.relu1.backward(&gm)?;
-        gm = self.bn1.backward(&gm)?;
-        gm = self.conv1.backward(&gm)?;
+        gm = self.bn1.backward_pass(&gm, grads)?;
+        gm = self.conv1.backward_pass(&gm, grads)?;
         // Shortcut path.
         let gs = match &mut self.shortcut {
             Some((conv, bn)) => {
-                let t = bn.backward(&g)?;
-                conv.backward(&t)?
+                let t = bn.backward_pass(&g, grads)?;
+                conv.backward_pass(&t, grads)?
             }
             None => g,
         };

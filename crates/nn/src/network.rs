@@ -1,4 +1,4 @@
-use crate::layer::{Conv2d, Layer};
+use crate::layer::{Conv2d, Grads, Layer};
 use crate::NnError;
 use cap_tensor::{argmax_rows, Tensor};
 
@@ -70,9 +70,26 @@ impl Network {
     ///
     /// Propagates layer cache/shape errors.
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_pass(grad, Grads::Full)
+    }
+
+    /// Backward pass that returns the gradient w.r.t. the network input
+    /// and neither reads nor writes any parameter gradient. Input and
+    /// recorded activation gradients are bit-identical to
+    /// [`Network::backward`]'s; this is the pass importance scoring
+    /// needs, since Eq. 3–7 read only activations and their gradients.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer cache/shape errors.
+    pub fn backward_input_only(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_pass(grad, Grads::InputOnly)
+    }
+
+    fn backward_pass(&mut self, grad: &Tensor, grads: Grads) -> Result<Tensor, NnError> {
         let mut g = grad.clone();
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+            g = layer.backward_pass(&g, grads)?;
         }
         Ok(g)
     }

@@ -497,6 +497,9 @@ mod tests {
 
     #[test]
     fn fit_learns_separable_problem() {
+        // fit reads the process-global fault spec and emits epoch
+        // events, so it must not overlap the tests that set either.
+        let _guard = cap_obs::test_lock();
         let (mut net, images, labels) = toy_problem();
         let cfg = TrainConfig {
             epochs: 30,
@@ -732,6 +735,9 @@ mod tests {
 
     #[test]
     fn regularized_training_shrinks_l1_mass() {
+        // fit reads the process-global fault spec and emits epoch
+        // events, so it must not overlap the tests that set either.
+        let _guard = cap_obs::test_lock();
         let (net, images, labels) = toy_problem();
         let mut plain = net.clone();
         let mut reg = net;

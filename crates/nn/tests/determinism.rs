@@ -3,7 +3,7 @@
 //! `CAP_THREADS` setting. These tests run the same computation under
 //! `set_threads(1)` and `set_threads(4)` and compare raw bits.
 
-use cap_nn::layer::{Conv2d, GlobalAvgPool, Linear, Relu};
+use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu, ResidualBlock};
 use cap_nn::{
     check_gradients, evaluate, fit, CrossEntropyLoss, Network, Reduction, RegularizerConfig,
     TrainConfig,
@@ -36,31 +36,154 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
     }
 }
 
+/// One conv geometry of the thread-count sweep: batch, input channels,
+/// output channels, input side, stride.
+struct ConvCase {
+    what: &'static str,
+    batch: usize,
+    in_c: usize,
+    out_c: usize,
+    side: usize,
+    stride: usize,
+}
+
 /// Conv forward output, input gradient and weight gradient must not
-/// change a single bit between 1 and 4 threads.
+/// change a single bit between 1 and 4 threads. The input gradient runs
+/// one GEMM per group of samples whose size follows the thread count,
+/// so the cases cover group sizes that differ per thread count,
+/// including groups that cross from the direct to the packed GEMM.
 #[test]
 fn conv_forward_backward_bit_identical_across_thread_counts() {
     let _guard = threads_lock();
     let prior = cap_par::threads();
-    // Batch 8 exceeds the 4-thread wave size, so the backward reduce
-    // runs over multiple waves.
-    let x = cap_tensor::randn(&[8, 3, 12, 12], 0.0, 1.0, &mut rng(7));
-    let mut runs = Vec::new();
-    for t in [1usize, 4] {
-        cap_par::set_threads(t);
-        let mut conv = Conv2d::new(3, 24, 3, 1, 1, true, &mut rng(11)).unwrap();
-        let y = conv.forward(&x).unwrap();
-        let g = Tensor::from_fn(y.shape(), |i| ((i as f32) * 0.013).sin());
-        conv.zero_grad();
-        let gin = conv.backward(&g).unwrap();
-        runs.push((y, gin, conv.grad_weight().clone()));
+    let cases = [
+        // Batch 8 exceeds the 4-thread wave size, so the weight-gradient
+        // reduce runs over multiple waves.
+        ConvCase {
+            what: "12x12 map, batch 8",
+            batch: 8,
+            in_c: 3,
+            out_c: 24,
+            side: 12,
+            stride: 1,
+        },
+        // 4 columns per sample: groups of 10/5/4/3 at 1/2/3/4 threads.
+        ConvCase {
+            what: "2x2 map, batch 10",
+            batch: 10,
+            in_c: 16,
+            out_c: 32,
+            side: 2,
+            stride: 1,
+        },
+        // 100 columns per sample: a group of 3 (1–3 threads) is 300
+        // columns and takes the packed GEMM; a group of 2 (4 threads)
+        // stays on the direct path.
+        ConvCase {
+            what: "10x10 map, batch 7",
+            batch: 7,
+            in_c: 8,
+            out_c: 16,
+            side: 10,
+            stride: 1,
+        },
+        // Odd channel counts, as left by pruning, at stride 2.
+        ConvCase {
+            what: "odd channels 13->37, stride 2",
+            batch: 6,
+            in_c: 13,
+            out_c: 37,
+            side: 9,
+            stride: 2,
+        },
+    ];
+    for case in &cases {
+        let x = cap_tensor::randn(
+            &[case.batch, case.in_c, case.side, case.side],
+            0.0,
+            1.0,
+            &mut rng(7),
+        );
+        let mut runs = Vec::new();
+        for t in 1..=4usize {
+            cap_par::set_threads(t);
+            let mut conv =
+                Conv2d::new(case.in_c, case.out_c, 3, case.stride, 1, true, &mut rng(11)).unwrap();
+            let y = conv.forward(&x).unwrap();
+            let g = Tensor::from_fn(y.shape(), |i| ((i as f32) * 0.013).sin());
+            conv.zero_grad();
+            let gin = conv.backward(&g).unwrap();
+            let gw = conv.grad_weight().clone();
+            // The input-only pass returns the same input gradient and
+            // leaves the (sentinel-filled) weight gradient alone.
+            conv.grad_weight_mut().fill(SENTINEL);
+            let gin_only = conv.backward_input_only(&g).unwrap();
+            assert_bits_eq(
+                &gin_only,
+                &gin,
+                &format!("{}: input-only gradient", case.what),
+            );
+            assert!(
+                conv.grad_weight().data().iter().all(|&v| v == SENTINEL),
+                "{}: input-only pass wrote the weight gradient",
+                case.what
+            );
+            runs.push((t, y, gin, gw));
+        }
+        let (_, y1, gin1, gw1) = &runs[0];
+        for (t, y, gin, gw) in &runs[1..] {
+            let what = format!("{} at {t} threads", case.what);
+            assert_bits_eq(y1, y, &format!("{what}: conv forward output"));
+            assert_bits_eq(gin1, gin, &format!("{what}: conv input gradient"));
+            assert_bits_eq(gw1, gw, &format!("{what}: conv weight gradient"));
+        }
     }
     cap_par::set_threads(prior);
-    let (y1, gin1, gw1) = &runs[0];
-    let (y4, gin4, gw4) = &runs[1];
-    assert_bits_eq(y1, y4, "conv forward output");
-    assert_bits_eq(gin1, gin4, "conv input gradient");
-    assert_bits_eq(gw1, gw4, "conv weight gradient");
+}
+
+const SENTINEL: f32 = -1234.5;
+
+/// `Network::backward_input_only` returns exactly `backward`'s input
+/// gradient through conv (with bias), batch-norm in both modes, a
+/// residual block and a linear layer, and leaves every parameter
+/// gradient untouched.
+#[test]
+fn network_input_only_backward_matches_full_and_skips_parameter_gradients() {
+    let _guard = threads_lock();
+    let prior = cap_par::threads();
+    let mut r = rng(21);
+    let mut net = Network::new();
+    net.push(Conv2d::new(3, 6, 3, 1, 1, true, &mut r).unwrap());
+    net.push(BatchNorm2d::new(6).unwrap());
+    net.push(Relu::new());
+    net.push(ResidualBlock::new(6, 10, 2, &mut r).unwrap());
+    net.push(GlobalAvgPool::new());
+    net.push(Linear::new(10, 4, &mut r).unwrap());
+    let x = cap_tensor::randn(&[5, 3, 8, 8], 0.0, 1.0, &mut rng(22));
+    let labels = [0usize, 1, 2, 3, 1];
+    for t in [1usize, 3] {
+        cap_par::set_threads(t);
+        for training in [false, true] {
+            let what = format!("{t} threads, training={training}");
+            let logits = net.forward(&x, training).unwrap();
+            let grad = CrossEntropyLoss::new(Reduction::Sum)
+                .forward(&logits, &labels)
+                .unwrap()
+                .grad;
+            net.zero_grad();
+            let full = net.backward(&grad).unwrap();
+            net.visit_params_mut(&mut |_, g| g.fill(SENTINEL));
+            let only = net.backward_input_only(&grad).unwrap();
+            assert_bits_eq(&only, &full, &format!("{what}: input gradient"));
+            net.visit_params_mut(&mut |_, g| {
+                assert!(
+                    g.data().iter().all(|&v| v == SENTINEL),
+                    "{what}: input-only pass wrote a parameter gradient"
+                );
+            });
+        }
+    }
+    cap_par::set_threads(prior);
 }
 
 fn toy_net(seed: u64) -> Network {

@@ -287,6 +287,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_bits() {
+        let _guard = crate::simd::mode_test_lock();
         let a = Tensor::from_fn(&[129, 310], |i| (i as f32 * 0.0131).sin());
         let b = Tensor::from_fn(&[310, 73], |i| (i as f32 * 0.0077).cos());
         cap_par::set_threads(1);

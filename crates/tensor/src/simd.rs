@@ -148,6 +148,15 @@ pub fn set_simd_mode(mode: SimdMode) -> Result<(), String> {
     Ok(())
 }
 
+/// Serialises this crate's unit tests that set the process-global mode
+/// with the ones that compare bits across calls under it.
+#[cfg(test)]
+pub(crate) fn mode_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 + FMA kernels (x86-64).
 // ---------------------------------------------------------------------------
@@ -390,6 +399,8 @@ mod tests {
 
     #[test]
     fn set_mode_rejects_unavailable_isa() {
+        let _guard = mode_test_lock();
+        let prior = simd_mode();
         if !avx2_available() {
             assert!(set_simd_mode(SimdMode::Avx2).is_err());
         } else {
@@ -398,6 +409,7 @@ mod tests {
         }
         assert!(set_simd_mode(SimdMode::Scalar).is_ok());
         assert_eq!(simd_mode(), SimdMode::Scalar);
+        set_simd_mode(prior).expect("the prior mode was available");
     }
 
     #[cfg(target_arch = "x86_64")]
