@@ -11,6 +11,7 @@
 use crate::{PrunableSite, PruneError};
 use cap_data::Dataset;
 use cap_nn::{CrossEntropyLoss, Network, Reduction};
+use cap_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -187,11 +188,12 @@ impl ClassAttribution {
 ///
 /// The network is treated as frozen: forward passes run in eval mode and
 /// the backward sweeps compute input and activation gradients only
-/// ([`Network::backward_input_only`]); parameter gradients are cleared
-/// after the class loop, also when a class batch fails. One
-/// forward/backward pair per class scores every activation output of
-/// every site at once (the paper's single-backward Taylor
-/// approximation).
+/// ([`Network::backward_input_only`]). One forward/backward pair per
+/// class scores every activation output of every site at once (the
+/// paper's single-backward Taylor approximation). The pairs run on
+/// replicas of `net`; the caller's net is left with its forward caches
+/// dropped, recording off and gradients zeroed, also when a class batch
+/// fails.
 ///
 /// # Errors
 ///
@@ -212,6 +214,13 @@ pub fn evaluate_scores(
 /// same order — bit-identical to [`evaluate_scores`] at any thread
 /// count).
 ///
+/// Each `s_{f,n}` depends only on class `n`'s own batch, so the classes
+/// are split into contiguous runs, one per pool thread, and each run is
+/// scored on its own replica of the network inside one pool task. The
+/// layer calls of a run therefore execute inline on that thread. A
+/// failing class batch fails the pass with the error of the lowest
+/// failing class.
+///
 /// # Errors
 ///
 /// Propagates dataset sampling errors, network shape errors and
@@ -228,82 +237,120 @@ pub fn evaluate_scores_with_attribution(
     let _span = cap_obs::span!("core.score");
     cfg.validate()?;
     let classes = data.classes();
+    let filters: Vec<usize> = sites
+        .iter()
+        .map(|s| s.filters(net))
+        .collect::<Result<_, _>>()?;
+    // Every batch is drawn up front in class order: the rng sequence of
+    // one class after another, whatever the sharding.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let loss_fn = CrossEntropyLoss::new(Reduction::Sum);
-
-    let mut per_site: Vec<SiteScores> = sites
-        .iter()
-        .map(|s| {
-            Ok(SiteScores {
-                label: s.label.clone(),
-                scores: vec![0.0; s.filters(net)?],
-            })
-        })
-        .collect::<Result<_, PruneError>>()?;
-    let mut per_site_attr: Vec<SiteAttribution> = per_site
-        .iter()
-        .map(|s| SiteAttribution {
-            label: s.label.clone(),
-            per_class: vec![vec![0.0; classes]; s.scores.len()],
-        })
+    let batches: Vec<Result<Tensor, PruneError>> = (0..classes)
+        .map(|class| Ok(data.sample_class_batch(class, cfg.images_per_class, &mut rng)?))
         .collect();
 
-    net.set_record_activations(true);
-    let result = (|| -> Result<(), PruneError> {
-        for class in 0..classes {
-            let batch = data.sample_class_batch(class, cfg.images_per_class, &mut rng)?;
-            let m = batch.dim(0);
-            let labels = vec![class; m];
-            let logits = net.forward(&batch, false)?;
-            let out = loss_fn.forward(&logits, &labels)?;
-            net.backward_input_only(&out.grad)?;
-            for ((site, acc), attr) in sites
-                .iter()
-                .zip(per_site.iter_mut())
-                .zip(per_site_attr.iter_mut())
-            {
-                let conv = site.conv(net)?;
-                let a = conv
-                    .recorded_output()
-                    .ok_or_else(|| PruneError::UnsupportedTopology {
-                        reason: format!("site {} did not record activations", site.label),
-                    })?;
-                let g =
-                    conv.recorded_output_grad()
-                        .ok_or_else(|| PruneError::UnsupportedTopology {
-                            reason: format!("site {} did not record gradients", site.label),
-                        })?;
-                let contrib =
-                    site_class_contributions(acc.scores.len(), a.data(), g.data(), m, cfg.tau);
-                // The same addition, in the same order, as the old
-                // in-place accumulation — bit-identical totals.
-                for ((score, row), &c) in acc
-                    .scores
-                    .iter_mut()
-                    .zip(attr.per_class.iter_mut())
-                    .zip(contrib.iter())
-                {
-                    *score += c;
-                    row[class] = c;
-                }
-            }
-        }
-        Ok(())
-    })();
+    let shards = cap_par::effective_parallelism().min(classes).max(1);
+    net.clear_caches();
+    let net_ref = &*net;
+    let per_shard = cap_par::parallel_map(shards, |shard| {
+        // The root frame on a pool worker: it attributes the shard's
+        // layer time to scoring in `profile.folded`.
+        let _span = cap_obs::span!("core.score.shard");
+        let mut replica = net_ref.clone();
+        replica.set_record_activations(true);
+        // Stops at the shard's first failing class.
+        (shard * classes / shards..(shard + 1) * classes / shards)
+            .map(|class| {
+                let batch = batches[class].as_ref().map_err(Clone::clone)?;
+                class_contributions(&mut replica, sites, &filters, batch, class, cfg.tau)
+            })
+            .collect::<Result<Vec<_>, PruneError>>()
+    });
     net.set_record_activations(false);
     net.zero_grad();
-    result?;
+    // Shards cover ascending class runs, so the first error met here is
+    // the lowest failing class's.
+    let mut per_class = Vec::with_capacity(classes);
+    for shard in per_shard {
+        per_class.extend(shard?);
+    }
+    Ok(collect_scores(sites, &filters, &per_class))
+}
 
-    Ok((
+/// Runs one class batch through `net` (recording on) and returns
+/// `s_{f,n}` for every filter of every site, indexed `[site][filter]`.
+fn class_contributions(
+    net: &mut Network,
+    sites: &[PrunableSite],
+    filters: &[usize],
+    batch: &Tensor,
+    class: usize,
+    tau: TauMode,
+) -> Result<Vec<Vec<f64>>, PruneError> {
+    let m = batch.dim(0);
+    let logits = net.forward(batch, false)?;
+    let out = CrossEntropyLoss::new(Reduction::Sum).forward(&logits, &vec![class; m])?;
+    net.backward_input_only(&out.grad)?;
+    sites
+        .iter()
+        .zip(filters)
+        .map(|(site, &f)| {
+            let conv = site.conv(net)?;
+            let a = conv
+                .recorded_output()
+                .ok_or_else(|| PruneError::UnsupportedTopology {
+                    reason: format!("site {} did not record activations", site.label),
+                })?;
+            let g = conv
+                .recorded_output_grad()
+                .ok_or_else(|| PruneError::UnsupportedTopology {
+                    reason: format!("site {} did not record gradients", site.label),
+                })?;
+            Ok(site_class_contributions(f, a.data(), g.data(), m, tau))
+        })
+        .collect()
+}
+
+/// Transposes the per-class contributions (`[class][site][filter]`)
+/// into attribution rows and folds each row in ascending class order
+/// from `0.0`: the additions the serial class loop made, in its order.
+fn collect_scores(
+    sites: &[PrunableSite],
+    filters: &[usize],
+    per_class: &[Vec<Vec<f64>>],
+) -> (NetworkScores, ClassAttribution) {
+    let classes = per_class.len();
+    let attribution: Vec<SiteAttribution> = sites
+        .iter()
+        .zip(filters)
+        .enumerate()
+        .map(|(si, (site, &f))| SiteAttribution {
+            label: site.label.clone(),
+            per_class: (0..f)
+                .map(|fi| per_class.iter().map(|c| c[si][fi]).collect())
+                .collect(),
+        })
+        .collect();
+    let scores = attribution
+        .iter()
+        .map(|a| SiteScores {
+            label: a.label.clone(),
+            scores: a
+                .per_class
+                .iter()
+                .map(|row| row.iter().fold(0.0f64, |acc, &c| acc + c))
+                .collect(),
+        })
+        .collect();
+    (
         NetworkScores {
-            sites: per_site,
+            sites: scores,
             classes,
         },
         ClassAttribution {
-            sites: per_site_attr,
+            sites: attribution,
             classes,
         },
-    ))
+    )
 }
 
 /// Computes `s_{f,n}` (Eq. 5–7) for one class and every filter of a
@@ -331,36 +378,30 @@ fn site_class_contributions(
         }
     };
     let plane = activations.len() / (m * filters);
-    // Filters are independent: each task owns a contiguous run of score
-    // slots and runs the unchanged per-filter loop, so the result is
-    // bit-identical for any thread count. (The class loop above stays
-    // serial to preserve the rng sampling sequence exactly.)
-    let chunk = filters.div_ceil(cap_par::effective_parallelism());
-    cap_par::parallel_chunks_mut(&mut contrib, chunk, |ci, slots| {
-        for (j, slot) in slots.iter_mut().enumerate() {
-            let f = ci * chunk + j;
-            // s_ave over positions; track the max on the fly (Eq. 6-7).
-            let mut best = 0.0f64;
-            for pos in 0..plane {
-                let mut hits = 0usize;
-                for sample in 0..m {
-                    let idx = (sample * filters + f) * plane + pos;
-                    let theta = f64::from((activations[idx] * grads[idx]).abs());
-                    if theta > tau {
-                        hits += 1;
-                    }
-                }
-                let s_ave = hits as f64 / m as f64;
-                if s_ave > best {
-                    best = s_ave;
-                    if best >= 1.0 {
-                        break;
-                    }
+    // A plain loop: the pass already runs one scoring shard per pool
+    // thread (see `evaluate_scores_with_attribution`).
+    for (f, slot) in contrib.iter_mut().enumerate() {
+        // s_ave over positions; track the max on the fly (Eq. 6-7).
+        let mut best = 0.0f64;
+        for pos in 0..plane {
+            let mut hits = 0usize;
+            for sample in 0..m {
+                let idx = (sample * filters + f) * plane + pos;
+                let theta = f64::from((activations[idx] * grads[idx]).abs());
+                if theta > tau {
+                    hits += 1;
                 }
             }
-            *slot = best;
+            let s_ave = hits as f64 / m as f64;
+            if s_ave > best {
+                best = s_ave;
+                if best >= 1.0 {
+                    break;
+                }
+            }
         }
-    });
+        *slot = best;
+    }
     contrib
 }
 
@@ -437,26 +478,6 @@ mod tests {
         let a = evaluate_scores(&mut net, &sites, data.train(), &ScoreConfig::default()).unwrap();
         let b = evaluate_scores(&mut net, &sites, data.train(), &ScoreConfig::default()).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn scores_bit_identical_across_thread_counts() {
-        let data = tiny_data();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut net = tiny_net(&mut rng);
-        let sites = find_prunable_sites(&net);
-        let prior = cap_par::threads();
-        cap_par::set_threads(1);
-        let serial =
-            evaluate_scores(&mut net, &sites, data.train(), &ScoreConfig::default()).unwrap();
-        cap_par::set_threads(4);
-        let parallel =
-            evaluate_scores(&mut net, &sites, data.train(), &ScoreConfig::default()).unwrap();
-        cap_par::set_threads(prior);
-        assert_eq!(serial.total_filters(), parallel.total_filters());
-        for ((_, _, a), (_, _, b)) in serial.iter_scores().zip(parallel.iter_scores()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
     }
 
     #[test]
@@ -691,25 +712,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn input_only_scoring_matches_full_backward_reference() {
-        let data = tiny_data();
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut dense = tiny_resnet(&mut rng);
-        // A pruned copy with odd channel counts at every site.
+    /// A pruned copy of `dense` with odd channel counts at every site.
+    fn odd_pruned(dense: &Network) -> Network {
         let mut pruned = dense.clone();
-        let sites = find_prunable_sites(&pruned);
-        for site in &sites {
+        for site in &find_prunable_sites(&pruned) {
             let filters = site.filters(&pruned).unwrap();
             let kept = (filters * 2 / 3) | 1;
             let keep: Vec<usize> = (0..kept).map(|i| i * filters / kept).collect();
             crate::apply_site_pruning(&mut pruned, site, &keep).unwrap();
         }
+        let sites = find_prunable_sites(&pruned);
+        assert!(sites.iter().all(|s| s.filters(&pruned).unwrap() % 2 == 1));
+        pruned
+    }
+
+    #[test]
+    fn input_only_scoring_matches_full_backward_reference() {
+        let data = tiny_data();
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut dense = tiny_resnet(&mut rng);
+        let mut pruned = odd_pruned(&dense);
         for (what, net) in [("dense", &mut dense), ("pruned", &mut pruned)] {
             let sites = find_prunable_sites(net);
-            if what == "pruned" {
-                assert!(sites.iter().all(|s| s.filters(net).unwrap() % 2 == 1));
-            }
             for tau in [TauMode::default(), TauMode::SiteRelative(3.0)] {
                 let cfg = ScoreConfig {
                     tau,
@@ -721,6 +745,40 @@ mod tests {
                 assert_scores_bit_identical(&got, &want, &format!("{what}, {tau:?}"));
             }
         }
+    }
+
+    #[test]
+    fn scores_bit_identical_across_thread_counts() {
+        // 3 and 4 threads split the 10 classes into uneven shards; 16
+        // asks for more shards than there are classes.
+        let data = tiny_data();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut dense = tiny_resnet(&mut rng);
+        let mut pruned = odd_pruned(&dense);
+        let cfg = ScoreConfig::default();
+        let prior = cap_par::threads();
+        for (what, net) in [("dense", &mut dense), ("pruned", &mut pruned)] {
+            let sites = find_prunable_sites(net);
+            cap_par::set_threads(1);
+            let want = full_backward_reference(net, &sites, data.train(), &cfg);
+            for threads in [1, 2, 3, 4, 16] {
+                cap_par::set_threads(threads);
+                let got = evaluate_scores_with_attribution(net, &sites, data.train(), &cfg);
+                cap_par::set_threads(prior);
+                assert_scores_bit_identical(
+                    &got.unwrap(),
+                    &want,
+                    &format!("{what}, {threads} threads"),
+                );
+            }
+        }
+    }
+
+    /// The bits of every parameter, in visiting order.
+    fn param_bits(net: &mut Network) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.visit_params_mut(&mut |p, _| bits.extend(p.data().iter().map(|v| v.to_bits())));
+        bits
     }
 
     /// Every parameter gradient is zero and no convolution records.
@@ -745,25 +803,42 @@ mod tests {
         let data = tiny_data();
         let mut rng = StdRng::seed_from_u64(9);
         let mut net = tiny_resnet(&mut rng);
-        let sites = find_prunable_sites(&net);
-        net.visit_params_mut(&mut |_, g| g.fill(1.5));
-        evaluate_scores(&mut net, &sites, data.train(), &ScoreConfig::default()).unwrap();
-        assert_left_clean(&mut net, "after a pass");
-
-        // Five outputs for ten classes: the class-5 batch fails in the
-        // loss after five classes have run their backward passes.
+        // Five outputs for ten classes: every class batch from class 5 on
+        // fails in the loss; at 4 threads the shards starting at classes
+        // 5 and 7 both fail.
         let mut short = Network::new();
         short.push(Conv2d::new(3, 4, 3, 1, 1, true, &mut rng).unwrap());
         short.push(BatchNorm2d::new(4).unwrap());
         short.push(Relu::new());
         short.push(GlobalAvgPool::new());
         short.push(Linear::new(4, 5, &mut rng).unwrap());
-        let sites = find_prunable_sites(&short);
-        short.visit_params_mut(&mut |_, g| g.fill(1.5));
-        assert!(
-            evaluate_scores(&mut short, &sites, data.train(), &ScoreConfig::default()).is_err()
-        );
-        assert_left_clean(&mut short, "after a failed class batch");
+        let prior = cap_par::threads();
+        for threads in [1, 4] {
+            for (what, net, fails) in [
+                ("a pass", &mut net, false),
+                ("a failed class batch", &mut short, true),
+            ] {
+                let what = format!("after {what} at {threads} threads");
+                let sites = find_prunable_sites(net);
+                let params = param_bits(net);
+                net.visit_params_mut(&mut |_, g| g.fill(1.5));
+                cap_par::set_threads(threads);
+                let result = evaluate_scores(net, &sites, data.train(), &ScoreConfig::default());
+                cap_par::set_threads(prior);
+                match result {
+                    Ok(_) => assert!(!fails, "{what}: the pass succeeded"),
+                    // The error is the lowest failing class's.
+                    Err(e) => assert!(
+                        fails
+                            && matches!(&e, PruneError::Nn(cap_nn::NnError::BadLabels { reason })
+                                if reason.starts_with("label 5 ")),
+                        "{what}: {e}"
+                    ),
+                }
+                assert_eq!(param_bits(net), params, "{what}: parameters changed");
+                assert_left_clean(net, &what);
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! End-to-end observability check: a tiny pruning run with the JSONL
 //! sink attached must produce a parseable event stream whose
-//! `prune_iteration` records mirror the returned [`PruneOutcome`].
+//! `prune_iteration` records mirror the returned [`PruneOutcome`]; a
+//! scoring pass records one span per class shard.
 
-use cap_core::{ClassAwarePruner, PruneConfig, PruneStrategy};
+use cap_core::{
+    evaluate_scores, find_prunable_sites, ClassAwarePruner, PruneConfig, PruneStrategy, ScoreConfig,
+};
 use cap_data::{DatasetSpec, SyntheticDataset};
 use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
 use cap_nn::{fit, Network, TrainConfig};
@@ -139,4 +142,73 @@ fn pruning_run_emits_validated_jsonl_stream() {
         .collect();
     assert_eq!(order.first().map(String::as_str), Some("prune_start"));
     assert_eq!(order.last().map(String::as_str), Some("prune_done"));
+}
+
+/// Recorded span count per path (the registry's `span.<path>` histograms).
+fn span_counts() -> Vec<(String, u64)> {
+    cap_obs::registry()
+        .snapshot()
+        .into_iter()
+        .filter_map(|(name, metric)| match metric {
+            cap_obs::Metric::Histogram(h) => name
+                .strip_prefix("span.")
+                .map(|p| (p.to_string(), h.count())),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn scoring_records_one_shard_span_per_shard() {
+    let _guard = cap_obs::test_lock();
+    let data = SyntheticDataset::generate(
+        &DatasetSpec::cifar10_like()
+            .with_image_size(8)
+            .with_counts(12, 4),
+    )
+    .unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+    let mut net = Network::new();
+    net.push(Conv2d::new(3, 4, 3, 1, 1, false, &mut rng).unwrap());
+    net.push(BatchNorm2d::new(4).unwrap());
+    net.push(Relu::new());
+    net.push(GlobalAvgPool::new());
+    net.push(Linear::new(4, 10, &mut rng).unwrap());
+    let sites = find_prunable_sites(&net);
+    let prior = cap_par::threads();
+    // Ten classes: one shard per thread, at most one per class.
+    for (threads, shards) in [(1, 1), (3, 3), (16, 10)] {
+        cap_obs::reset();
+        cap_obs::enable();
+        cap_par::set_threads(threads);
+        let result = evaluate_scores(&mut net, &sites, data.train(), &ScoreConfig::default());
+        cap_par::set_threads(prior);
+        cap_obs::disable();
+        result.unwrap();
+        let counts = span_counts();
+        cap_obs::reset();
+        let count = |leaf: &str| -> u64 {
+            counts
+                .iter()
+                .filter(|(path, _)| path.rsplit('/').next() == Some(leaf))
+                .map(|(_, n)| n)
+                .sum()
+        };
+        assert_eq!(count("core.score"), 1, "{threads} threads: {counts:?}");
+        assert_eq!(
+            count("core.score.shard"),
+            shards,
+            "{threads} threads: {counts:?}"
+        );
+        // A shard frame is the root of a worker's stack, or sits under
+        // the pass on the calling thread.
+        for (path, _) in &counts {
+            if path.ends_with("core.score.shard") {
+                assert!(
+                    path == "core.score.shard" || path == "core.score/core.score.shard",
+                    "{path}"
+                );
+            }
+        }
+    }
 }

@@ -359,6 +359,14 @@ impl BatchNorm2d {
         Ok(grad_in)
     }
 
+    /// Drops the forward caches `backward` reads (x̂, the inverse
+    /// standard deviations and the input shape).
+    pub(crate) fn clear_cache(&mut self) {
+        self.cached_xhat = None;
+        self.cached_inv_std = Vec::new();
+        self.cached_shape = Vec::new();
+    }
+
     /// Keeps only the listed channels, matching a pruning of the
     /// producing convolution's filters.
     ///
@@ -374,7 +382,7 @@ impl BatchNorm2d {
         self.grad_beta = Tensor::zeros(&[keep.len()]);
         self.running_mean = keep.iter().map(|&i| self.running_mean[i]).collect();
         self.running_var = keep.iter().map(|&i| self.running_var[i]).collect();
-        self.cached_xhat = None;
+        self.clear_cache();
         Ok(())
     }
 

@@ -404,7 +404,8 @@ impl Conv2d {
         Ok(())
     }
 
-    /// Drops forward caches (used between iterations to bound memory).
+    /// Drops the forward caches `backward` reads (the im2col columns
+    /// and the geometry).
     pub fn clear_cache(&mut self) {
         self.cached_cols.clear();
         self.cached_geom = None;

@@ -186,8 +186,13 @@ impl Linear {
         }
         self.weight = Tensor::from_vec(vec![out, keep.len()], w)?;
         self.grad_weight = Tensor::zeros(self.weight.shape());
-        self.cached_input = None;
+        self.clear_cache();
         Ok(())
+    }
+
+    /// Drops the cached forward input `backward` reads.
+    pub(crate) fn clear_cache(&mut self) {
+        self.cached_input = None;
     }
 
     /// Number of learnable parameters.

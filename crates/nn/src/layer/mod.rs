@@ -151,6 +151,21 @@ impl Layer {
         }
     }
 
+    /// Drops the forward caches `backward` reads. The parameter-free
+    /// layers hold nothing else, so they are simply reset.
+    pub(crate) fn clear_cache(&mut self) {
+        match self {
+            Layer::Conv(l) => l.clear_cache(),
+            Layer::BatchNorm(l) => l.clear_cache(),
+            Layer::Relu(l) => *l = Relu::new(),
+            Layer::MaxPool(l) => l.clear_cache(),
+            Layer::GlobalAvgPool(l) => *l = GlobalAvgPool::new(),
+            Layer::Flatten(l) => *l = Flatten::new(),
+            Layer::Linear(l) => l.clear_cache(),
+            Layer::Residual(l) => l.clear_cache(),
+        }
+    }
+
     /// Number of learnable parameters.
     pub fn num_params(&self) -> usize {
         match self {

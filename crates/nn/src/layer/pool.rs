@@ -91,6 +91,13 @@ impl MaxPool2d {
         Ok(out)
     }
 
+    /// Drops the argmax positions and shapes `backward` reads.
+    pub(crate) fn clear_cache(&mut self) {
+        self.cached_argmax = Vec::new();
+        self.cached_in_shape = Vec::new();
+        self.cached_out_shape = Vec::new();
+    }
+
     /// Backward pass: routes each gradient to the argmax position.
     ///
     /// # Errors

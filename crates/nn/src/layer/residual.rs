@@ -211,6 +211,20 @@ impl ResidualBlock {
         }
     }
 
+    /// Drops the forward caches of all sub-layers.
+    pub(crate) fn clear_cache(&mut self) {
+        self.conv1.clear_cache();
+        self.bn1.clear_cache();
+        self.relu1 = Relu::new();
+        self.conv2.clear_cache();
+        self.bn2.clear_cache();
+        if let Some((c, b)) = &mut self.shortcut {
+            c.clear_cache();
+            b.clear_cache();
+        }
+        self.relu_out = Relu::new();
+    }
+
     /// Total learnable parameters.
     pub fn num_params(&self) -> usize {
         self.conv1.num_params()

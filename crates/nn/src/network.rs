@@ -101,6 +101,18 @@ impl Network {
         }
     }
 
+    /// Drops every layer's forward caches (im2col columns, batch-norm
+    /// x̂, ReLU masks, cached inputs), which after a forward pass can
+    /// outweigh the parameters many times over. Clear before cloning a
+    /// replica, so the clone copies parameters only. Until the next forward,
+    /// `backward` fails with [`NnError::MissingCache`] instead of
+    /// reading stale caches.
+    pub fn clear_caches(&mut self) {
+        for layer in &mut self.layers {
+            layer.clear_cache();
+        }
+    }
+
     /// Total learnable parameters.
     pub fn num_params(&self) -> usize {
         self.layers.iter().map(Layer::num_params).sum()
@@ -180,7 +192,9 @@ impl Extend<Layer> for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{GlobalAvgPool, Linear, MaxPool2d, Relu, ResidualBlock};
+    use crate::layer::{
+        BatchNorm2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu, ResidualBlock,
+    };
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -234,6 +248,47 @@ mod tests {
         net.visit_params_mut(&mut |_, _| count += 1);
         // conv(w,b) + res(conv1 w, bn1 g/b, conv2 w, bn2 g/b, sc w, sc bn g/b) + linear(w,b)
         assert_eq!(count, 2 + 9 + 2);
+    }
+
+    #[test]
+    fn cleared_caches_forward_bit_identically_and_refuse_backward() {
+        let mut r = rng();
+        // One of every layer kind.
+        let mut net = Network::new();
+        net.push(Conv2d::new(3, 4, 3, 1, 1, true, &mut r).unwrap());
+        net.push(BatchNorm2d::new(4).unwrap());
+        net.push(Relu::new());
+        net.push(MaxPool2d::new(2, 2).unwrap());
+        net.push(ResidualBlock::new(4, 8, 2, &mut r).unwrap());
+        net.push(GlobalAvgPool::new());
+        net.push(Flatten::new());
+        net.push(Linear::new(8, 5, &mut r).unwrap());
+        let x = cap_tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut r);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Each layer's output gradient shape, for per-layer backward probes.
+        let mut shapes = Vec::new();
+        let mut h = x.clone();
+        for layer in net.layers_mut() {
+            h = layer.forward(&h, false).unwrap();
+            shapes.push(h.shape().to_vec());
+        }
+        let want = bits(&h);
+
+        net.clear_caches();
+        let missing = |r: Result<Tensor, NnError>| matches!(r, Err(NnError::MissingCache { .. }));
+        for (layer, shape) in net.layers_mut().iter_mut().zip(&shapes) {
+            let kind = layer.kind();
+            assert!(missing(layer.backward(&Tensor::ones(shape))), "{kind}");
+        }
+        net.visit_convs_mut(&mut |c| assert!(missing(c.backward(&Tensor::ones(&[1])))));
+        if let Some(block) = net.layers_mut()[4].as_residual_mut() {
+            block.visit_bns_mut(&mut |b| assert!(missing(b.backward(&Tensor::ones(&[1])))));
+        }
+
+        let mut replica = net.clone();
+        assert_eq!(bits(&replica.forward(&x, false).unwrap()), want);
+        assert_eq!(bits(&net.forward(&x, false).unwrap()), want);
+        net.backward(&Tensor::ones(&[2, 5])).unwrap();
     }
 
     #[test]

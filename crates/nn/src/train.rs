@@ -358,10 +358,12 @@ pub fn evaluate(
     }
     // Inference is pure, so each task evaluates a contiguous run of
     // batches on its own clone of the network (predict mutates layer
-    // caches). Per-sample predictions are independent of the grouping
-    // and the counts are integers, so the accuracy is exactly the
-    // serial result for any thread count.
+    // caches), cloned without the caller's caches. Per-sample
+    // predictions are independent of the grouping and the counts are
+    // integers, so the accuracy is exactly the serial result for any
+    // thread count.
     let batches_per_group = num_batches.div_ceil(groups);
+    net.clear_caches();
     let net_ref = &*net;
     let partials = cap_par::parallel_map(groups, |g| {
         let start = g * batches_per_group;
@@ -406,6 +408,7 @@ pub fn predict_all(
         return predict_batches(net, images, n, bs, 0, num_batches);
     }
     let batches_per_group = num_batches.div_ceil(groups);
+    net.clear_caches();
     let net_ref = &*net;
     let partials = cap_par::parallel_map(groups, |g| {
         let start = g * batches_per_group;

@@ -85,6 +85,18 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
+/// `len` floats of `buf` starting on a 64-byte boundary (one cache
+/// line). The allocator only promises 16 bytes, so without this the
+/// packed panels' offset within a line, and with it the packed
+/// kernels' speed, would depend on which allocations the thread made
+/// before.
+fn cache_aligned(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    const LINE: usize = 64 / std::mem::size_of::<f32>();
+    buf.resize(len + LINE - 1, 0.0);
+    let off = buf.as_ptr().align_offset(64).min(LINE - 1);
+    &mut buf[off..off + len]
+}
+
 /// Computes `out = A · B` where `A` is logically `m × k`, `B` is `k × n`
 /// and `out` is a zeroed row-major `m × n` buffer.
 pub(crate) fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
@@ -216,8 +228,8 @@ fn packed_serial(
     PACK_BUFFERS.with(|bufs| {
         let mut bufs = bufs.borrow_mut();
         let (pa, pb) = &mut *bufs;
-        pa.resize(cfg.mc.div_ceil(mr) * mr * KC, 0.0);
-        pb.resize(cfg.nc.div_ceil(nr) * nr * KC, 0.0);
+        let pa = cache_aligned(pa, cfg.mc.div_ceil(mr) * mr * KC);
+        let pb = cache_aligned(pb, cfg.nc.div_ceil(nr) * nr * KC);
         for jc in (0..n).step_by(cfg.nc) {
             let ncc = cfg.nc.min(n - jc);
             for pc in (0..k).step_by(KC) {
@@ -318,7 +330,7 @@ fn compute_row_block(
     PACK_BUFFERS.with(|bufs| {
         let mut bufs = bufs.borrow_mut();
         let (pa, _) = &mut *bufs;
-        pa.resize(cfg.mc.div_ceil(mr) * mr * KC, 0.0);
+        let pa = cache_aligned(pa, cfg.mc.div_ceil(mr) * mr * KC);
         pack_a(a, row0, rows, pc, kcc, mr, pa);
         macro_kernel(cfg.micro, rows, ncc, kcc, pa, pb, out, n, jc);
     });
@@ -675,6 +687,22 @@ mod tests {
         for i in 0..m {
             for p in 0..k {
                 assert_eq!(view.at(i, p), data[p * m + i]);
+            }
+        }
+    }
+
+    #[test]
+    fn pack_buffers_start_on_a_cache_line_whatever_the_allocation() {
+        // Buffers of every capacity, grown and shrunk, each placed after
+        // a differently sized allocation.
+        let mut held = Vec::new();
+        for (pad, len) in [(1, 5), (3, 300), (7, 4096), (2, 17), (5, 1)] {
+            held.push(vec![0u8; pad * 4]);
+            let mut buf = vec![1.0f32; pad];
+            for len in [len, len * 3, len / 2] {
+                let slice = cache_aligned(&mut buf, len);
+                assert_eq!(slice.len(), len);
+                assert_eq!(slice.as_ptr() as usize % 64, 0, "len {len}");
             }
         }
     }
