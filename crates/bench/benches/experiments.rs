@@ -1,14 +1,12 @@
-//! One Criterion bench per paper table/figure, running the same harness
-//! as the experiment binaries at smoke scale. These benches double as
-//! end-to-end regression tests: `cargo bench` re-derives every reported
-//! artefact.
+//! One Criterion bench per paper table/figure, rendering it through the
+//! same [`Suite`] entry as `exp_suite`, at a reduced smoke scale. These
+//! benches double as end-to-end regression tests: `cargo bench`
+//! re-derives every reported artefact. Each iteration starts from an
+//! empty pre-train cache, so the timings include pre-training.
 
-use cap_bench::{
-    run_fig4, run_fig6, run_fig7, run_fig8, run_table1, run_table2, run_table3, Arch, DataKind,
-    ExperimentScale,
-};
+use cap_bench::specs::{Artefact, Suite};
+use cap_bench::ExperimentScale;
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
 
 /// An even tighter variant of the smoke scale so a full `cargo bench`
 /// (10 Criterion samples x 7 experiments) stays in the minutes range.
@@ -26,57 +24,38 @@ fn smoke() -> ExperimentScale {
     }
 }
 
-fn table1_pipeline(c: &mut Criterion) {
-    c.bench_function("table1_pipeline", |b| {
-        b.iter(|| run_table1(black_box(&smoke())).unwrap())
+fn bench_artefact(c: &mut Criterion, id: &str, artefact: Artefact) {
+    let caches = std::env::temp_dir().join(format!("cap-bench-{id}-{}", std::process::id()));
+    let mut fresh = 0u64;
+    c.bench_function(id, |b| {
+        b.iter_with_setup(
+            || {
+                fresh += 1;
+                caches.join(fresh.to_string())
+            },
+            |cache| Suite::new(smoke(), cache).render(artefact).unwrap(),
+        )
     });
+    std::fs::remove_dir_all(&caches).ok();
 }
 
-fn table2_strategies(c: &mut Criterion) {
-    c.bench_function("table2_strategies", |b| {
-        b.iter(|| run_table2(black_box(&smoke())).unwrap())
-    });
-}
-
-fn table3_regularizers(c: &mut Criterion) {
-    c.bench_function("table3_regularizers", |b| {
-        b.iter(|| run_table3(black_box(&smoke())).unwrap())
-    });
-}
-
-fn fig4_score_distribution(c: &mut Criterion) {
-    c.bench_function("fig4_score_distribution", |b| {
-        b.iter(|| run_fig4(black_box(&smoke())).unwrap())
-    });
-}
-
-fn fig6_baselines(c: &mut Criterion) {
-    c.bench_function("fig6_baselines", |b| {
-        b.iter(|| run_fig6(Arch::Vgg16, DataKind::C10, black_box(&smoke())).unwrap())
-    });
-}
-
-fn fig7_layerwise_scores(c: &mut Criterion) {
-    c.bench_function("fig7_layerwise_scores", |b| {
-        b.iter(|| run_fig7(black_box(&smoke())).unwrap())
-    });
-}
-
-fn fig8_regularizer_distribution(c: &mut Criterion) {
-    c.bench_function("fig8_regularizer_distribution", |b| {
-        b.iter(|| run_fig8(black_box(&smoke())).unwrap())
-    });
+fn artefacts(c: &mut Criterion) {
+    for (id, artefact) in [
+        ("table1_pipeline", Artefact::Table1),
+        ("table2_strategies", Artefact::Table2),
+        ("table3_regularizers", Artefact::Table3),
+        ("fig4_score_distribution", Artefact::Fig4),
+        ("fig6_baselines", Artefact::Fig6),
+        ("fig7_layerwise_scores", Artefact::Fig7),
+        ("fig8_regularizer_distribution", Artefact::Fig8),
+    ] {
+        bench_artefact(c, id, artefact);
+    }
 }
 
 criterion_group!(
     name = experiments;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(20)).warm_up_time(std::time::Duration::from_secs(1));
-    targets = table1_pipeline,
-        table2_strategies,
-        table3_regularizers,
-        fig4_score_distribution,
-        fig6_baselines,
-        fig7_layerwise_scores,
-        fig8_regularizer_distribution
+    targets = artefacts
 );
 criterion_main!(experiments);

@@ -1,115 +1,27 @@
-//! Consolidated experiment suite: regenerates **all** tables and figures
-//! (Table I–III, Fig. 4, 6, 7, 8) while running every expensive stage at
-//! most once — pre-trained models are cached on disk and shared across
-//! experiments, exactly the paper's comparison protocol ("we used the
+//! Regenerates the paper's tables and figures (Tables I–III, Figs. 4,
+//! 6, 7, 8): all of them, or only those named by artefact id. Every
+//! run comes from the [`cap_bench::specs`] grid and runs at most once,
+//! and pre-trained models are cached on disk and shared across
+//! artefacts, exactly the paper's comparison protocol ("we used the
 //! pre-trained model weights ... and applied the proposed pruning
-//! framework"). This is the recommended entry point on slow machines;
-//! the per-experiment binaries (`exp_table1` …) remain for isolated
-//! runs.
+//! framework"). `CAP_CACHE` moves the cache (default
+//! `target/cap-cache`).
 //!
-//! Usage: `cargo run -p cap-bench --release --bin exp_suite [--small|--smoke]`
+//! Usage: `cargo run -p cap-bench --release --bin exp_suite -- [--small|--smoke]
+//! [--trace SPEC] [table1 table2 table3 fig4 fig6 fig7 fig8]`
 
-use cap_baselines::{run_baseline, standard_criteria, BaselineConfig};
-use cap_bench::{
-    build_dataset, render_fig4, render_fig6, render_fig7, render_fig8, render_table1,
-    render_table2, render_table3, Arch, DataKind, ExperimentScale, Fig4Result, Fig6Row, Fig7Result,
-    Fig8Row, Table1Row, Table2Row, Table3Row,
-};
-use cap_core::{
-    evaluate_scores, find_prunable_sites, layerwise_mean_scores, ClassAwarePruner, PruneConfig,
-    PruneOutcome, PruneStrategy, ScoreConfig, ScoreHistogram,
-};
-use cap_data::SyntheticDataset;
-use cap_nn::{RegularizerConfig, TrainConfig};
+use cap_bench::specs::{parse_suite_args, Suite};
 use std::path::PathBuf;
+use std::process::ExitCode;
 
-type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
-
-struct Suite {
-    scale: ExperimentScale,
-    cache: PathBuf,
-}
-
-struct PipelineResult {
-    baseline_accuracy: f64,
-    outcome: PruneOutcome,
-}
-
-impl Suite {
-    fn data(&self, kind: DataKind) -> Result<SyntheticDataset> {
-        Ok(build_dataset(kind, &self.scale)?)
-    }
-
-    fn finetune_cfg(&self, reg: RegularizerConfig) -> TrainConfig {
-        TrainConfig {
-            epochs: self.scale.finetune_epochs,
-            batch_size: self.scale.batch_size,
-            lr: 0.01,
-            momentum: 0.9,
-            weight_decay: 5e-4,
-            lr_decay: 0.97,
-            regularizer: reg,
-            shuffle_seed: self.scale.seed,
-            fault_policy: cap_nn::FaultPolicy::Abort,
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, artefacts) = match parse_suite_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("exp_suite: {e}");
+            return ExitCode::from(2);
         }
-    }
-
-    fn score_cfg(&self) -> ScoreConfig {
-        ScoreConfig {
-            images_per_class: self.scale.images_per_class,
-            tau: self.scale.tau,
-            ..ScoreConfig::default()
-        }
-    }
-
-    fn run_pipeline(
-        &self,
-        arch: Arch,
-        kind: DataKind,
-        strategy: PruneStrategy,
-        reg: RegularizerConfig,
-    ) -> Result<PipelineResult> {
-        let started = cap_obs::clock::now();
-        let data = self.data(kind)?;
-        let mut prepared =
-            cap_bench::pretrain_cached(arch, kind, &data, &self.scale, reg, &self.cache)?;
-        let pruner = ClassAwarePruner::new(PruneConfig {
-            score: self.score_cfg(),
-            strategy,
-            finetune: self.finetune_cfg(reg),
-            max_iterations: self.scale.max_iterations,
-            accuracy_drop_limit: self.scale.accuracy_drop_limit,
-            eval_batch: self.scale.batch_size,
-        })?;
-        let outcome = pruner.run(&mut prepared.net, data.train(), data.test())?;
-        cap_obs::emit(
-            cap_obs::Event::new("pipeline_done")
-                .str("arch", arch.name())
-                .str("dataset", kind.name())
-                .str("strategy", strategy.label())
-                .str("regularizer", reg.label())
-                .f64("pruning_ratio", outcome.pruning_ratio())
-                .f64("flops_reduction", outcome.flops_reduction())
-                .f64("baseline_accuracy", prepared.baseline_accuracy)
-                .f64("final_accuracy", outcome.final_accuracy)
-                .str("stop_reason", format!("{:?}", outcome.stop_reason))
-                .f64("elapsed_secs", started.elapsed().as_secs_f64()),
-        );
-        Ok(PipelineResult {
-            baseline_accuracy: prepared.baseline_accuracy,
-            outcome,
-        })
-    }
-}
-
-fn main() -> Result<()> {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--smoke") {
-        ExperimentScale::smoke()
-    } else if args.iter().any(|a| a == "--small") {
-        ExperimentScale::small()
-    } else {
-        ExperimentScale::full()
     };
     let cache = std::env::var_os("CAP_CACHE")
         .map(PathBuf::from)
@@ -121,235 +33,27 @@ fn main() -> Result<()> {
             .str("scale", format!("{scale:?}"))
             .str("cache", cache.display().to_string()),
     );
-    let suite = Suite { scale, cache };
     let t0 = cap_obs::clock::now();
-
-    // ---- Phase 1: the four paper-regularised pipelines (Table I core,
-    // reused by Fig. 4, Fig. 6 and Fig. 7).
-    let combos = [
-        (Arch::Vgg16, DataKind::C10),
-        (Arch::Vgg19, DataKind::C100),
-        (Arch::ResNet56, DataKind::C10),
-        (Arch::ResNet56, DataKind::C100),
-    ];
-    let mut main_runs = Vec::new();
-    for (arch, kind) in combos {
-        let strategy = PruneStrategy::paper_combined(kind.classes());
-        main_runs.push((
-            arch,
-            kind,
-            suite.run_pipeline(arch, kind, strategy, RegularizerConfig::paper())?,
-        ));
-    }
-
-    // Table I.
-    let table1: Vec<Table1Row> = main_runs
-        .iter()
-        .map(|(arch, kind, r)| Table1Row {
-            name: format!("{}-{}", arch.name(), kind.name()),
-            original_acc: r.baseline_accuracy,
-            pruned_acc: r.outcome.final_accuracy,
-            pruning_ratio: r.outcome.pruning_ratio(),
-            flops_reduction: r.outcome.flops_reduction(),
-        })
-        .collect();
-    println!("{}", render_table1(&table1));
-
-    // Fig. 4: single-layer histograms from the shared outcomes
-    // (VGG16-C10 conv1, VGG19-C100 conv3, ResNet56-C10 mid-network).
-    let fig4: Vec<Fig4Result> = [(0usize, 0usize), (1, 2), (2, 19)]
-        .iter()
-        .map(|&(run_idx, site)| {
-            let (arch, kind, r) = &main_runs[run_idx];
-            let site = site.min(r.outcome.scores_before.sites.len().saturating_sub(1));
-            Fig4Result {
-                name: format!("{}-{}", arch.name(), kind.name()),
-                layer: r
-                    .outcome
-                    .scores_before
-                    .sites
-                    .get(site)
-                    .map(|s| s.label.clone())
-                    .unwrap_or_default(),
-                before: ScoreHistogram::from_site(&r.outcome.scores_before, site),
-                after: ScoreHistogram::from_site(&r.outcome.scores_after, site),
+    let mut suite = Suite::new(scale, cache);
+    for artefact in artefacts {
+        match suite.render(artefact) {
+            Ok(text) => println!("{text}"),
+            Err(e) => {
+                cap_obs::flush();
+                eprintln!("exp_suite: {} failed: {e}", artefact.id());
+                return ExitCode::FAILURE;
             }
-        })
-        .collect();
-    println!("{}", render_fig4(&fig4));
-
-    // Fig. 7: layer-wise mean scores from the same four outcomes.
-    let fig7: Vec<Fig7Result> = main_runs
-        .iter()
-        .map(|(arch, kind, r)| Fig7Result {
-            name: format!("{}-{}", arch.name(), kind.name()),
-            layers: layerwise_mean_scores(&r.outcome.scores_before, &r.outcome.scores_after),
-        })
-        .collect();
-    println!("{}", render_fig7(&fig7));
-
-    // ---- Phase 2: Table II — two extra strategies on ResNet56-C10
-    // (the combined row reuses the phase-1 outcome).
-    let mut table2 = Vec::new();
-    for strategy in [
-        PruneStrategy::Percentage { fraction: 0.10 },
-        PruneStrategy::Threshold {
-            threshold: cap_core::threshold_for_classes(10),
-        },
-    ] {
-        let r = suite.run_pipeline(
-            Arch::ResNet56,
-            DataKind::C10,
-            strategy,
-            RegularizerConfig::paper(),
-        )?;
-        table2.push(Table2Row {
-            strategy: strategy.label(),
-            pruned_acc: r.outcome.final_accuracy,
-            drop: r.outcome.final_accuracy - r.baseline_accuracy,
-            pruning_ratio: r.outcome.pruning_ratio(),
-            flops_reduction: r.outcome.flops_reduction(),
-        });
-    }
-    {
-        let (_, _, r) = &main_runs[2];
-        table2.push(Table2Row {
-            strategy: "percentage+threshold",
-            pruned_acc: r.outcome.final_accuracy,
-            drop: r.outcome.final_accuracy - r.baseline_accuracy,
-            pruning_ratio: r.outcome.pruning_ratio(),
-            flops_reduction: r.outcome.flops_reduction(),
-        });
-    }
-    println!("{}", render_table2(&table2));
-
-    // ---- Phase 3: Table III — regulariser ablation on VGG16-C10 and
-    // ResNet56-C10 (the L1+Lorth rows reuse phase 1).
-    let regs = [
-        RegularizerConfig::none(),
-        RegularizerConfig::l1_only(),
-        RegularizerConfig::orth_only(),
-    ];
-    let mut table3 = Vec::new();
-    for (arch, reuse_idx) in [(Arch::Vgg16, 0usize), (Arch::ResNet56, 2)] {
-        for reg in regs {
-            let r =
-                suite.run_pipeline(arch, DataKind::C10, PruneStrategy::paper_combined(10), reg)?;
-            table3.push(Table3Row {
-                model: format!("{}-CIFAR10", arch.name()),
-                regularizer: reg.label(),
-                pruned_acc: r.outcome.final_accuracy,
-                drop: r.outcome.final_accuracy - r.baseline_accuracy,
-                pruning_ratio: r.outcome.pruning_ratio(),
-                flops_reduction: r.outcome.flops_reduction(),
-            });
         }
-        let (_, _, r) = &main_runs[reuse_idx];
-        table3.push(Table3Row {
-            model: format!("{}-CIFAR10", arch.name()),
-            regularizer: RegularizerConfig::paper().label(),
-            pruned_acc: r.outcome.final_accuracy,
-            drop: r.outcome.final_accuracy - r.baseline_accuracy,
-            pruning_ratio: r.outcome.pruning_ratio(),
-            flops_reduction: r.outcome.flops_reduction(),
-        });
     }
-    println!("{}", render_table3(&table3));
-
-    // ---- Phase 4: Fig. 8 — score distribution per regulariser on
-    // VGG16-C10, scoring the cached pre-trained models (no pruning).
-    let data10 = suite.data(DataKind::C10)?;
-    let mut fig8 = Vec::new();
-    for reg in [
-        RegularizerConfig::none(),
-        RegularizerConfig::l1_only(),
-        RegularizerConfig::orth_only(),
-        RegularizerConfig::paper(),
-    ] {
-        let mut prepared = cap_bench::pretrain_cached(
-            Arch::Vgg16,
-            DataKind::C10,
-            &data10,
-            &suite.scale,
-            reg,
-            &suite.cache,
-        )?;
-        let sites = find_prunable_sites(&prepared.net);
-        let scores = evaluate_scores(
-            &mut prepared.net,
-            &sites,
-            data10.train(),
-            &suite.score_cfg(),
-        )?;
-        let histogram = ScoreHistogram::from_scores(&scores);
-        fig8.push(Fig8Row {
-            regularizer: reg.label(),
-            low_fraction: histogram.low_fraction(),
-            high_fraction: histogram.high_fraction(),
-            polarization: histogram.polarization(),
-            histogram,
-        });
-    }
-    println!("{}", render_fig8(&fig8));
-
-    // ---- Phase 5: Fig. 6 — baselines on the cached VGG16-C10 model;
-    // the class-aware row reuses the phase-1 outcome.
-    let prepared = cap_bench::pretrain_cached(
-        Arch::Vgg16,
-        DataKind::C10,
-        &data10,
-        &suite.scale,
-        RegularizerConfig::paper(),
-        &suite.cache,
-    )?;
-    let mut fig6 = vec![{
-        let (_, _, r) = &main_runs[0];
-        Fig6Row {
-            method: "Class-aware (ours)".to_string(),
-            accuracy: r.outcome.final_accuracy,
-            pruning_ratio: r.outcome.pruning_ratio(),
-            flops_reduction: r.outcome.flops_reduction(),
-        }
-    }];
-    let schedule = BaselineConfig {
-        fraction_per_iter: 0.10,
-        iterations: suite.scale.max_iterations.min(6),
-        finetune: suite.finetune_cfg(RegularizerConfig::none()),
-        eval_batch: suite.scale.batch_size,
-        seed: suite.scale.seed,
-    };
-    for criterion in standard_criteria().iter_mut() {
-        let started = cap_obs::clock::now();
-        let mut net = prepared.net.clone();
-        let outcome = run_baseline(
-            criterion.as_mut(),
-            &mut net,
-            data10.train(),
-            data10.test(),
-            &schedule,
-        )?;
-        cap_obs::emit(
-            cap_obs::Event::new("baseline_done")
-                .str("method", outcome.method.clone())
-                .f64("pruning_ratio", outcome.pruning_ratio())
-                .f64("final_accuracy", outcome.final_accuracy)
-                .f64("elapsed_secs", started.elapsed().as_secs_f64()),
-        );
-        fig6.push(Fig6Row {
-            method: outcome.method.clone(),
-            accuracy: outcome.final_accuracy,
-            pruning_ratio: outcome.pruning_ratio(),
-            flops_reduction: outcome.flops_reduction(),
-        });
-    }
-    println!("{}", render_fig6("VGG16-CIFAR10", &fig6));
-
     cap_obs::emit(
         cap_obs::Event::new("suite_done").f64("elapsed_secs", t0.elapsed().as_secs_f64()),
     );
     // With CAP_METRICS_ADDR set this self-scrapes /metrics (validating
     // the exposition) and honours CAP_FLIGHT_DUMP; CI fails the run on
     // a broken scrape or dump.
-    cap_bench::finalize_telemetry().map_err(|e| format!("telemetry finalisation failed: {e}"))?;
-    Ok(())
+    if let Err(e) = cap_bench::finalize_telemetry() {
+        eprintln!("exp_suite: telemetry finalisation failed: {e}");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

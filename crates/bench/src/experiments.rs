@@ -1,42 +1,7 @@
-use crate::setup::{build_dataset, build_model, pretrain, train_config, Arch, DataKind};
-use crate::ExperimentScale;
-use cap_baselines::{run_baseline, standard_criteria, BaselineConfig};
-use cap_core::{
-    layerwise_mean_scores, ClassAwarePruner, PruneConfig, PruneOutcome, PruneStrategy, ScoreConfig,
-    ScoreHistogram,
-};
-use cap_nn::RegularizerConfig;
+//! Rows of the paper's tables and figures, as [`crate::specs::Suite`]
+//! reads them off spec outcomes and the `render` module prints them.
 
-/// Result alias for experiment runners.
-pub type ExpResult<T> = Result<T, Box<dyn std::error::Error>>;
-
-/// Runs the full class-aware pipeline (pretrain → iterative prune) for
-/// one model/dataset pair.
-fn run_cap_pipeline(
-    arch: Arch,
-    kind: DataKind,
-    scale: &ExperimentScale,
-    strategy: PruneStrategy,
-    regularizer: RegularizerConfig,
-) -> ExpResult<(f64, PruneOutcome)> {
-    let data = build_dataset(kind, scale)?;
-    let net = build_model(arch, kind, scale)?;
-    let mut prepared = pretrain(net, &data, scale, regularizer)?;
-    let pruner = ClassAwarePruner::new(PruneConfig {
-        score: ScoreConfig {
-            images_per_class: scale.images_per_class,
-            tau: scale.tau,
-            ..ScoreConfig::default()
-        },
-        strategy,
-        finetune: train_config(scale.finetune_epochs, scale, regularizer),
-        max_iterations: scale.max_iterations,
-        accuracy_drop_limit: scale.accuracy_drop_limit,
-        eval_batch: scale.batch_size,
-    })?;
-    let outcome = pruner.run(&mut prepared.net, data.train(), data.test())?;
-    Ok((prepared.baseline_accuracy, outcome))
-}
+use cap_core::ScoreHistogram;
 
 /// One row of Table I.
 #[derive(Debug, Clone)]
@@ -53,35 +18,6 @@ pub struct Table1Row {
     pub flops_reduction: f64,
 }
 
-/// Regenerates Table I: the four model/dataset pairs under the paper's
-/// combined strategy with the full modified cost.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn run_table1(scale: &ExperimentScale) -> ExpResult<Vec<Table1Row>> {
-    let combos = [
-        (Arch::Vgg16, DataKind::C10),
-        (Arch::Vgg19, DataKind::C100),
-        (Arch::ResNet56, DataKind::C10),
-        (Arch::ResNet56, DataKind::C100),
-    ];
-    let mut rows = Vec::new();
-    for (arch, kind) in combos {
-        let strategy = PruneStrategy::paper_combined(kind.classes());
-        let (orig, outcome) =
-            run_cap_pipeline(arch, kind, scale, strategy, RegularizerConfig::paper())?;
-        rows.push(Table1Row {
-            name: format!("{}-{}", arch.name(), kind.name()),
-            original_acc: orig,
-            pruned_acc: outcome.final_accuracy,
-            pruning_ratio: outcome.pruning_ratio(),
-            flops_reduction: outcome.flops_reduction(),
-        });
-    }
-    Ok(rows)
-}
-
 /// One row of Table II (strategy ablation, ResNet56-CIFAR10).
 #[derive(Debug, Clone)]
 pub struct Table2Row {
@@ -95,41 +31,6 @@ pub struct Table2Row {
     pub pruning_ratio: f64,
     /// FLOPs reduction.
     pub flops_reduction: f64,
-}
-
-/// Regenerates Table II: percentage vs. threshold vs. combined on
-/// ResNet56-C10.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn run_table2(scale: &ExperimentScale) -> ExpResult<Vec<Table2Row>> {
-    let classes = DataKind::C10.classes();
-    let strategies = [
-        PruneStrategy::Percentage { fraction: 0.10 },
-        PruneStrategy::Threshold {
-            threshold: cap_core::threshold_for_classes(classes),
-        },
-        PruneStrategy::paper_combined(classes),
-    ];
-    let mut rows = Vec::new();
-    for strategy in strategies {
-        let (orig, outcome) = run_cap_pipeline(
-            Arch::ResNet56,
-            DataKind::C10,
-            scale,
-            strategy,
-            RegularizerConfig::paper(),
-        )?;
-        rows.push(Table2Row {
-            strategy: strategy.label(),
-            pruned_acc: outcome.final_accuracy,
-            drop: outcome.final_accuracy - orig,
-            pruning_ratio: outcome.pruning_ratio(),
-            flops_reduction: outcome.flops_reduction(),
-        });
-    }
-    Ok(rows)
 }
 
 /// One row of Table III (regulariser ablation).
@@ -149,42 +50,6 @@ pub struct Table3Row {
     pub flops_reduction: f64,
 }
 
-/// Regenerates Table III: cost-function ablation on VGG16-C10 and
-/// ResNet56-C10.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn run_table3(scale: &ExperimentScale) -> ExpResult<Vec<Table3Row>> {
-    let regs = [
-        RegularizerConfig::none(),
-        RegularizerConfig::l1_only(),
-        RegularizerConfig::orth_only(),
-        RegularizerConfig::paper(),
-    ];
-    let mut rows = Vec::new();
-    for arch in [Arch::Vgg16, Arch::ResNet56] {
-        for reg in regs {
-            let (orig, outcome) = run_cap_pipeline(
-                arch,
-                DataKind::C10,
-                scale,
-                PruneStrategy::paper_combined(10),
-                reg,
-            )?;
-            rows.push(Table3Row {
-                model: format!("{}-CIFAR10", arch.name()),
-                regularizer: reg.label(),
-                pruned_acc: outcome.final_accuracy,
-                drop: outcome.final_accuracy - orig,
-                pruning_ratio: outcome.pruning_ratio(),
-                flops_reduction: outcome.flops_reduction(),
-            });
-        }
-    }
-    Ok(rows)
-}
-
 /// Result of the Fig. 4 experiment: single-layer score histograms before
 /// and after pruning.
 #[derive(Debug, Clone)]
@@ -197,41 +62,6 @@ pub struct Fig4Result {
     pub before: ScoreHistogram,
     /// Histogram after pruning.
     pub after: ScoreHistogram,
-}
-
-/// Regenerates Fig. 4 for the paper's three displayed layers: VGG16-C10
-/// conv1, VGG19-C100 conv3, and a mid-network ResNet56 layer.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn run_fig4(scale: &ExperimentScale) -> ExpResult<Vec<Fig4Result>> {
-    // (arch, kind, site index to display)
-    let combos = [
-        (Arch::Vgg16, DataKind::C10, 0usize),
-        (Arch::Vgg19, DataKind::C100, 2),
-        (Arch::ResNet56, DataKind::C10, 19),
-    ];
-    let mut results = Vec::new();
-    for (arch, kind, site) in combos {
-        let strategy = PruneStrategy::paper_combined(kind.classes());
-        let (_, outcome) =
-            run_cap_pipeline(arch, kind, scale, strategy, RegularizerConfig::paper())?;
-        let site = site.min(outcome.scores_before.sites.len().saturating_sub(1));
-        let layer = outcome
-            .scores_before
-            .sites
-            .get(site)
-            .map(|s| s.label.clone())
-            .unwrap_or_default();
-        results.push(Fig4Result {
-            name: format!("{}-{}", arch.name(), kind.name()),
-            layer,
-            before: ScoreHistogram::from_site(&outcome.scores_before, site),
-            after: ScoreHistogram::from_site(&outcome.scores_after, site),
-        });
-    }
-    Ok(results)
 }
 
 /// One row of the Fig. 6 comparison.
@@ -247,70 +77,6 @@ pub struct Fig6Row {
     pub flops_reduction: f64,
 }
 
-/// Regenerates Fig. 6 on one model/dataset pair: the class-aware method
-/// against every baseline criterion, all starting from the same
-/// pre-trained weights and fine-tuned under the same schedule.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn run_fig6(arch: Arch, kind: DataKind, scale: &ExperimentScale) -> ExpResult<Vec<Fig6Row>> {
-    let data = build_dataset(kind, scale)?;
-    let net = build_model(arch, kind, scale)?;
-    let prepared = pretrain(net, &data, scale, RegularizerConfig::paper())?;
-    let mut rows = Vec::new();
-
-    // Ours.
-    {
-        let mut net = prepared.net.clone();
-        let pruner = ClassAwarePruner::new(PruneConfig {
-            score: ScoreConfig {
-                images_per_class: scale.images_per_class,
-                tau: scale.tau,
-                ..ScoreConfig::default()
-            },
-            strategy: PruneStrategy::paper_combined(kind.classes()),
-            finetune: train_config(scale.finetune_epochs, scale, RegularizerConfig::paper()),
-            max_iterations: scale.max_iterations,
-            accuracy_drop_limit: scale.accuracy_drop_limit,
-            eval_batch: scale.batch_size,
-        })?;
-        let outcome = pruner.run(&mut net, data.train(), data.test())?;
-        rows.push(Fig6Row {
-            method: "Class-aware (ours)".to_string(),
-            accuracy: outcome.final_accuracy,
-            pruning_ratio: outcome.pruning_ratio(),
-            flops_reduction: outcome.flops_reduction(),
-        });
-    }
-
-    // Baselines under the matched schedule.
-    let cfg = BaselineConfig {
-        fraction_per_iter: 0.10,
-        iterations: scale.max_iterations.min(8),
-        finetune: train_config(scale.finetune_epochs, scale, RegularizerConfig::none()),
-        eval_batch: scale.batch_size,
-        seed: scale.seed,
-    };
-    for criterion in standard_criteria().iter_mut() {
-        let mut net = prepared.net.clone();
-        let outcome = run_baseline(
-            criterion.as_mut(),
-            &mut net,
-            data.train(),
-            data.test(),
-            &cfg,
-        )?;
-        rows.push(Fig6Row {
-            method: outcome.method.clone(),
-            accuracy: outcome.final_accuracy,
-            pruning_ratio: outcome.pruning_ratio(),
-            flops_reduction: outcome.flops_reduction(),
-        });
-    }
-    Ok(rows)
-}
-
 /// Result of the Fig. 7 experiment for one model.
 #[derive(Debug, Clone)]
 pub struct Fig7Result {
@@ -318,32 +84,6 @@ pub struct Fig7Result {
     pub name: String,
     /// `(layer label, mean score before, mean score after)` rows.
     pub layers: Vec<(String, f64, f64)>,
-}
-
-/// Regenerates Fig. 7: per-layer average importance scores before and
-/// after pruning for the four model/dataset pairs.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn run_fig7(scale: &ExperimentScale) -> ExpResult<Vec<Fig7Result>> {
-    let combos = [
-        (Arch::Vgg16, DataKind::C10),
-        (Arch::Vgg19, DataKind::C100),
-        (Arch::ResNet56, DataKind::C10),
-        (Arch::ResNet56, DataKind::C100),
-    ];
-    let mut results = Vec::new();
-    for (arch, kind) in combos {
-        let strategy = PruneStrategy::paper_combined(kind.classes());
-        let (_, outcome) =
-            run_cap_pipeline(arch, kind, scale, strategy, RegularizerConfig::paper())?;
-        results.push(Fig7Result {
-            name: format!("{}-{}", arch.name(), kind.name()),
-            layers: layerwise_mean_scores(&outcome.scores_before, &outcome.scores_after),
-        });
-    }
-    Ok(results)
 }
 
 /// One row of the Fig. 8 experiment.
@@ -359,45 +99,4 @@ pub struct Fig8Row {
     pub high_fraction: f64,
     /// Combined low+high mass.
     pub polarization: f64,
-}
-
-/// Regenerates Fig. 8: the importance-score distribution of VGG16-C10
-/// after training under each regulariser variant (no pruning involved).
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn run_fig8(scale: &ExperimentScale) -> ExpResult<Vec<Fig8Row>> {
-    let data = build_dataset(DataKind::C10, scale)?;
-    let regs = [
-        RegularizerConfig::none(),
-        RegularizerConfig::l1_only(),
-        RegularizerConfig::orth_only(),
-        RegularizerConfig::paper(),
-    ];
-    let mut rows = Vec::new();
-    for reg in regs {
-        let net = build_model(Arch::Vgg16, DataKind::C10, scale)?;
-        let mut prepared = pretrain(net, &data, scale, reg)?;
-        let sites = cap_core::find_prunable_sites(&prepared.net);
-        let scores = cap_core::evaluate_scores(
-            &mut prepared.net,
-            &sites,
-            data.train(),
-            &ScoreConfig {
-                images_per_class: scale.images_per_class,
-                tau: scale.tau,
-                ..ScoreConfig::default()
-            },
-        )?;
-        let histogram = ScoreHistogram::from_scores(&scores);
-        rows.push(Fig8Row {
-            regularizer: reg.label(),
-            low_fraction: histogram.low_fraction(),
-            high_fraction: histogram.high_fraction(),
-            polarization: histogram.polarization(),
-            histogram,
-        });
-    }
-    Ok(rows)
 }

@@ -3,20 +3,21 @@
 #![warn(rustdoc::broken_intra_doc_links)]
 
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation section. The same functions drive both the full experiment
-//! binaries (`exp_table1` … `exp_fig8`, `run_all`) and the Criterion
-//! benches (at [`ExperimentScale::smoke`] size), so every reported row is
-//! covered by `cargo bench` as well.
+//! evaluation section. [`specs`] defines the grid: which runs make up
+//! each table and figure, how each run is configured, and how its rows
+//! are read. One entry drives the `exp_suite` binary, the fleet runner
+//! (`capfleet`) and the Criterion benches (at a reduced smoke scale), so
+//! every reported row is covered by `cargo bench` as well.
 //!
-//! | Regenerator | Paper content |
+//! | Artefact | Paper content |
 //! |---|---|
-//! | [`run_table1`] | Table I — accuracy / pruning ratio / FLOPs reduction for the four model-dataset pairs |
-//! | [`run_table2`] | Table II — strategy ablation on ResNet56-C10 |
-//! | [`run_table3`] | Table III — regulariser ablation |
-//! | [`run_fig4`] | Fig. 4 — single-layer score distributions before/after pruning |
-//! | [`run_fig6`] | Fig. 6 — comparison against L1 / SSS / HRank / TPP / OrthConv / DepGraph (+ Taylor) |
-//! | [`run_fig7`] | Fig. 7 — per-layer mean scores before/after pruning |
-//! | [`run_fig8`] | Fig. 8 — score distributions under regulariser variants |
+//! | `table1` | Table I — accuracy / pruning ratio / FLOPs reduction for the four model-dataset pairs |
+//! | `table2` | Table II — strategy ablation on ResNet56-C10 |
+//! | `table3` | Table III — regulariser ablation |
+//! | `fig4` | Fig. 4 — single-layer score distributions before/after pruning |
+//! | `fig6` | Fig. 6 — comparison against L1 / SSS / HRank / TPP / OrthConv / DepGraph (+ Taylor, FPGM) |
+//! | `fig7` | Fig. 7 — per-layer mean scores before/after pruning |
+//! | `fig8` | Fig. 8 — score distributions under regulariser variants |
 
 mod experiments;
 mod render;
@@ -25,10 +26,7 @@ mod setup;
 pub mod specs;
 mod trace;
 
-pub use experiments::{
-    run_fig4, run_fig6, run_fig7, run_fig8, run_table1, run_table2, run_table3, Fig4Result,
-    Fig6Row, Fig7Result, Fig8Row, Table1Row, Table2Row, Table3Row,
-};
+pub use experiments::{Fig4Result, Fig6Row, Fig7Result, Fig8Row, Table1Row, Table2Row, Table3Row};
 pub use render::{
     render_fig4, render_fig6, render_fig7, render_fig8, render_table1, render_table2, render_table3,
 };

@@ -107,6 +107,26 @@ impl ExperimentScale {
             seed: 0xBEEF,
         }
     }
+
+    /// The scale names [`ExperimentScale::from_name`] accepts.
+    const NAMES: [&'static str; 3] = ["smoke", "small", "full"];
+
+    /// The scale called `name`: `"smoke"`, `"small"` or `"full"`.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown scale and lists the valid ones.
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        match name {
+            "smoke" => Ok(ExperimentScale::smoke()),
+            "small" => Ok(ExperimentScale::small()),
+            "full" => Ok(ExperimentScale::full()),
+            other => Err(format!(
+                "unknown scale {other:?} (valid: {})",
+                Self::NAMES.join(", ")
+            )),
+        }
+    }
 }
 
 impl Default for ExperimentScale {
@@ -128,5 +148,21 @@ mod tests {
         assert!(small.train_per_class < full.train_per_class);
         assert!(smoke.pretrain_epochs <= small.pretrain_epochs);
         assert!(small.pretrain_epochs <= full.pretrain_epochs);
+    }
+
+    #[test]
+    fn from_name_knows_exactly_the_three_scales() {
+        let scales = [
+            ExperimentScale::smoke(),
+            ExperimentScale::small(),
+            ExperimentScale::full(),
+        ];
+        for (name, scale) in ExperimentScale::NAMES.into_iter().zip(scales) {
+            assert_eq!(ExperimentScale::from_name(name), Ok(scale));
+        }
+        let err = ExperimentScale::from_name("medium").unwrap_err();
+        for name in ExperimentScale::NAMES {
+            assert!(err.contains(name), "{err}");
+        }
     }
 }

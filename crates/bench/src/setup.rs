@@ -162,7 +162,9 @@ pub fn pretrain(
 /// Like [`pretrain`], but caches the trained model (plus its baseline
 /// accuracy) under `cache_dir` keyed by the full experimental setting,
 /// so repeated experiments on the same pre-trained weights — the paper's
-/// own comparison protocol — skip retraining.
+/// own comparison protocol — skip retraining. The key holds every scale
+/// field that reaches the weights or the accuracy: dataset sizes (the
+/// test split measures the accuracy), batch size, width, epochs, seed.
 ///
 /// # Errors
 ///
@@ -177,13 +179,16 @@ pub fn pretrain_cached(
     cache_dir: &std::path::Path,
 ) -> Result<Prepared, NnError> {
     let key = format!(
-        "{}-{}-{}-im{}-tr{}x{}-w{}-e{}-s{:x}",
+        "{}-{}-{}-im{}-tr{}x{}-te{}x{}-b{}-w{}-e{}-s{:x}",
         arch.name(),
         kind.name(),
         regularizer.label().replace('/', "none"),
         scale.image_size,
         scale.train_per_class,
         scale.train_per_class_100,
+        scale.test_per_class,
+        scale.test_per_class_100,
+        scale.batch_size,
         scale.width,
         if kind.classes() >= 100 {
             scale.pretrain_epochs_100

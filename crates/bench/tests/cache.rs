@@ -1,7 +1,8 @@
 //! Tests for the pre-trained-model cache used by the experiment suite.
 
-use cap_bench::{build_dataset, pretrain_cached, Arch, DataKind, ExperimentScale};
+use cap_bench::{build_dataset, pretrain_cached, Arch, DataKind, ExperimentScale, Prepared};
 use cap_nn::RegularizerConfig;
+use std::path::{Path, PathBuf};
 
 fn tiny_scale() -> ExperimentScale {
     ExperimentScale {
@@ -13,30 +14,33 @@ fn tiny_scale() -> ExperimentScale {
     }
 }
 
+fn cache_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("cap-cache-{tag}-{}", std::process::id()))
+}
+
+/// VGG16-C10 pre-trained at `scale` under `reg`, through the cache at `dir`.
+fn pretrain_vgg16(dir: &Path, scale: &ExperimentScale, reg: RegularizerConfig) -> Prepared {
+    let data = build_dataset(DataKind::C10, scale).expect("dataset");
+    pretrain_cached(Arch::Vgg16, DataKind::C10, &data, scale, reg, dir).expect("pretrain")
+}
+
+fn cached_models(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .expect("cache dir")
+        .filter(|e| {
+            e.as_ref()
+                .is_ok_and(|e| e.path().extension().is_some_and(|x| x == "capn"))
+        })
+        .count()
+}
+
 #[test]
 fn cache_roundtrip_returns_identical_model() {
-    let dir = std::env::temp_dir().join(format!("cap-cache-test-{}", std::process::id()));
+    let dir = cache_dir("roundtrip");
     let scale = tiny_scale();
-    let data = build_dataset(DataKind::C10, &scale).expect("dataset");
-    let first = pretrain_cached(
-        Arch::Vgg16,
-        DataKind::C10,
-        &data,
-        &scale,
-        RegularizerConfig::paper(),
-        &dir,
-    )
-    .expect("first pretrain");
+    let first = pretrain_vgg16(&dir, &scale, RegularizerConfig::paper());
     // Second call must hit the cache and return identical weights.
-    let second = pretrain_cached(
-        Arch::Vgg16,
-        DataKind::C10,
-        &data,
-        &scale,
-        RegularizerConfig::paper(),
-        &dir,
-    )
-    .expect("cached pretrain");
+    let second = pretrain_vgg16(&dir, &scale, RegularizerConfig::paper());
     assert_eq!(first.net.num_params(), second.net.num_params());
     assert!((first.baseline_accuracy - second.baseline_accuracy).abs() < 1e-12);
     let mut w1 = Vec::new();
@@ -51,68 +55,46 @@ fn cache_roundtrip_returns_identical_model() {
 
 #[test]
 fn different_regularizers_use_different_cache_entries() {
-    let dir = std::env::temp_dir().join(format!("cap-cache-test2-{}", std::process::id()));
-    let scale = tiny_scale();
-    let data = build_dataset(DataKind::C10, &scale).expect("dataset");
-    let a = pretrain_cached(
-        Arch::Vgg16,
-        DataKind::C10,
-        &data,
-        &scale,
-        RegularizerConfig::none(),
-        &dir,
-    )
-    .expect("pretrain none");
-    let b = pretrain_cached(
-        Arch::Vgg16,
-        DataKind::C10,
-        &data,
-        &scale,
-        RegularizerConfig::paper(),
-        &dir,
-    )
-    .expect("pretrain paper");
-    // Two distinct cache files must exist.
-    let entries = std::fs::read_dir(&dir).expect("cache dir").count();
-    assert!(
-        entries >= 4,
-        "expected two .capn + two .acc files, got {entries}"
-    );
-    let _ = (a, b);
+    let dir = cache_dir("regularizers");
+    pretrain_vgg16(&dir, &tiny_scale(), RegularizerConfig::none());
+    pretrain_vgg16(&dir, &tiny_scale(), RegularizerConfig::paper());
+    assert_eq!(cached_models(&dir), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn scales_differing_in_batch_size_or_test_split_use_different_cache_entries() {
+    let dir = cache_dir("scales");
+    let base = tiny_scale();
+    for scale in [
+        base,
+        ExperimentScale {
+            batch_size: base.batch_size + 1,
+            ..base
+        },
+        ExperimentScale {
+            test_per_class: base.test_per_class + 1,
+            ..base
+        },
+    ] {
+        pretrain_vgg16(&dir, &scale, RegularizerConfig::paper());
+    }
+    assert_eq!(cached_models(&dir), 3, "one cached model per scale");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corrupt_cache_falls_back_to_retraining() {
-    let dir = std::env::temp_dir().join(format!("cap-cache-test3-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let scale = tiny_scale();
-    let data = build_dataset(DataKind::C10, &scale).expect("dataset");
+    let dir = cache_dir("corrupt");
     // Seed the cache, then corrupt the model file.
-    pretrain_cached(
-        Arch::Vgg16,
-        DataKind::C10,
-        &data,
-        &scale,
-        RegularizerConfig::paper(),
-        &dir,
-    )
-    .expect("initial pretrain");
+    pretrain_vgg16(&dir, &tiny_scale(), RegularizerConfig::paper());
     for entry in std::fs::read_dir(&dir).expect("cache dir") {
         let path = entry.expect("entry").path();
         if path.extension().is_some_and(|e| e == "capn") {
             std::fs::write(&path, b"garbage").expect("corrupt");
         }
     }
-    let recovered = pretrain_cached(
-        Arch::Vgg16,
-        DataKind::C10,
-        &data,
-        &scale,
-        RegularizerConfig::paper(),
-        &dir,
-    )
-    .expect("fallback retrain");
+    let recovered = pretrain_vgg16(&dir, &tiny_scale(), RegularizerConfig::paper());
     assert!(recovered.net.num_params() > 0);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -120,9 +120,7 @@ fn cmd_init(args: &Args) -> Result<(), String> {
             .collect()
     } else if args.flag("suite").is_some() {
         let scale = args.flag("scale").unwrap_or("smoke").to_string();
-        if !matches!(scale.as_str(), "smoke" | "small" | "full") {
-            return Err(format!("--scale {scale:?} (want smoke|small|full)"));
-        }
+        cap_bench::ExperimentScale::from_name(&scale).map_err(|e| format!("--scale: {e}"))?;
         cap_bench::specs::suite_specs()
             .into_iter()
             .map(|s| Spec::suite(s.id, scale.clone()))

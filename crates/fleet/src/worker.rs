@@ -91,12 +91,12 @@ fn run_demo(spec: &Spec, run_dir: &Path) -> Result<(f64, f64), String> {
 }
 
 fn run_suite(spec: &Spec, fleet_dir: &Path, run_dir: &Path) -> Result<(f64, f64), String> {
-    let scale = match spec.scale.as_str() {
-        "smoke" | "" => cap_bench::ExperimentScale::smoke(),
-        "small" => cap_bench::ExperimentScale::small(),
-        "full" => cap_bench::ExperimentScale::full(),
-        other => return Err(format!("unknown scale {other:?}")),
+    let name = if spec.scale.is_empty() {
+        "smoke"
+    } else {
+        &spec.scale
     };
+    let scale = cap_bench::ExperimentScale::from_name(name)?;
     let suite_spec = cap_bench::specs::find_spec(&spec.id)
         .ok_or_else(|| format!("{:?} is not an exp_suite spec id", spec.id))?;
     let outcome =

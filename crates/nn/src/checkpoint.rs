@@ -54,6 +54,7 @@ use crate::layer::{
     BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Layer, Linear, MaxPool2d, Relu, ResidualBlock,
 };
 use crate::{Network, NnError};
+use cap_obs::tsdb::crc32;
 use cap_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
@@ -67,36 +68,6 @@ const VERSION_V1: u32 = 1;
 /// Upper bound accepted for the v2 payload length field (hostile input
 /// guard; real checkpoints in this workspace are megabytes).
 const MAX_PAYLOAD: u64 = 1 << 31;
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes`, as used by the v2 checkpoint framing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Errors produced by checkpoint serialisation.
 #[derive(Debug)]

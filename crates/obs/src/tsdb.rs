@@ -100,10 +100,7 @@ impl Sample {
     }
 }
 
-/// CRC-32 (IEEE 802.3) lookup table, same polynomial and construction
-/// as the checkpoint v2 format. `cap-obs` sits below `cap-nn` in the
-/// dependency order, so the 1 KiB table is carried here rather than
-/// imported.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -124,7 +121,8 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`: the frame check of `series.capts` and of
+/// the `cap-nn` checkpoint v2 format.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -520,6 +518,12 @@ mod tests {
 
     fn pts(vals: &[(&str, f64)]) -> Vec<(String, f64)> {
         vals.iter().map(|(n, v)| (n.to_string(), *v)).collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
