@@ -5,9 +5,10 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation section. [`specs`] defines the grid: which runs make up
 //! each table and figure, how each run is configured, and how its rows
-//! are read. One entry drives the `exp_suite` binary, the fleet runner
-//! (`capfleet`) and the Criterion benches (at a reduced smoke scale), so
-//! every reported row is covered by `cargo bench` as well.
+//! are read. One entry drives both the `exp_suite` binary and the fleet
+//! runner (`capfleet`). `bench_baseline` gates the GEMM kernels and the
+//! observability layer's overhead; the timing benchmark of record is
+//! the separate `capbench` workspace.
 //!
 //! | Artefact | Paper content |
 //! |---|---|

@@ -164,7 +164,9 @@ pub fn pretrain(
 /// so repeated experiments on the same pre-trained weights — the paper's
 /// own comparison protocol — skip retraining. The key holds every scale
 /// field that reaches the weights or the accuracy: dataset sizes (the
-/// test split measures the accuracy), batch size, width, epochs, seed.
+/// test split measures the accuracy), batch size, width, epochs, seed;
+/// and the resolved SIMD mode, because the scalar and AVX2 kernels
+/// round differently and so train different weights.
 ///
 /// # Errors
 ///
@@ -179,7 +181,7 @@ pub fn pretrain_cached(
     cache_dir: &std::path::Path,
 ) -> Result<Prepared, NnError> {
     let key = format!(
-        "{}-{}-{}-im{}-tr{}x{}-te{}x{}-b{}-w{}-e{}-s{:x}",
+        "{}-{}-{}-im{}-tr{}x{}-te{}x{}-b{}-w{}-e{}-s{:x}-{}",
         arch.name(),
         kind.name(),
         regularizer.label().replace('/', "none"),
@@ -195,7 +197,8 @@ pub fn pretrain_cached(
         } else {
             scale.pretrain_epochs
         },
-        scale.seed
+        scale.seed,
+        cap_tensor::simd_mode().name()
     );
     let model_path = cache_dir.join(format!("{key}.capn"));
     let acc_path = cache_dir.join(format!("{key}.acc"));

@@ -20,7 +20,7 @@ use crate::tsdb::Sample;
 const SPARK_W: f64 = 280.0;
 const SPARK_H: f64 = 60.0;
 
-pub(crate) fn esc(s: &str) -> String {
+fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -73,10 +73,8 @@ pub(crate) fn fmt(v: f64) -> String {
     }
 }
 
-/// One inline-SVG sparkline with min/max/last labels. Shared with the
-/// perf-trend page ([`crate::trend`]), which plots run index on the x
-/// axis instead of time.
-pub(crate) fn sparkline(title: &str, points: &[(f64, f64)]) -> String {
+/// One inline-SVG sparkline with min/max/last labels.
+fn sparkline(title: &str, points: &[(f64, f64)]) -> String {
     if points.is_empty() {
         return format!(
             "<div class=\"panel\"><h3>{}</h3><p class=\"empty\">no data</p></div>\n",

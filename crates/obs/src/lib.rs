@@ -20,8 +20,9 @@
 //!   JSONL file compatible with the `BENCH_*.json` perf-record style.
 //!
 //! Everything is **off by default** and cheap when off: no allocation,
-//! no clock reads, no locks on the disabled path (verified by the
-//! `obs_overhead` benchmark in `cap-bench`).
+//! no clock reads, no locks on the disabled path (measured by
+//! `bench_baseline` in `cap-bench`, which records the disabled-span
+//! cost and its allocation count in `BENCH_obs.json`).
 //!
 //! # Quickstart
 //!
@@ -69,7 +70,6 @@ pub mod prof;
 pub mod recorder;
 pub mod serve;
 pub mod sink;
-pub mod trend;
 pub mod tsdb;
 
 mod event;

@@ -20,15 +20,6 @@
 //!                                     profile.folded) as a flamegraph SVG
 //! capctl flame --diff <A> <B> [--export <file.svg>]
 //!                                     differential flamegraph: B relative to A
-//! capctl bench trend [--history <file.jsonl>] [--export <file.html>]
-//!                                     render per-kernel GFLOP/s trends across
-//!                                     recorded bench_baseline runs
-//! capctl bench compare <A> <B> [--history <file.jsonl>]
-//!                                     compare two recorded runs (selectors:
-//!                                     1-based index, negative-from-end, or a
-//!                                     commit prefix); within-run interleaved
-//!                                     regressions exit 9, cross-run absolute
-//!                                     deltas are advisory only
 //! ```
 //!
 //! All commands accept `[--trace <spec>] [--serve-metrics <addr>]`
@@ -61,7 +52,6 @@
 //! | 6    | dataset failure                                 |
 //! | 7    | telemetry initialisation failure                |
 //! | 8    | training failure (incl. numeric faults)         |
-//! | 9    | benchmark regression (`bench compare`)          |
 
 use cap_core::{analyze_network, ClassAwarePruner, PruneConfig, PruneError, PruneStrategy};
 use cap_data::{DataError, DatasetSpec, SyntheticDataset};
@@ -105,9 +95,6 @@ enum CtlError {
         context: String,
         source: NnError,
     },
-    Regression {
-        summary: String,
-    },
 }
 
 impl CtlError {
@@ -120,7 +107,6 @@ impl CtlError {
             CtlError::Data { .. } => 6,
             CtlError::Telemetry { .. } => 7,
             CtlError::Train { .. } => 8,
-            CtlError::Regression { .. } => 9,
         }
     }
 }
@@ -136,7 +122,6 @@ impl fmt::Display for CtlError {
             CtlError::Data { context, .. } => write!(f, "{context}"),
             CtlError::Telemetry { reason } => write!(f, "telemetry: {reason}"),
             CtlError::Train { context, .. } => write!(f, "{context}"),
-            CtlError::Regression { summary } => write!(f, "{summary}"),
         }
     }
 }
@@ -144,7 +129,7 @@ impl fmt::Display for CtlError {
 impl Error for CtlError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            CtlError::Usage(_) | CtlError::Telemetry { .. } | CtlError::Regression { .. } => None,
+            CtlError::Usage(_) | CtlError::Telemetry { .. } => None,
             CtlError::Io { source, .. } => Some(source),
             CtlError::Checkpoint { source, .. } => Some(source),
             CtlError::RunDir { source, .. } => Some(source),
@@ -164,9 +149,7 @@ const USAGE: &str = "usage: capctl [--trace <spec>] [--serve-metrics <addr>] <co
        tail <run-dir>\n\
        dash <run-dir> --export <file.html>\n\
        flame <run-dir|file.folded> [--export <file.svg>]\n\
-       flame --diff <A> <B> [--export <file.svg>]\n\
-       bench trend [--history <file.jsonl>] [--export <file.html>]\n\
-       bench compare <A> <B> [--history <file.jsonl>]";
+       flame --diff <A> <B> [--export <file.svg>]";
 
 fn usage_err(detail: impl Into<String>) -> CtlError {
     let detail = detail.into();
@@ -634,90 +617,6 @@ fn cmd_flame(args: &[String]) -> Result<(), CtlError> {
     Ok(())
 }
 
-/// `capctl bench trend|compare`: the cross-run perf-trend observatory
-/// over `results/bench_history.jsonl` (see cap-obs `trend`).
-fn cmd_bench(args: &[String]) -> Result<(), CtlError> {
-    let sub = args.first().map(String::as_str);
-    let mut history = cap_obs::trend::DEFAULT_HISTORY_PATH.to_string();
-    let mut export: Option<String> = None;
-    let mut selectors: Vec<String> = Vec::new();
-    let mut it = args.iter().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--history" => {
-                history = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| usage_err("--history requires a file"))?;
-            }
-            "--export" => {
-                export = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage_err("--export requires a file"))?,
-                );
-            }
-            // Selectors like "-1" (last run) must stay positional, so
-            // only "--"-prefixed tokens are treated as flags.
-            other if !other.starts_with("--") => selectors.push(other.to_string()),
-            other => return Err(usage_err(format!("unknown bench argument {other:?}"))),
-        }
-    }
-    let runs = cap_obs::trend::load_history(std::path::Path::new(&history));
-    match sub {
-        Some("trend") => {
-            if !selectors.is_empty() {
-                return Err(usage_err("bench trend takes no positional arguments"));
-            }
-            let export = export.unwrap_or_else(|| "trend.html".to_string());
-            let html = cap_obs::trend::render_trend_html(&runs);
-            cap_obs::fsx::atomic_write(std::path::Path::new(&export), html.as_bytes()).map_err(
-                |source| CtlError::Io {
-                    context: format!("write {export}"),
-                    source,
-                },
-            )?;
-            println!(
-                "trend over {} runs from {history} written to {export}",
-                runs.len()
-            );
-            Ok(())
-        }
-        Some("compare") => {
-            if selectors.len() != 2 {
-                return Err(usage_err("bench compare requires two run selectors"));
-            }
-            let pick = |sel: &str| {
-                cap_obs::trend::select(&runs, sel)
-                    .map_err(|e| usage_err(format!("bad selector {sel:?}: {e}")))
-            };
-            let (ia, a) = pick(&selectors[0])?;
-            let (ib, b) = pick(&selectors[1])?;
-            println!("baseline  {}", a.describe(ia));
-            println!("candidate {}", b.describe(ib));
-            let cmp = cap_obs::trend::compare_runs(a, b);
-            for note in &cmp.advisories {
-                println!("advisory: {note}");
-            }
-            if cmp.regressions.is_empty() {
-                println!("no within-run interleaved regressions");
-                Ok(())
-            } else {
-                for r in &cmp.regressions {
-                    eprintln!("regression: {r}");
-                }
-                Err(CtlError::Regression {
-                    summary: format!(
-                        "{} within-run interleaved regression(s)",
-                        cmp.regressions.len()
-                    ),
-                })
-            }
-        }
-        _ => Err(usage_err("bench requires a subcommand: trend | compare")),
-    }
-}
-
 fn run() -> Result<(), CtlError> {
     let mut args: Vec<String> = std::env::args().collect();
     init_trace(&mut args)?;
@@ -770,7 +669,6 @@ fn run() -> Result<(), CtlError> {
         }
         Some("dash") => cmd_dash(&args[2..]),
         Some("flame") => cmd_flame(&args[2..]),
-        Some("bench") => cmd_bench(&args[2..]),
         _ => Err(usage_err("")),
     }
 }
