@@ -1,5 +1,5 @@
 use crate::matrix_rank;
-use cap_core::{NetworkScores, PrunableSite, PruneError, SiteKind, SiteScores};
+use cap_core::{FilterCriterion, NetworkScores, PrunableSite, PruneError, SiteKind, SiteScores};
 use cap_data::Dataset;
 use cap_nn::layer::{Conv2d, Layer};
 use cap_nn::{gather_batch, CrossEntropyLoss, Network, Reduction, RegularizerConfig};
@@ -7,32 +7,6 @@ use cap_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// A filter-importance criterion: assigns every filter at every prunable
-/// site a score (higher = more important), and optionally a training
-/// regulariser the method relies on.
-pub trait FilterCriterion {
-    /// Display name used in reports (matches the paper's Fig. 6 legend).
-    fn name(&self) -> &str;
-
-    /// Regulariser to apply while (re)training under this method.
-    fn train_regularizer(&self) -> RegularizerConfig {
-        RegularizerConfig::none()
-    }
-
-    /// Scores the filters of `sites`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates network/dataset errors from the underlying passes.
-    fn score(
-        &mut self,
-        net: &mut Network,
-        sites: &[PrunableSite],
-        data: &Dataset,
-        seed: u64,
-    ) -> Result<NetworkScores, PruneError>;
-}
 
 fn empty_scores(net: &Network, sites: &[PrunableSite]) -> Result<Vec<SiteScores>, PruneError> {
     sites
@@ -142,7 +116,7 @@ impl FilterCriterion for L1Criterion {
     }
 
     fn score(
-        &mut self,
+        &self,
         net: &mut Network,
         sites: &[PrunableSite],
         data: &Dataset,
@@ -184,7 +158,7 @@ impl FilterCriterion for SssCriterion {
     }
 
     fn score(
-        &mut self,
+        &self,
         net: &mut Network,
         sites: &[PrunableSite],
         data: &Dataset,
@@ -251,7 +225,7 @@ impl FilterCriterion for HRankCriterion {
     }
 
     fn score(
-        &mut self,
+        &self,
         net: &mut Network,
         sites: &[PrunableSite],
         data: &Dataset,
@@ -317,7 +291,7 @@ impl FilterCriterion for TppCriterion {
     }
 
     fn score(
-        &mut self,
+        &self,
         net: &mut Network,
         sites: &[PrunableSite],
         data: &Dataset,
@@ -378,7 +352,7 @@ impl FilterCriterion for OrthConvCriterion {
     }
 
     fn score(
-        &mut self,
+        &self,
         net: &mut Network,
         sites: &[PrunableSite],
         data: &Dataset,
@@ -427,7 +401,7 @@ impl FilterCriterion for DepGraphCriterion {
     }
 
     fn score(
-        &mut self,
+        &self,
         net: &mut Network,
         sites: &[PrunableSite],
         data: &Dataset,
@@ -504,7 +478,7 @@ impl FilterCriterion for FpgmCriterion {
     }
 
     fn score(
-        &mut self,
+        &self,
         net: &mut Network,
         sites: &[PrunableSite],
         data: &Dataset,
@@ -569,7 +543,7 @@ impl FilterCriterion for TaylorCriterion {
     }
 
     fn score(
-        &mut self,
+        &self,
         net: &mut Network,
         sites: &[PrunableSite],
         data: &Dataset,
@@ -655,7 +629,7 @@ mod tests {
         n
     }
 
-    fn check_scores(c: &mut dyn FilterCriterion, net: &mut Network) {
+    fn check_scores(c: &dyn FilterCriterion, net: &mut Network) {
         let d = data();
         let sites = find_prunable_sites(net);
         let scores = c.score(net, &sites, d.train(), 42).unwrap();
@@ -671,17 +645,17 @@ mod tests {
 
     #[test]
     fn all_criteria_produce_valid_scores_on_sequential_net() {
-        for c in crate::standard_criteria().iter_mut() {
+        for c in crate::standard_criteria() {
             let mut n = net();
-            check_scores(c.as_mut(), &mut n);
+            check_scores(c.as_ref(), &mut n);
         }
     }
 
     #[test]
     fn all_criteria_produce_valid_scores_on_residual_net() {
-        for c in crate::standard_criteria().iter_mut() {
+        for c in crate::standard_criteria() {
             let mut n = resnet();
-            check_scores(c.as_mut(), &mut n);
+            check_scores(c.as_ref(), &mut n);
         }
     }
 
@@ -704,7 +678,7 @@ mod tests {
     #[test]
     fn zeroed_filter_scores_lowest_everywhere() {
         let d = data();
-        for c in crate::standard_criteria().iter_mut() {
+        for c in crate::standard_criteria() {
             let mut n = net();
             if let Some(conv) = n.layers_mut()[0].as_conv_mut() {
                 let fsize = 3 * 9;

@@ -16,9 +16,12 @@
 //! | [`DepGraphCriterion`] | DepGraph \[13\] | dependency-group norms, with full- and no-grouping variants |
 //! | [`TaylorCriterion`] | Taylor \[25\] | class-agnostic `|a·∂L/∂a|` — isolates the value of the class dimension |
 //!
-//! All criteria implement [`FilterCriterion`] and run under the shared
-//! iterative [`run_baseline`] schedule (prune lowest-scoring p% →
-//! fine-tune → repeat), mirroring the class-aware framework.
+//! All criteria implement [`cap_core::FilterCriterion`], so the
+//! class-aware method's own loop runs them:
+//! [`ClassAwarePruner::with_criterion`](cap_core::ClassAwarePruner::with_criterion)
+//! swaps Eq. 3–7 for a baseline and keeps the schedule, journal and
+//! resume. Fig. 6 runs each one at a fixed 10% per iteration with no
+//! rollback.
 //!
 //! Where the original methods train auxiliary variables end-to-end (SSS's
 //! scaling factors, TPP's masks), this crate uses their published scoring
@@ -26,14 +29,13 @@
 
 mod criteria;
 mod rank;
-mod runner;
 
+use cap_core::FilterCriterion;
 pub use criteria::{
-    DepGraphCriterion, FilterCriterion, FpgmCriterion, HRankCriterion, L1Criterion,
-    OrthConvCriterion, SssCriterion, TaylorCriterion, TppCriterion,
+    DepGraphCriterion, FpgmCriterion, HRankCriterion, L1Criterion, OrthConvCriterion, SssCriterion,
+    TaylorCriterion, TppCriterion,
 };
 pub use rank::matrix_rank;
-pub use runner::{run_baseline, BaselineConfig, BaselineOutcome};
 
 /// All standard criteria, boxed, in the order of the paper's Fig. 6
 /// legend (plus the class-agnostic Taylor extra).

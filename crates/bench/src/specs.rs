@@ -7,9 +7,10 @@
 //! appears once). Two front ends share [`run_spec`]: `exp_suite`
 //! renders artefacts through a [`Suite`], which runs each spec at most
 //! once per process, and the fleet runner (`capfleet`) queues the specs
-//! as separate work items. With a run directory, the class-aware
-//! pipeline goes through the crash-safe `RunDir` + `resume` path, so a
-//! fleet worker rescheduled mid-run replays bit-identically.
+//! as separate work items. Every spec, whatever its criterion, runs the
+//! same `ClassAwarePruner` loop; with a run directory it goes through
+//! the crash-safe `RunDir` + `resume` path, so a fleet worker
+//! rescheduled mid-run replays bit-identically.
 
 use crate::setup::train_config;
 use crate::{
@@ -17,7 +18,7 @@ use crate::{
     render_table1, render_table2, render_table3, Arch, DataKind, ExperimentScale, Fig4Result,
     Fig6Row, Fig7Result, Fig8Row, Table1Row, Table2Row, Table3Row,
 };
-use cap_baselines::{run_baseline, standard_criteria, BaselineConfig};
+use cap_baselines::standard_criteria;
 use cap_core::{
     evaluate_scores, find_prunable_sites, layerwise_mean_scores, ClassAwarePruner, NetworkScores,
     PruneConfig, PruneStrategy, ScoreConfig, ScoreHistogram,
@@ -36,10 +37,11 @@ pub struct SuiteSpec {
     pub arch: Arch,
     /// Dataset stand-in.
     pub data: DataKind,
-    /// Pruning strategy (ignored for baseline-criterion specs, which
-    /// use the shared Fig. 6 schedule).
+    /// Pruning strategy.
     pub strategy: PruneStrategy,
-    /// Regulariser used for pre-training and fine-tuning.
+    /// Regulariser used for pre-training, and for fine-tuning under
+    /// Eq. 3–7 (a baseline criterion fine-tunes under its own
+    /// `train_regularizer`).
     pub regularizer: RegularizerConfig,
     /// `None` runs the class-aware pipeline; `Some(name)` runs the
     /// named baseline criterion from [`standard_criteria`].
@@ -57,9 +59,9 @@ pub struct SpecOutcome {
     pub pruning_ratio: f64,
     /// Fraction of FLOPs removed.
     pub flops_reduction: f64,
-    /// Eq. 3–7 scores of the class-aware pipeline's network before and
-    /// after pruning (Figs. 4 and 7); `None` for baseline criteria.
-    pub scores: Option<(NetworkScores, NetworkScores)>,
+    /// The criterion's scores of the network before and after pruning
+    /// (Figs. 4 and 7 read those of Eq. 3–7 specs).
+    pub scores: (NetworkScores, NetworkScores),
 }
 
 fn slug(s: &str) -> String {
@@ -113,10 +115,11 @@ impl SuiteSpec {
     }
 
     /// A Fig. 6 cell: `criterion` prunes the paper-regularised
-    /// VGG16-C10 model under the shared baseline schedule.
+    /// VGG16-C10 model, 10% of the filters per iteration.
     fn baseline(criterion: &str) -> SuiteSpec {
         SuiteSpec {
             id: format!("fig6-{}", slug(criterion)),
+            strategy: PruneStrategy::Percentage { fraction: 0.10 },
             criterion: Some(criterion.to_string()),
             ..SuiteSpec::paper(Arch::Vgg16, DataKind::C10)
         }
@@ -280,16 +283,50 @@ fn score_config(scale: &ExperimentScale) -> ScoreConfig {
     }
 }
 
+/// The pruner `spec` runs at `scale`. A baseline criterion keeps the
+/// Fig. 6 schedule: at most 6 iterations, no rollback (accuracy lies in
+/// [0, 1], so no drop exceeds 1.0), fine-tuning under the criterion's
+/// regulariser, and `scale.seed + i − 1` as iteration `i`'s seed.
+fn pruner(spec: &SuiteSpec, scale: &ExperimentScale) -> Result<ClassAwarePruner, String> {
+    let config = PruneConfig {
+        score: score_config(scale),
+        strategy: spec.strategy,
+        finetune: train_config(scale.finetune_epochs, scale, spec.regularizer),
+        max_iterations: scale.max_iterations,
+        accuracy_drop_limit: scale.accuracy_drop_limit,
+        eval_batch: scale.batch_size,
+    };
+    let pruner = match &spec.criterion {
+        None => ClassAwarePruner::new(config),
+        Some(name) => {
+            let criterion = standard_criteria()
+                .into_iter()
+                .find(|c| c.name() == name.as_str())
+                .ok_or_else(|| format!("unknown baseline criterion {name:?}"))?;
+            let config = PruneConfig {
+                score: ScoreConfig {
+                    seed: scale.seed,
+                    ..config.score
+                },
+                finetune: train_config(scale.finetune_epochs, scale, criterion.train_regularizer()),
+                max_iterations: scale.max_iterations.min(6),
+                accuracy_drop_limit: 1.0,
+                ..config
+            };
+            ClassAwarePruner::with_criterion(config, criterion)
+        }
+    };
+    pruner.map_err(|e| format!("config: {e}"))
+}
+
 /// Executes one spec end-to-end at `scale`, pre-training through the
-/// shared on-disk `cache`, and emits a `pipeline_done` or
-/// `baseline_done` event.
+/// shared on-disk `cache`, and emits a `pipeline_done` event naming the
+/// criterion.
 ///
-/// For class-aware specs with `run_dir`: a directory without a journal
-/// starts a fresh durable run (`run_with_dir`); a directory holding a
-/// journal resumes it (`ClassAwarePruner::resume`), replaying completed
-/// iterations bit-identically. Baseline-criterion specs are not
-/// journaled — they rerun from scratch, which the determinism contract
-/// makes equivalent.
+/// With `run_dir`, a directory without a journal starts a fresh durable
+/// run (`run_with_dir`); a directory holding a journal resumes it
+/// (`ClassAwarePruner::resume`), replaying completed iterations
+/// bit-identically.
 ///
 /// # Errors
 ///
@@ -306,51 +343,7 @@ pub fn run_spec(
     let mut prepared = pretrain_cached(spec.arch, spec.data, &data, scale, spec.regularizer, cache)
         .map_err(|e| format!("pretrain: {e}"))?;
     let baseline_accuracy = prepared.baseline_accuracy;
-    if let Some(name) = &spec.criterion {
-        let started = cap_obs::clock::now();
-        let mut criterion = standard_criteria()
-            .into_iter()
-            .find(|c| c.name() == name.as_str())
-            .ok_or_else(|| format!("unknown baseline criterion {name:?}"))?;
-        let schedule = BaselineConfig {
-            fraction_per_iter: 0.10,
-            iterations: scale.max_iterations.min(6),
-            finetune: train_config(scale.finetune_epochs, scale, RegularizerConfig::none()),
-            eval_batch: scale.batch_size,
-            seed: scale.seed,
-        };
-        let outcome = run_baseline(
-            criterion.as_mut(),
-            &mut prepared.net,
-            data.train(),
-            data.test(),
-            &schedule,
-        )
-        .map_err(|e| format!("baseline {name}: {e}"))?;
-        cap_obs::emit(
-            cap_obs::Event::new("baseline_done")
-                .str("method", outcome.method.clone())
-                .f64("pruning_ratio", outcome.pruning_ratio())
-                .f64("final_accuracy", outcome.final_accuracy)
-                .f64("elapsed_secs", started.elapsed().as_secs_f64()),
-        );
-        return Ok(SpecOutcome {
-            baseline_accuracy,
-            final_accuracy: outcome.final_accuracy,
-            pruning_ratio: outcome.pruning_ratio(),
-            flops_reduction: outcome.flops_reduction(),
-            scores: None,
-        });
-    }
-    let pruner = ClassAwarePruner::new(PruneConfig {
-        score: score_config(scale),
-        strategy: spec.strategy,
-        finetune: train_config(scale.finetune_epochs, scale, spec.regularizer),
-        max_iterations: scale.max_iterations,
-        accuracy_drop_limit: scale.accuracy_drop_limit,
-        eval_batch: scale.batch_size,
-    })
-    .map_err(|e| format!("config: {e}"))?;
+    let pruner = pruner(spec, scale)?;
     let outcome = match run_dir {
         Some(dir) if dir.join("journal.jsonl").exists() => {
             let dir = RunDir::open(dir).map_err(|e| format!("open run dir: {e}"))?;
@@ -369,12 +362,14 @@ pub fn run_spec(
             .run(&mut prepared.net, data.train(), data.test())
             .map_err(|e| format!("prune: {e}"))?,
     };
+    let config = pruner.config();
     cap_obs::emit(
         cap_obs::Event::new("pipeline_done")
             .str("arch", spec.arch.name())
             .str("dataset", spec.data.name())
-            .str("strategy", spec.strategy.label())
-            .str("regularizer", spec.regularizer.label())
+            .str("criterion", pruner.criterion().name())
+            .str("strategy", config.strategy.label())
+            .str("regularizer", config.finetune.regularizer.label())
             .f64("pruning_ratio", outcome.pruning_ratio())
             .f64("flops_reduction", outcome.flops_reduction())
             .f64("baseline_accuracy", baseline_accuracy)
@@ -387,12 +382,9 @@ pub fn run_spec(
         final_accuracy: outcome.final_accuracy,
         pruning_ratio: outcome.pruning_ratio(),
         flops_reduction: outcome.flops_reduction(),
-        scores: Some((outcome.scores_before, outcome.scores_after)),
+        scores: (outcome.scores_before, outcome.scores_after),
     })
 }
-
-/// Figs. 4 and 7 read only class-aware specs, which record scores.
-const NO_SCORES: &str = "a baseline-criterion spec recorded no scores";
 
 /// Renders artefacts at one scale, running each spec at most once and
 /// pre-training through one on-disk cache.
@@ -463,35 +455,33 @@ impl Suite {
                     })
                     .collect::<Vec<_>>(),
             ),
-            Artefact::Fig4 => {
-                let mut results = Vec::new();
-                for ((s, o), (_, _, site)) in rows.zip(FIG4_SITES) {
-                    let (before, after) = o.scores.as_ref().ok_or(NO_SCORES)?;
-                    let site = site.min(before.sites.len().saturating_sub(1));
-                    results.push(Fig4Result {
+            Artefact::Fig4 => render_fig4(
+                &rows
+                    .zip(FIG4_SITES)
+                    .map(|((s, o), (_, _, site))| {
+                        let (before, after) = &o.scores;
+                        let site = site.min(before.sites.len().saturating_sub(1));
+                        Fig4Result {
+                            name: s.model_name(),
+                            layer: before
+                                .sites
+                                .get(site)
+                                .map(|s| s.label.clone())
+                                .unwrap_or_default(),
+                            before: ScoreHistogram::from_site(before, site),
+                            after: ScoreHistogram::from_site(after, site),
+                        }
+                    })
+                    .collect::<Vec<_>>(),
+            ),
+            Artefact::Fig7 => render_fig7(
+                &rows
+                    .map(|(s, o)| Fig7Result {
                         name: s.model_name(),
-                        layer: before
-                            .sites
-                            .get(site)
-                            .map(|s| s.label.clone())
-                            .unwrap_or_default(),
-                        before: ScoreHistogram::from_site(before, site),
-                        after: ScoreHistogram::from_site(after, site),
-                    });
-                }
-                render_fig4(&results)
-            }
-            Artefact::Fig7 => {
-                let mut results = Vec::new();
-                for (s, o) in rows {
-                    let (before, after) = o.scores.as_ref().ok_or(NO_SCORES)?;
-                    results.push(Fig7Result {
-                        name: s.model_name(),
-                        layers: layerwise_mean_scores(before, after),
-                    });
-                }
-                render_fig7(&results)
-            }
+                        layers: layerwise_mean_scores(&o.scores.0, &o.scores.1),
+                    })
+                    .collect::<Vec<_>>(),
+            ),
             Artefact::Fig6 => render_fig6(
                 &specs[0].model_name(),
                 &rows

@@ -1,6 +1,8 @@
 //! The overall class-aware pruning framework (paper Fig. 5): score →
 //! prune → fine-tune → repeat, until no filter is prunable or accuracy
-//! cannot be recovered.
+//! cannot be recovered. The loop ranks filters by any
+//! [`FilterCriterion`]: Eq. 3–7 by default, or one of the criteria Fig. 6
+//! compares against.
 //!
 //! # Crash safety
 //!
@@ -15,19 +17,22 @@
 //! bit-identical to the uninterrupted run, at any thread count.
 
 use crate::{
-    analyze_network, apply_site_pruning, evaluate_scores, evaluate_scores_with_attribution,
-    find_prunable_sites, select_filters, ClassAttribution, FlopsReport, NetworkScores, PruneError,
+    analyze_network, apply_site_pruning, find_prunable_sites, select_filters, ClassAttribution,
+    ClassAwareCriterion, FilterCriterion, FlopsReport, NetworkScores, PrunableSite, PruneError,
     PruneSelection, PruneStrategy, ScoreConfig,
 };
 use cap_data::Dataset;
 use cap_nn::{evaluate, fit, predict_all, ConfusionMatrix, Network, RunDir, TrainConfig};
 use cap_obs::json::Json;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Configuration of the iterative pruning framework.
 #[derive(Debug, Clone)]
 pub struct PruneConfig {
-    /// Importance-score evaluation settings (Eq. 3–7).
+    /// Importance-score evaluation settings (Eq. 3–7). Under another
+    /// criterion only `seed` is read: iteration `i` scores with
+    /// `seed + i − 1`.
     pub score: ScoreConfig,
     /// Filter-selection strategy (Sec. III-C).
     pub strategy: PruneStrategy,
@@ -88,13 +93,13 @@ pub struct IterationRecord {
     pub accuracy_after_prune: f64,
     /// Test accuracy after fine-tuning.
     pub accuracy_after_finetune: f64,
-    /// Mean class-count score of the filters scored this iteration.
+    /// Mean criterion score of the filters scored this iteration.
     pub mean_score: f64,
     /// FLOPs per sample after this iteration.
     pub flops: u64,
     /// Parameters after this iteration.
     pub params: u64,
-    /// Wall-clock seconds spent scoring filters (Eq. 3–7).
+    /// Wall-clock seconds spent scoring and selecting filters.
     pub secs_score: f64,
     /// Wall-clock seconds spent on filter surgery.
     pub secs_surgery: f64,
@@ -115,9 +120,11 @@ pub struct PruneOutcome {
     pub baseline_cost: FlopsReport,
     /// Cost report of the final network.
     pub final_cost: FlopsReport,
-    /// Importance scores of the unpruned network (Fig. 4/7 "before").
+    /// The criterion's scores of the unpruned network (Fig. 4/7
+    /// "before").
     pub scores_before: NetworkScores,
-    /// Importance scores of the final network (Fig. 4/7 "after").
+    /// The criterion's scores of the final network (Fig. 4/7 "after"),
+    /// drawn with the same seed as `scores_before`.
     pub scores_after: NetworkScores,
     /// Per-iteration records.
     pub iterations: Vec<IterationRecord>,
@@ -182,16 +189,33 @@ impl PruneOutcome {
 #[derive(Debug, Clone)]
 pub struct ClassAwarePruner {
     config: PruneConfig,
+    criterion: Arc<dyn FilterCriterion>,
 }
 
 impl ClassAwarePruner {
-    /// Creates a pruner after validating the configuration.
+    /// Creates a pruner ranking filters by Eq. 3–7 under `config.score`,
+    /// after validating the configuration.
     ///
     /// # Errors
     ///
     /// Returns [`PruneError::InvalidConfig`] for invalid score/strategy
     /// settings, a zero iteration cap, or a negative drop limit.
     pub fn new(config: PruneConfig) -> Result<Self, PruneError> {
+        let criterion = ClassAwareCriterion::new(config.score);
+        Self::with_criterion(config, Box::new(criterion))
+    }
+
+    /// Creates a pruner ranking filters by `criterion` under the same
+    /// loop: the schedule, rollback bound, journal and resume are
+    /// `config`'s, whatever the criterion.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    pub fn with_criterion(
+        config: PruneConfig,
+        criterion: Box<dyn FilterCriterion>,
+    ) -> Result<Self, PruneError> {
         config.score.validate()?;
         config.strategy.validate()?;
         if config.max_iterations == 0 {
@@ -212,12 +236,20 @@ impl ClassAwarePruner {
                 reason: "eval_batch must be non-zero".to_string(),
             });
         }
-        Ok(ClassAwarePruner { config })
+        Ok(ClassAwarePruner {
+            config,
+            criterion: criterion.into(),
+        })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &PruneConfig {
         &self.config
+    }
+
+    /// The criterion filters are ranked by.
+    pub fn criterion(&self) -> &dyn FilterCriterion {
+        &*self.criterion
     }
 
     /// Runs the full iterative pruning on a trained network.
@@ -261,7 +293,7 @@ impl ClassAwarePruner {
         let baseline = self.compute_baseline(net, train, test)?;
         dir.save_generation(0, net).map_err(persist_err)?;
         dir.append_journal(&meta_line(
-            config_fingerprint(&self.config),
+            config_fingerprint(&self.config, self.criterion()),
             self.config.max_iterations,
         ))
         .map_err(persist_err)?;
@@ -282,8 +314,8 @@ impl ClassAwarePruner {
     /// # Errors
     ///
     /// [`PruneError::Persistence`] when the journal is missing or
-    /// corrupt, the configuration differs from the recorded run, or no
-    /// checkpoint validates; otherwise as [`run`](Self::run).
+    /// corrupt, the configuration or criterion differs from the recorded
+    /// run, or no checkpoint validates; otherwise as [`run`](Self::run).
     pub fn resume(
         &self,
         train: &Dataset,
@@ -302,13 +334,13 @@ impl ClassAwarePruner {
                 ),
             })?;
         let recorded_fp = meta.get("config_fp").and_then(Json::as_u64).unwrap_or(0);
-        let fp = config_fingerprint(cfg);
+        let fp = config_fingerprint(cfg, self.criterion());
         if recorded_fp != fp {
             return Err(PruneError::Persistence {
                 reason: format!(
                     "configuration changed since the run was started \
                      (fingerprint {recorded_fp:#x} on disk vs {fp:#x} now); \
-                     resume requires the identical PruneConfig"
+                     resume requires the identical PruneConfig and criterion"
                 ),
             });
         }
@@ -354,7 +386,8 @@ impl ClassAwarePruner {
         );
         // Baseline statistics are recomputed from the unpruned network;
         // scoring and evaluation are deterministic and read-only, so
-        // the numbers are bit-identical to the original run's.
+        // the numbers are bit-identical to the original run's (and a
+        // resume from generation 0 reuses the pass for iteration 1).
         let mut gen0 = dir.load_generation(0).map_err(persist_err)?;
         let baseline = self.compute_baseline(&mut gen0, train, test)?;
         // Re-evaluate the stop conditions the crash may have preempted:
@@ -394,12 +427,37 @@ impl ClassAwarePruner {
         let (in_c, in_h, in_w) = input_dims(train)?;
         let accuracy = evaluate(net, test.images(), test.labels(), cfg.eval_batch)?;
         let cost = analyze_network(net, in_c, in_h, in_w)?;
-        let sites0 = find_prunable_sites(net);
-        let scores = evaluate_scores(net, &sites0, train, &cfg.score)?;
+        let pass = self.score_pass(net, train, 1)?;
         Ok(Baseline {
             accuracy,
             cost,
+            pass,
+        })
+    }
+
+    /// The seed the criterion scores with at 1-based `iteration`.
+    fn seed(&self, iteration: usize) -> u64 {
+        self.config.score.seed.wrapping_add(iteration as u64 - 1)
+    }
+
+    /// One timed scoring pass over `net`'s current prunable sites.
+    fn score_pass(
+        &self,
+        net: &mut Network,
+        train: &Dataset,
+        iteration: usize,
+    ) -> Result<ScorePass, PruneError> {
+        let started = cap_obs::clock::now();
+        let _span = cap_obs::span!("core.prune.score");
+        let sites = find_prunable_sites(net);
+        let (scores, attribution) =
+            self.criterion
+                .score_with_attribution(net, &sites, train, self.seed(iteration))?;
+        Ok(ScorePass {
+            sites,
             scores,
+            attribution,
+            secs: started.elapsed().as_secs_f64(),
         })
     }
 
@@ -425,7 +483,10 @@ impl ClassAwarePruner {
         let (in_c, in_h, in_w) = input_dims(train)?;
         let baseline_accuracy = baseline.accuracy;
         let baseline_cost = baseline.cost;
-        let scores_before = baseline.scores;
+        let scores_before = baseline.pass.scores.clone();
+        // Iteration 1 prunes the unpruned network, which the baseline
+        // pass already scored with its seed.
+        let mut first_pass = (start == 1).then_some(baseline.pass);
         cap_obs::emit(
             cap_obs::Event::new("prune_start")
                 .f64("baseline_accuracy", baseline_accuracy)
@@ -455,16 +516,13 @@ impl ClassAwarePruner {
             // iteration is underway.
             cap_obs::gauge_set("core.prune.iteration", iteration as f64);
 
-            let t_score = cap_obs::clock::now();
-            let (sites, scores, attribution, selection) = {
-                let _span = cap_obs::span!("core.prune.score");
-                let sites = find_prunable_sites(net);
-                let (scores, attribution) =
-                    evaluate_scores_with_attribution(net, &sites, train, &cfg.score)?;
-                let selection = select_filters(&scores, &cfg.strategy)?;
-                (sites, scores, attribution, selection)
+            let pass = match first_pass.take() {
+                Some(pass) => pass,
+                None => self.score_pass(net, train, iteration)?,
             };
-            let secs_score = t_score.elapsed().as_secs_f64();
+            let t_select = cap_obs::clock::now();
+            let selection = select_filters(&pass.scores, &cfg.strategy)?;
+            let secs_score = pass.secs + t_select.elapsed().as_secs_f64();
             if selection.is_empty() {
                 stop_reason = StopReason::NoPrunableFilters;
                 break;
@@ -474,11 +532,11 @@ impl ClassAwarePruner {
             let snapshot = net.clone();
             {
                 let _span = cap_obs::span!("core.prune.surgery");
-                for (si, site) in sites.iter().enumerate() {
+                for (si, site) in pass.sites.iter().enumerate() {
                     if selection.remove[si].is_empty() {
                         continue;
                     }
-                    let keep = selection.keep_for(si, scores.sites[si].scores.len());
+                    let keep = selection.keep_for(si, pass.scores.sites[si].scores.len());
                     apply_site_pruning(net, site, &keep)?;
                 }
             }
@@ -516,7 +574,7 @@ impl ClassAwarePruner {
                 remaining_filters: remaining,
                 accuracy_after_prune,
                 accuracy_after_finetune,
-                mean_score: scores.mean(),
+                mean_score: pass.scores.mean(),
                 flops: cost.total_flops,
                 params: cost.total_params,
                 secs_score,
@@ -531,7 +589,7 @@ impl ClassAwarePruner {
             cap_obs::gauge_set("core.accuracy", record.accuracy_after_finetune);
             cap_obs::gauge_set("core.remaining_filters", record.remaining_filters as f64);
             if let Some(h) = history.as_ref() {
-                h.publish_iteration(&record, &scores, &attribution, &selection, net, test)?;
+                h.publish_iteration(&record, &pass, &selection, net, test)?;
             }
             if let Some(dir) = persist {
                 // Checkpoint first, then the journal line: a crash in
@@ -564,7 +622,9 @@ impl ClassAwarePruner {
         let final_accuracy = evaluate(net, test.images(), test.labels(), cfg.eval_batch)?;
         let final_cost = analyze_network(net, in_c, in_h, in_w)?;
         let sites_final = find_prunable_sites(net);
-        let scores_after = evaluate_scores(net, &sites_final, train, &cfg.score)?;
+        let scores_after = self
+            .criterion
+            .score(net, &sites_final, train, self.seed(1))?;
         cap_obs::emit(
             cap_obs::Event::new("prune_done")
                 .u64("iterations", iterations.len() as u64)
@@ -590,7 +650,18 @@ impl ClassAwarePruner {
 struct Baseline {
     accuracy: f64,
     cost: FlopsReport,
+    /// The criterion's pass over the unpruned network with iteration 1's
+    /// seed: `scores_before`, and iteration 1's scores when the loop
+    /// starts there.
+    pass: ScorePass,
+}
+
+/// What one scoring pass produced, with its wall-clock seconds.
+struct ScorePass {
+    sites: Vec<PrunableSite>,
     scores: NetworkScores,
+    attribution: Option<ClassAttribution>,
+    secs: f64,
 }
 
 /// Consecutive bit-identical `core.prune.iteration` samples tolerated
@@ -688,20 +759,20 @@ impl<'a> RunHistory<'a> {
     }
 
     /// Publishes the per-class view of one completed iteration:
-    /// `core.class_accuracy.<k>` gauges (recall on the test set),
-    /// `core.class_importance.<k>` gauges (mean `s_{f,n}` over all
-    /// scored filters), one `class_attribution.jsonl` line per removed
-    /// filter, and a durable boundary sample carrying it all.
+    /// `core.class_accuracy.<k>` gauges (recall on the test set) and a
+    /// durable boundary sample carrying them; with a criterion that
+    /// attributes its scores to classes, also `core.class_importance.<k>`
+    /// gauges (mean `s_{f,n}` over all scored filters) and one
+    /// `class_attribution.jsonl` line per removed filter.
     fn publish_iteration(
         &self,
         record: &IterationRecord,
-        scores: &NetworkScores,
-        attribution: &ClassAttribution,
+        pass: &ScorePass,
         selection: &PruneSelection,
         net: &mut Network,
         test: &Dataset,
     ) -> Result<(), PruneError> {
-        let classes = attribution.classes;
+        let classes = pass.scores.classes;
         let preds = predict_all(net, test.images(), self.eval_batch)?;
         let cm = ConfusionMatrix::from_predictions(&preds, test.labels(), classes)?;
         for k in 0..classes {
@@ -709,6 +780,22 @@ impl<'a> RunHistory<'a> {
                 cap_obs::gauge_set(&format!("core.class_accuracy.{k}"), r);
             }
         }
+        if let Some(attribution) = &pass.attribution {
+            self.publish_attribution(record, &pass.scores, attribution, selection)?;
+        }
+        cap_obs::recorder::record_boundary_sample();
+        Ok(())
+    }
+
+    /// The attribution half of [`publish_iteration`](Self::publish_iteration).
+    fn publish_attribution(
+        &self,
+        record: &IterationRecord,
+        scores: &NetworkScores,
+        attribution: &ClassAttribution,
+        selection: &PruneSelection,
+    ) -> Result<(), PruneError> {
+        let classes = attribution.classes;
         // Mean importance per class over every scored filter: the
         // dashboard heatmap row for this iteration.
         let mut sums = vec![0.0f64; classes];
@@ -741,7 +828,6 @@ impl<'a> RunHistory<'a> {
                     .map_err(persist_err)?;
             }
         }
-        cap_obs::recorder::record_boundary_sample();
         Ok(())
     }
 }
@@ -813,13 +899,19 @@ fn persist_err(e: cap_nn::RunDirError) -> PruneError {
     PruneError::Persistence { reason }
 }
 
-/// FNV-1a over the configuration's debug rendering: cheap, stable
-/// within a build, and any field change alters it. Guards against
-/// resuming a run with different hyper-parameters, which would break
-/// bit-identity silently.
-fn config_fingerprint(cfg: &PruneConfig) -> u64 {
+/// FNV-1a over the configuration's debug rendering, plus the
+/// criterion's for any criterion but Eq. 3–7 (so Eq. 3–7 runs keep the
+/// fingerprint they had before the criterion was pluggable): cheap,
+/// stable within a build, and any field change alters it. Guards against
+/// resuming a run with different hyper-parameters or another criterion,
+/// which would break bit-identity silently.
+fn config_fingerprint(cfg: &PruneConfig, criterion: &dyn FilterCriterion) -> u64 {
+    let mut key = format!("{cfg:?}");
+    if criterion.name() != ClassAwareCriterion::NAME {
+        key.push_str(&format!(" criterion={criterion:?}"));
+    }
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{cfg:?}").bytes() {
+    for b in key.bytes() {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -916,6 +1008,7 @@ mod tests {
     use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
     use cap_nn::RegularizerConfig;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny_data() -> SyntheticDataset {
         SyntheticDataset::generate(
@@ -1203,6 +1296,82 @@ mod tests {
         ));
 
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// Eq. 3–7, counting its scoring passes.
+    #[derive(Debug)]
+    struct Counting(ClassAwareCriterion, Arc<AtomicUsize>);
+
+    impl FilterCriterion for Counting {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn score(
+            &self,
+            net: &mut Network,
+            sites: &[PrunableSite],
+            data: &Dataset,
+            seed: u64,
+        ) -> Result<NetworkScores, PruneError> {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            self.0.score(net, sites, data, seed)
+        }
+    }
+
+    #[test]
+    fn unpruned_network_is_scored_once() {
+        let _guard = cap_obs::test_lock();
+        let data = tiny_data();
+        let mut net = tiny_net();
+        let config = PruneConfig {
+            strategy: PruneStrategy::Percentage { fraction: 0.2 },
+            ..quick_config()
+        };
+        let passes = Arc::new(AtomicUsize::new(0));
+        let criterion = Counting(ClassAwareCriterion::new(config.score), passes.clone());
+        let pruner = ClassAwarePruner::with_criterion(config.clone(), Box::new(criterion)).unwrap();
+        let root = std::env::temp_dir().join(format!("cap_passes_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let outcome = pruner
+            .run_with_dir(
+                &mut net,
+                data.train(),
+                data.test(),
+                &RunDir::create(root.join("run")).unwrap(),
+            )
+            .unwrap();
+        let k = outcome.iterations.len();
+        assert!(k >= 2, "need two iterations, got {k}");
+        // Generation 0 (also iteration 1's scores), iterations 2..=k, and
+        // the final network.
+        assert_eq!(passes.load(Ordering::SeqCst), k + 1);
+        // Reusing the pass changes nothing: plain Eq. 3–7 agrees.
+        let mut plain_net = tiny_net();
+        let plain = ClassAwarePruner::new(config)
+            .unwrap()
+            .run(&mut plain_net, data.train(), data.test())
+            .unwrap();
+        assert_eq!(plain.scores_before, outcome.scores_before);
+        assert_eq!(
+            cap_nn::checkpoint::to_bytes(&plain_net).unwrap(),
+            cap_nn::checkpoint::to_bytes(&net).unwrap()
+        );
+
+        // A resume from generation 1 still scores generation 0, for
+        // `scores_before`, then iterations 2..=k and the final network.
+        crash_copy(&root.join("run"), &root.join("killed"), 1);
+        passes.store(0, Ordering::SeqCst);
+        let (_, resumed) = pruner
+            .resume(
+                data.train(),
+                data.test(),
+                &RunDir::open(root.join("killed")).unwrap(),
+            )
+            .unwrap();
+        assert_eq!(resumed.scores_before, outcome.scores_before);
+        assert_eq!(passes.load(Ordering::SeqCst), 1 + (k - 1) + 1);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!    the paper's ResNet56 constraint.
 //! 4. **Framework** ([`ClassAwarePruner`]): iterate score → prune →
 //!    fine-tune until no filter is prunable or accuracy is unrecoverable.
+//!    The loop ranks filters by any [`FilterCriterion`];
+//!    [`ClassAwareCriterion`] (Eq. 3–7) is the default.
 //!
 //! FLOPs/parameter accounting ([`analyze_network`]) backs the tables'
 //! "Prun. ratio" and "FLOPs red." columns, and [`ScoreHistogram`] /
@@ -48,6 +50,7 @@
 //! # }
 //! ```
 
+mod criterion;
 mod error;
 mod flops;
 mod framework;
@@ -57,6 +60,7 @@ mod site;
 mod strategy;
 mod unstructured;
 
+pub use criterion::{ClassAwareCriterion, FilterCriterion};
 pub use error::PruneError;
 pub use flops::{analyze_network, FlopsReport, LayerCost};
 pub use framework::{ClassAwarePruner, IterationRecord, PruneConfig, PruneOutcome, StopReason};

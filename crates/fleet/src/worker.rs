@@ -105,7 +105,8 @@ fn run_suite(spec: &Spec, fleet_dir: &Path, run_dir: &Path) -> Result<(f64, f64)
 }
 
 /// CRC32 of the newest checkpoint in `run_dir/ckpt`, with its file
-/// name. `None` when the run kept no checkpoints (baseline specs).
+/// name. `None` when `run_dir` holds no checkpoint, which no completed
+/// spec leaves: every kind runs the journaled pruning loop.
 fn latest_ckpt_crc(run_dir: &Path) -> Option<(String, u32)> {
     let ckpt_dir = run_dir.join("ckpt");
     let mut names: Vec<String> = std::fs::read_dir(&ckpt_dir)

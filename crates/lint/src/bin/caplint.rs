@@ -18,7 +18,6 @@ struct Opts {
     allow: Option<PathBuf>,
     json: bool,
     list_rules: bool,
-    fix: bool,
     graph: bool,
 }
 
@@ -28,7 +27,6 @@ fn parse_args() -> Result<Opts, String> {
         allow: None,
         json: false,
         list_rules: false,
-        fix: false,
         graph: false,
     };
     let mut args = std::env::args().skip(1).peekable();
@@ -46,10 +44,9 @@ fn parse_args() -> Result<Opts, String> {
             }
             "--json" => opts.json = true,
             "--list-rules" if !opts.graph => opts.list_rules = true,
-            "--fix" if !opts.graph => opts.fix = true,
             "--help" | "-h" => {
                 println!(
-                    "caplint [--root DIR] [--allow FILE] [--json] [--list-rules] [--fix]\n\
+                    "caplint [--root DIR] [--allow FILE] [--json] [--list-rules]\n\
                      caplint graph [--root DIR] [--json]\n\n\
                      Checks every Rust source and Cargo.toml under DIR (default .)\n\
                      against rules R001-R011; see --list-rules. R008-R010 run on an\n\
@@ -58,11 +55,6 @@ fn parse_args() -> Result<Opts, String> {
                      DIR/caplint.allow when present.\n\n\
                      caplint graph prints that call graph (deterministic text, or\n\
                      JSON with --json) and exits 0.\n\n\
-                     --fix rewrites R003 (HashMap/HashSet -> BTreeMap/BTreeSet),\n\
-                     R004 (Instant::now / SystemTime::now -> cap_obs::clock::now),\n\
-                     and R002 (simple std::fs::write calls ->\n\
-                     cap_obs::fsx::atomic_write) in place, then runs the normal\n\
-                     check to verify; the rewrite is idempotent.\n\n\
                      Exit codes: 0 clean, 1 violations, 2 stale baseline, 3 usage/IO error."
                 );
                 std::process::exit(0);
@@ -91,13 +83,6 @@ fn run() -> Result<i32, String> {
     if opts.list_rules {
         print!("{}", cap_lint::render_rule_list());
         return Ok(0);
-    }
-    if opts.fix {
-        let report = cap_lint::fix::fix_workspace(&opts.root)?;
-        eprintln!(
-            "caplint --fix: {} replacement(s) in {} file(s); re-checking",
-            report.replacements, report.files_changed
-        );
     }
     let allow_path = opts.allow.clone().or_else(|| {
         let default = opts.root.join("caplint.allow");

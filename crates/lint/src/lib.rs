@@ -25,7 +25,6 @@
 //! ```
 
 pub mod allow;
-pub mod fix;
 pub mod graph;
 pub mod lexer;
 pub mod parse;

@@ -1,11 +1,11 @@
 //! Compares the class-aware criterion against the baselines the paper
 //! evaluates in Fig. 6 (L1, SSS, HRank, TPP, OrthConv, DepGraph, plus
 //! class-agnostic Taylor), all starting from the same trained weights
-//! under the same pruning schedule.
+//! and pruned by the same loop.
 //!
 //! Run with: `cargo run --release --example compare_baselines`
 
-use cap_baselines::{run_baseline, standard_criteria, BaselineConfig};
+use cap_baselines::standard_criteria;
 use cap_core::{ClassAwarePruner, PruneConfig, PruneStrategy, ScoreConfig, TauMode};
 use cap_data::{DatasetSpec, SyntheticDataset};
 use cap_models::{vgg16, ModelConfig};
@@ -65,30 +65,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Baselines under a matched schedule.
-    let schedule = BaselineConfig {
-        fraction_per_iter: 0.1,
-        iterations: 4,
-        finetune: TrainConfig {
-            epochs: 2,
-            regularizer: RegularizerConfig::none(),
-            ..train_cfg
-        },
-        eval_batch: 32,
-        seed: 0xFEED,
-    };
-    for criterion in standard_criteria().iter_mut() {
+    // Baselines under a matched schedule: 10% per iteration, no rollback.
+    for criterion in standard_criteria() {
+        let schedule = PruneConfig {
+            score: ScoreConfig {
+                seed: 0xFEED,
+                ..ScoreConfig::default()
+            },
+            strategy: PruneStrategy::Percentage { fraction: 0.1 },
+            finetune: TrainConfig {
+                epochs: 2,
+                regularizer: criterion.train_regularizer(),
+                ..train_cfg
+            },
+            max_iterations: 4,
+            accuracy_drop_limit: 1.0,
+            eval_batch: 32,
+        };
+        let pruner = ClassAwarePruner::with_criterion(schedule, criterion)?;
         let mut candidate = net.clone();
-        let o = run_baseline(
-            criterion.as_mut(),
-            &mut candidate,
-            data.train(),
-            data.test(),
-            &schedule,
-        )?;
+        let o = pruner.run(&mut candidate, data.train(), data.test())?;
         println!(
             "{:<21}| {:>7.1}% | {:>10.1}% | {:>8.1}%",
-            o.method,
+            pruner.criterion().name(),
             o.final_accuracy * 100.0,
             o.pruning_ratio() * 100.0,
             o.flops_reduction() * 100.0
