@@ -19,10 +19,12 @@
 //! (see [`kernel_regressions`]).
 //!
 //! The observability section then measures span/counter overhead with
-//! telemetry disabled, enabled, with the sampling profiler mirroring,
-//! and with the flight recorder on, plus `/metrics` scrape latency
-//! while a smoke training loop runs. Kernel timings always run first,
-//! before any telemetry is switched on.
+//! telemetry disabled, enabled, and with the flight recorder on, plus
+//! `/metrics` scrape latency while a smoke training loop runs. Its
+//! `profiler` object prices the disabled span path per smoke epoch;
+//! the profile in every run directory is folded from enabled spans,
+//! so that path is all it costs when telemetry is off. Kernel timings
+//! always run first, before any telemetry is switched on.
 
 use cap_data::{DatasetSpec, SyntheticDataset};
 use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
@@ -379,14 +381,12 @@ struct ObsSummary {
     /// `span.*.count` histogram deltas).
     spans_per_epoch: f64,
     /// The measured disabled-span cost net of the bench harness's own
-    /// dispatch floor, reused as a conservative per-span price in the
-    /// profiler-off overhead model.
+    /// dispatch floor, the per-span price in the telemetry-off
+    /// overhead model.
     disabled_span_ns: f64,
-    /// Profiler-off overhead bound: even charging every span of the
-    /// epoch the *full* disabled-path cost (a strict over-estimate of
-    /// the one relaxed load `prof::mirroring()` adds), this fraction
-    /// of the epoch is what the sampler costs when it is off.
-    prof_off_overhead_fraction: f64,
+    /// Telemetry-off overhead bound: every span of the epoch charged
+    /// the full disabled-path cost, as a fraction of the epoch.
+    off_overhead_fraction: f64,
 }
 
 impl ObsSummary {
@@ -396,10 +396,10 @@ impl ObsSummary {
         self.overhead_fraction < 0.01
     }
 
-    /// Whether the profiler-off span overhead stays under 0.5% of a
-    /// smoke epoch (the capprof acceptance bound).
+    /// Whether the telemetry-off span overhead stays under 0.5% of a
+    /// smoke epoch.
     fn off_overhead_lt_half_pct(&self) -> bool {
-        self.prof_off_overhead_fraction < 0.005
+        self.off_overhead_fraction < 0.005
     }
 }
 
@@ -459,17 +459,6 @@ fn run_obs_benches(opts: &Options) -> ObsSummary {
         cap_obs::counter_add("bench.obs.counter", 1);
     });
 
-    // Span path with the sampling profiler live: the mirror push/pop
-    // into the shared per-thread stack is the cost; the sampling rate
-    // is irrelevant to it.
-    if cap_obs::prof::start_global(97, None).unwrap_or(false) {
-        bench("span", "enabled+prof", &mut || {
-            let _s = cap_obs::span!("bench.obs.span");
-            black_box(&_s);
-        });
-        cap_obs::prof::stop_global();
-    }
-
     cap_obs::flight::enable();
     bench("span", "enabled+flight", &mut || {
         let _s = cap_obs::span!("bench.obs.span");
@@ -507,7 +496,7 @@ fn run_obs_benches(opts: &Options) -> ObsSummary {
     // Recorder overhead model: cadence samples per second × cost per
     // sample, relative to one smoke training epoch. The same epoch's
     // registry `span.*.count` deltas give spans-per-epoch for the
-    // profiler-off overhead bound.
+    // telemetry-off overhead bound.
     let span_count_total = || -> f64 {
         cap_obs::tsdb::snapshot_points()
             .iter()
@@ -535,7 +524,7 @@ fn run_obs_benches(opts: &Options) -> ObsSummary {
             .map_or(0.0, |r| r.ns_per_iter)
     };
     let disabled_span_ns = (raw_of("span", "disabled") - raw_of("empty", "harness_floor")).max(0.0);
-    let prof_off_overhead_fraction = if epoch_ns > 0.0 {
+    let off_overhead_fraction = if epoch_ns > 0.0 {
         spans_per_epoch * disabled_span_ns / epoch_ns
     } else {
         0.0
@@ -598,7 +587,7 @@ fn run_obs_benches(opts: &Options) -> ObsSummary {
         disabled_span_allocs,
         spans_per_epoch,
         disabled_span_ns,
-        prof_off_overhead_fraction,
+        off_overhead_fraction,
     }
 }
 
@@ -647,7 +636,7 @@ fn write_obs_json(opts: &Options, s: &ObsSummary) -> String {
     out.push_str(", \"disabled_span_ns\": ");
     write_f64(&mut out, s.disabled_span_ns);
     out.push_str(", \"off_overhead_fraction\": ");
-    write_f64(&mut out, s.prof_off_overhead_fraction);
+    write_f64(&mut out, s.off_overhead_fraction);
     out.push_str(", \"off_overhead_lt_half_pct\": ");
     out.push_str(if s.off_overhead_lt_half_pct() {
         "true"
@@ -721,11 +710,11 @@ fn main() {
         }
     );
     println!(
-        "obs profiler-off bound: {} spans/epoch x {:.1} ns net = {:.5}% of epoch ({}), \
+        "obs telemetry-off bound: {} spans/epoch x {:.1} ns net = {:.5}% of epoch ({}), \
          disabled-span allocs {}",
         obs.spans_per_epoch as u64,
         obs.disabled_span_ns,
-        obs.prof_off_overhead_fraction * 100.0,
+        obs.off_overhead_fraction * 100.0,
         if obs.off_overhead_lt_half_pct() {
             "< 0.5%"
         } else {

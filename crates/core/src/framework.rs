@@ -497,8 +497,9 @@ impl ClassAwarePruner {
 
         // Durable run history: persisted runs record a sampled time
         // series (`series.capts`), per-class pruning attribution
-        // (`class_attribution.jsonl`) and alert rules (`alerts.jsonl`)
-        // alongside the journal. The guard stops the recorder and
+        // (`class_attribution.jsonl`), alert rules (`alerts.jsonl`) and
+        // the span profile (`profile.folded`) alongside the journal.
+        // The guard writes the final profile, stops the recorder and
         // clears the rules however the loop exits.
         let history = persist.map(|dir| RunHistory::start(dir, baseline_accuracy, cfg));
 
@@ -672,18 +673,17 @@ const NAN_WINDOW_SECS: f64 = 3600.0;
 
 /// Run-history side of a persisted pruning run: owns the sampling
 /// recorder writing `<run-dir>/series.capts`, the alert rules feeding
-/// `<run-dir>/alerts.jsonl`, and the per-class attribution sidecar.
-/// Dropping it (any exit from the loop, including errors) stops the
-/// recorder and uninstalls the rules.
+/// `<run-dir>/alerts.jsonl`, the per-class attribution sidecar, and
+/// `<run-dir>/profile.folded`, the span tree folded into flamegraph
+/// stacks. Dropping it (any exit from the loop, including errors)
+/// writes the final profile, stops the recorder and uninstalls the
+/// rules.
 struct RunHistory<'a> {
     dir: &'a RunDir,
     eval_batch: usize,
     /// Whether *this* run started the process-global recorder (another
     /// concurrent run may already own it; then we must not stop it).
     recording: bool,
-    /// Whether *this* run started the sampling profiler (same
-    /// first-start-wins rule as `recording`).
-    profiling: bool,
 }
 
 impl<'a> RunHistory<'a> {
@@ -699,27 +699,6 @@ impl<'a> RunHistory<'a> {
                 eprintln!("run history: recorder disabled: {e}");
                 false
             }
-        };
-        // Sampling profiler: when CAP_PROF_HZ asks for one, the run dir
-        // owns `profile.folded`. A profiler started earlier (e.g. by
-        // init_telemetry before the run dir existed) is retargeted here
-        // instead; it keeps running after the run, same as the server.
-        let profiling = match cap_obs::prof::hz_from_env() {
-            Some(hz) => {
-                let out = dir.root().join("profile.folded");
-                match cap_obs::prof::start_global(hz, Some(out.clone())) {
-                    Ok(true) => true,
-                    Ok(false) => {
-                        cap_obs::prof::set_output(out);
-                        false
-                    }
-                    Err(e) => {
-                        eprintln!("run history: profiler disabled: {e}");
-                        false
-                    }
-                }
-            }
-            None => false,
         };
         cap_obs::alerts::install(
             vec![
@@ -754,7 +733,17 @@ impl<'a> RunHistory<'a> {
             dir,
             eval_batch: cfg.eval_batch,
             recording,
-            profiling,
+        }
+    }
+
+    /// Rewrites `profile.folded` from the span totals recorded so far.
+    /// Best-effort like the recorder: a failed write must not kill a
+    /// run that the journal keeps safe.
+    fn write_profile(&self) {
+        let folded = cap_obs::flame::folded_string(&cap_obs::span_stacks());
+        let path = self.dir.root().join("profile.folded");
+        if let Err(e) = cap_obs::fsx::atomic_write(&path, folded.as_bytes()) {
+            eprintln!("run history: {}: {e}", path.display());
         }
     }
 
@@ -784,6 +773,7 @@ impl<'a> RunHistory<'a> {
             self.publish_attribution(record, &pass.scores, attribution, selection)?;
         }
         cap_obs::recorder::record_boundary_sample();
+        self.write_profile();
         Ok(())
     }
 
@@ -834,16 +824,9 @@ impl<'a> RunHistory<'a> {
 
 impl Drop for RunHistory<'_> {
     fn drop(&mut self) {
+        self.write_profile();
         if self.recording {
             cap_obs::recorder::stop_global();
-        }
-        if self.profiling {
-            // Final durable profile.folded for the run.
-            cap_obs::prof::stop_global();
-        } else {
-            // A longer-lived profiler keeps sampling, but the run dir
-            // should still hold a complete profile at run end.
-            cap_obs::prof::flush_profile();
         }
         cap_obs::alerts::clear();
     }
@@ -1284,6 +1267,20 @@ mod tests {
         );
         assert_eq!(outcome_a.iterations.len(), outcome_c.iterations.len());
 
+        // Killed between a record and its newline: the unterminated
+        // iteration 1 is not committed, so resume re-runs it, and its
+        // appends must not weld onto the torn bytes.
+        let torn = base.join("torn");
+        crash_copy(&ref_path, &torn, 1);
+        let journal = torn.join("journal.jsonl");
+        let text = std::fs::read_to_string(&journal).unwrap();
+        std::fs::write(&journal, text.trim_end_matches('\n')).unwrap();
+        let dir_t = RunDir::open(&torn).unwrap();
+        let (net_t, _) = pruner.resume(data.train(), data.test(), &dir_t).unwrap();
+        assert_eq!(cap_nn::checkpoint::to_bytes(&net_t).unwrap(), ref_bytes);
+        let (net_t, _) = pruner.resume(data.train(), data.test(), &dir_t).unwrap();
+        assert_eq!(cap_nn::checkpoint::to_bytes(&net_t).unwrap(), ref_bytes);
+
         // Resuming with a different configuration is refused.
         let other = ClassAwarePruner::new(PruneConfig {
             strategy: PruneStrategy::Percentage { fraction: 0.3 },
@@ -1437,6 +1434,18 @@ mod tests {
         }
         // No alert fired in a healthy run: no alerts.jsonl.
         assert!(!root.join("alerts.jsonl").exists());
+
+        // profile.folded: the span tree, every line a valid folded
+        // stack, with fine-tuning under its iteration.
+        let text = std::fs::read_to_string(root.join("profile.folded")).unwrap();
+        let stacks = cap_obs::flame::parse_folded(&text);
+        assert_eq!(stacks.len(), text.lines().count(), "{text}");
+        assert!(
+            stacks
+                .iter()
+                .any(|(s, _)| s.split(';').any(|frame| frame == "core.prune.finetune")),
+            "{text}"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

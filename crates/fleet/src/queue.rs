@@ -139,16 +139,11 @@ impl Queue {
         let path = Queue::path_in(fleet_dir);
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let mut file =
-            AppendFile::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
-        // A torn tail must be truncated away physically, not just
-        // skipped in memory: otherwise the next append would weld onto
-        // the half-written bytes and corrupt that line too.
-        if !text.is_empty() && !text.ends_with('\n') {
-            let durable = text.rfind('\n').map_or(0, |i| i + 1);
-            file.truncate(durable as u64)
-                .map_err(|e| format!("truncate {}: {e}", path.display()))?;
-        }
+        // `open_lines` cuts a torn tail on disk, not just in memory:
+        // otherwise the next append would weld onto the half-written
+        // bytes and corrupt that line too.
+        let file =
+            AppendFile::open_lines(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
         let mut queue = Queue {
             path,
             file,

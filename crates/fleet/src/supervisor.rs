@@ -338,7 +338,6 @@ pub fn run_fleet(fleet_dir: &Path, cfg: &FleetConfig) -> Result<FleetReport, Str
                 .arg("--spec")
                 .arg(&spec.id)
                 .env_remove("CAP_METRICS_ADDR")
-                .env_remove("CAP_PROF_HZ")
                 .env_remove("CAP_FAULT")
                 .stdout(Stdio::null());
             // Inject the spec's fault directive only on its early

@@ -21,8 +21,9 @@
 //!   checkpoint that fails CRC validation (counted in
 //!   `nn.rundir.fallback_total`).
 //! - **The journal** is an append-only JSONL file, fsync'd per line. A
-//!   torn final line (crash mid-append) is detected and ignored on
-//!   read; earlier corruption is an error.
+//!   record commits with its newline: an unterminated final line
+//!   (crash mid-append) is ignored on read and cut before the next
+//!   append; earlier corruption is an error.
 //! - **Retention**: generation 0 (the pre-pruning baseline, needed to
 //!   replay a run from scratch) plus the newest `retain` generations
 //!   are kept; older ones are deleted after each successful write.
@@ -36,7 +37,6 @@ use crate::Network;
 use cap_obs::json::{self, Json};
 use std::error::Error;
 use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Manifest format version of the run-directory layout itself.
@@ -326,17 +326,7 @@ impl RunDir {
                 reason: "journal records must be single lines".to_string(),
             });
         }
-        let path = self.root.join("journal.jsonl");
-        let ctx = format!("append {}", path.display());
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(io_err(ctx.clone()))?;
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.sync_all())
-            .map_err(io_err(ctx))?;
+        self.append_line("journal.jsonl", line)?;
         cap_obs::counter_add("nn.rundir.journal_lines_total", 1);
         crate::heartbeat::beat();
         Ok(())
@@ -367,19 +357,26 @@ impl RunDir {
                 reason: format!("bad sidecar name {file_name:?} (want <name>.jsonl)"),
             });
         }
+        self.append_line(file_name, line)
+    }
+
+    /// Appends `line` and its newline to `file_name` in one fsync'd
+    /// write, after cutting any torn tail a crash left behind.
+    fn append_line(&self, file_name: &str, line: &str) -> Result<(), RunDirError> {
         let path = self.root.join(file_name);
         let ctx = format!("append {}", path.display());
-        let mut file = cap_obs::fsx::AppendFile::open(&path).map_err(io_err(ctx.clone()))?;
+        let mut file = cap_obs::fsx::AppendFile::open_lines(&path).map_err(io_err(ctx.clone()))?;
         let mut buf = Vec::with_capacity(line.len() + 1);
         buf.extend_from_slice(line.as_bytes());
         buf.push(b'\n');
-        file.append_durable(&buf).map_err(io_err(ctx))?;
-        Ok(())
+        file.append_durable(&buf).map_err(io_err(ctx))
     }
 
-    /// Reads the journal as parsed JSON records. A torn *final* line —
-    /// the signature of a crash mid-append — is ignored; a malformed
-    /// line anywhere else is corruption.
+    /// Reads the journal as parsed JSON records. A record is committed
+    /// once its newline is on disk: an unterminated *final* line — the
+    /// signature of a crash mid-append — is ignored even when it
+    /// parses, and the next append cuts it. A malformed line anywhere
+    /// else is corruption.
     ///
     /// # Errors
     ///
@@ -392,7 +389,11 @@ impl RunDir {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(io_err(format!("read {}", path.display()))(e)),
         };
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+        let (committed, torn) = text.split_at(text.rfind('\n').map_or(0, |i| i + 1));
+        if !torn.is_empty() {
+            eprintln!("run dir: ignoring torn journal tail ({} bytes)", torn.len());
+        }
+        let lines: Vec<&str> = committed.lines().filter(|l| !l.trim().is_empty()).collect();
         let mut records = Vec::with_capacity(lines.len());
         for (i, line) in lines.iter().enumerate() {
             match json::parse(line) {
@@ -417,6 +418,7 @@ mod tests {
     use super::*;
     use crate::layer::{Conv2d, GlobalAvgPool, Linear, Relu};
     use rand::SeedableRng;
+    use std::io::Write;
 
     /// Serialises tests that write checkpoints: `save_generation`
     /// consults the process-global `cap-faults` one-shot state, so a
@@ -594,6 +596,41 @@ mod tests {
             dir.read_journal(),
             Err(RunDirError::Corrupt { .. })
         ));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A run killed after writing a record but before its newline: the
+    /// record parses, but it is not committed, and the next append must
+    /// start on a line of its own instead of welding onto it.
+    #[test]
+    fn appends_after_an_unterminated_record_stay_on_their_own_lines() {
+        let root = scratch("welded");
+        let dir = RunDir::create(&root).unwrap();
+        std::fs::write(
+            root.join("journal.jsonl"),
+            "{\"type\":\"meta\"}\n{\"type\":\"iter\",\"iteration\":1}",
+        )
+        .unwrap();
+        assert_eq!(dir.read_journal().unwrap().len(), 1);
+        dir.append_journal("{\"type\":\"iter\",\"iteration\":1}")
+            .unwrap();
+        assert_eq!(dir.read_journal().unwrap().len(), 2);
+        dir.append_journal("{\"type\":\"iter\",\"iteration\":2}")
+            .unwrap();
+        let records = dir.read_journal().unwrap();
+        assert_eq!(records.len(), 3);
+        let iterations: Vec<Option<u64>> = records
+            .iter()
+            .map(|r| r.get("iteration").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(iterations, vec![None, Some(1), Some(2)]);
+        // Sidecars share the opener.
+        std::fs::write(root.join("side.jsonl"), "{\"n\":1}\n{\"n\":2").unwrap();
+        dir.append_jsonl("side.jsonl", "{\"n\":3}").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(root.join("side.jsonl")).unwrap(),
+            "{\"n\":1}\n{\"n\":3}\n"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 }

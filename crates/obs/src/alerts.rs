@@ -306,7 +306,7 @@ pub fn evaluate_sample(sample: &Sample) {
                 .str("message", alert.message.clone()),
         );
         if let Some(path) = &engine.alerts_path {
-            if let Ok(mut f) = AppendFile::open(path) {
+            if let Ok(mut f) = AppendFile::open_lines(path) {
                 let _ = f.append_durable(alert_line(alert).as_bytes());
             }
         }

@@ -1,11 +1,12 @@
 //! Deterministic flamegraph rendering from folded stacks.
 //!
-//! Input is the folded-stack text format the profiler writes
-//! (`profile.folded`): one stack per line, frames joined by `;`,
-//! a space, then a sample count — e.g.
+//! Input is the folded-stack text format of a run directory's
+//! `profile.folded` ([`crate::span_stacks`] rendered by
+//! [`folded_string`]): one stack per line, frames joined by `;`, a
+//! space, then the stack's self time in µs — e.g.
 //!
 //! ```text
-//! capctl.run;core.prune.run;core.prune.finetune;nn.fit 124
+//! core.prune.iteration;core.prune.finetune;nn.fit 124
 //! ```
 //!
 //! [`parse_folded`] is hostile-input safe: arbitrary bytes never
@@ -19,7 +20,7 @@
 //! no clocks, no randomness), so profile artifacts diff cleanly in CI.
 //! [`render_diff_svg`] renders a differential flamegraph of two
 //! profiles (e.g. `CAP_SIMD=scalar` vs `auto`): frame widths are
-//! proportional to combined sample share so both runs stay visible,
+//! proportional to combined time share so both runs stay visible,
 //! and fill shifts red where the second profile spends a larger
 //! fraction of its time, blue where a smaller one.
 
@@ -35,6 +36,19 @@ const ROW: f64 = 17.0;
 const HEADER: f64 = 38.0;
 /// Approximate glyph advance of the embedded monospace font at 11px.
 const CHAR_W: f64 = 6.6;
+
+/// Renders folded-stack lines from `stacks` (one `stack weight` line
+/// each, trailing newline; empty input renders to the empty string).
+pub fn folded_string(stacks: &[(String, u64)]) -> String {
+    let mut out = String::new();
+    for (stack, weight) in stacks {
+        out.push_str(stack);
+        out.push(' ');
+        out.push_str(&weight.to_string());
+        out.push('\n');
+    }
+    out
+}
 
 /// Parses folded-stack text into sorted `(stack, count)` pairs,
 /// merging duplicate stacks. Never panics on arbitrary input: lines
@@ -162,7 +176,7 @@ enum Mode {
 
 /// Renders a self-contained, byte-stable flamegraph SVG ("icicle"
 /// orientation: root on top). An empty profile renders a valid SVG
-/// stating that no samples were recorded.
+/// stating that no time was recorded.
 pub fn render_svg(stacks: &[(String, u64)], title: &str) -> String {
     let mut root = Node::default();
     build_tree(stacks, false, &mut root);
@@ -171,7 +185,7 @@ pub fn render_svg(stacks: &[(String, u64)], title: &str) -> String {
 
 /// Renders a differential flamegraph: `a` is the baseline profile,
 /// `b` the one under scrutiny. Frame widths are proportional to the
-/// frame's combined sample count so frames present in only one
+/// frame's combined time so frames present in only one
 /// profile remain visible; color encodes the share shift from `a` to
 /// `b`.
 pub fn render_diff_svg(a: &[(String, u64)], b: &[(String, u64)], title: &str) -> String {
@@ -216,8 +230,8 @@ fn render(root: &Node, title: &str, mode: &Mode) -> String {
         "<rect x=\"0\" y=\"0\" width=\"{WIDTH}\" height=\"{height:.2}\" fill=\"#f8f8f8\"/>\n"
     ));
     let subtitle = match mode {
-        Mode::Single => format!("{} samples", root.total),
-        Mode::Diff(..) => format!("{} vs {} samples", root.base, root.total),
+        Mode::Single => format!("{} µs", root.total),
+        Mode::Diff(..) => format!("{} vs {} µs", root.base, root.total),
     };
     out.push_str(&format!(
         "<text x=\"8\" y=\"16\" font-size=\"13\" fill=\"#222\">{} — {}</text>\n",
@@ -226,7 +240,7 @@ fn render(root: &Node, title: &str, mode: &Mode) -> String {
     ));
     if root.value() == 0 {
         out.push_str(&format!(
-            "<text x=\"8\" y=\"{:.2}\" fill=\"#666\">no samples recorded</text>\n",
+            "<text x=\"8\" y=\"{:.2}\" fill=\"#666\">no time recorded</text>\n",
             HEADER + 12.0
         ));
         out.push_str("</svg>\n");
@@ -259,7 +273,7 @@ fn write_frame(
             let pct = 100.0 * node.total as f64 / root.total.max(1) as f64;
             (
                 warm_color(name),
-                format!("{name}: {} samples ({pct:.1}%)", node.total),
+                format!("{name}: {} µs ({pct:.1}%)", node.total),
             )
         }
         Mode::Diff(a_total, b_total) => {
@@ -268,7 +282,7 @@ fn write_frame(
             (
                 diff_color(b_share - a_share),
                 format!(
-                    "{name}: {} → {} samples ({:.1}% → {:.1}%)",
+                    "{name}: {} → {} µs ({:.1}% → {:.1}%)",
                     node.base,
                     node.total,
                     100.0 * a_share,
@@ -395,7 +409,7 @@ mod tests {
         assert!(svg.contains("unit &amp; test"), "escaped title");
         assert!(svg.contains("child_one"), "{svg}");
         assert!(svg.contains("child_two"), "{svg}");
-        assert!(svg.contains("100 samples"), "{svg}");
+        assert!(svg.contains("100 µs"), "{svg}");
         // Every <g> opened is closed; rects carry the fixed 2-decimal format.
         assert_eq!(svg.matches("<g>").count(), svg.matches("</g>").count());
     }
@@ -404,7 +418,7 @@ mod tests {
     fn empty_profile_renders_a_valid_placeholder() {
         let svg = render_svg(&[], "empty");
         assert!(svg.starts_with("<svg"));
-        assert!(svg.contains("no samples recorded"));
+        assert!(svg.contains("no time recorded"));
         assert!(svg.ends_with("</svg>\n"));
     }
 
@@ -415,14 +429,8 @@ mod tests {
         let svg = render_diff_svg(&a, &b, "diff");
         // "slow" grew from 20% to 80% of run time → red family;
         // "fast" shrank → blue family.
-        assert!(
-            svg.contains("slow: 20 → 80 samples (20.0% → 80.0%)"),
-            "{svg}"
-        );
-        assert!(
-            svg.contains("fast: 80 → 20 samples (80.0% → 20.0%)"),
-            "{svg}"
-        );
+        assert!(svg.contains("slow: 20 → 80 µs (20.0% → 80.0%)"), "{svg}");
+        assert!(svg.contains("fast: 80 → 20 µs (80.0% → 20.0%)"), "{svg}");
         assert!(svg.contains("rgb(255,60,60)"), "saturated red: {svg}");
         assert!(svg.contains("rgb(60,60,255)"), "saturated blue: {svg}");
         // Unchanged root stays white.
@@ -434,7 +442,18 @@ mod tests {
         let a = parse_folded("app;removed 50\n");
         let b = parse_folded("app;added 50\n");
         let svg = render_diff_svg(&a, &b, "diff");
-        assert!(svg.contains("removed: 50 → 0 samples"), "{svg}");
-        assert!(svg.contains("added: 0 → 50 samples"), "{svg}");
+        assert!(svg.contains("removed: 50 → 0 µs"), "{svg}");
+        assert!(svg.contains("added: 0 → 50 µs"), "{svg}");
+    }
+
+    #[test]
+    fn folded_string_round_trips_through_the_parser() {
+        let stacks = vec![
+            ("a;b".to_string(), 3_u64),
+            ("a;c d".to_string(), 1), // frame with a space still parses
+        ];
+        let text = folded_string(&stacks);
+        assert_eq!(text, "a;b 3\na;c d 1\n");
+        assert_eq!(parse_folded(&text), stacks);
     }
 }

@@ -31,15 +31,13 @@
 
 use crate::json;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default per-thread ring capacity (records, not bytes).
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 static FLIGHT_ENABLED: AtomicBool = AtomicBool::new(false);
-/// Capacity applied to rings created after [`enable_with_capacity`].
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 /// Monotonic recorder thread ids (`ThreadId::as_u64` is unstable).
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -116,31 +114,11 @@ pub fn enabled() -> bool {
     FLIGHT_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns the recorder on with the default per-thread capacity
-/// ([`DEFAULT_CAPACITY`] records). Also requires the master obs gate
-/// ([`crate::enable`]) for anything to be recorded.
+/// Turns the recorder on, with [`DEFAULT_CAPACITY`] records per
+/// thread. Also requires the master obs gate ([`crate::enable`]) for
+/// anything to be recorded.
 pub fn enable() {
-    enable_with_capacity(DEFAULT_CAPACITY);
-}
-
-/// Turns the recorder on with an explicit per-thread ring capacity.
-/// Rings already created keep their old capacity until [`clear`].
-pub fn enable_with_capacity(capacity: usize) {
-    CAPACITY.store(capacity.max(1), Ordering::Relaxed);
     FLIGHT_ENABLED.store(true, Ordering::Release);
-}
-
-/// Turns the recorder on with the per-thread capacity from the
-/// `CAP_FLIGHT_CAP` environment variable (a positive record count);
-/// falls back to [`DEFAULT_CAPACITY`] when unset or unparsable.
-pub fn enable_from_env() {
-    match std::env::var("CAP_FLIGHT_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => enable_with_capacity(n),
-        _ => enable(),
-    }
 }
 
 /// Turns the recorder off (rings keep their contents for export).
@@ -148,13 +126,13 @@ pub fn disable() {
     FLIGHT_ENABLED.store(false, Ordering::Release);
 }
 
-/// Empties every ring (test isolation; also applies a changed capacity).
+/// Empties every ring (test isolation).
 pub fn clear() {
     let mut all = rings().lock().unwrap();
     all.retain(|tr| Arc::strong_count(&tr.ring) > 1);
     for tr in all.iter() {
         let mut ring = tr.ring.lock().unwrap();
-        *ring = Ring::new(CAPACITY.load(Ordering::Relaxed));
+        *ring = Ring::new(DEFAULT_CAPACITY);
     }
 }
 
@@ -164,7 +142,7 @@ fn with_local_ring(f: impl FnOnce(&mut Ring)) {
     LOCAL_RING.with(|slot| {
         let mut slot = slot.borrow_mut();
         if slot.is_none() {
-            let ring = Arc::new(Mutex::new(Ring::new(CAPACITY.load(Ordering::Relaxed))));
+            let ring = Arc::new(Mutex::new(Ring::new(DEFAULT_CAPACITY)));
             let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
             let name = std::thread::current()
                 .name()

@@ -8,7 +8,7 @@
 //! destination — readers observe either the old content or the new,
 //! never a prefix.
 
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -69,10 +69,11 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// alert streams).
 ///
 /// Complements [`atomic_write`]: where that replaces a whole file
-/// atomically, `AppendFile` grows one incrementally. Crash safety is
-/// the reader's job — every workspace append format is framed or
-/// line-delimited so a torn tail from a crash mid-append is detected
-/// and discarded on the next open. [`AppendFile::sync`] (or
+/// atomically, `AppendFile` grows one incrementally. Every workspace
+/// append format is framed or line-delimited so a torn tail from a
+/// crash mid-append is detected and discarded on the next open: line
+/// logs open through [`AppendFile::open_lines`], which cuts it before
+/// the first append. [`AppendFile::sync`] (or
 /// [`AppendFile::append_durable`]) forces the written bytes to disk
 /// when the caller needs a durability point.
 #[derive(Debug)]
@@ -89,9 +90,29 @@ impl AppendFile {
     pub fn open(path: &Path) -> std::io::Result<AppendFile> {
         let file = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)?;
         Ok(AppendFile { file })
+    }
+
+    /// Opens a line log (one record per `\n`-terminated line) for
+    /// appending, creating it if absent, and first truncates an
+    /// unterminated final line: the torn tail of a crash mid-append,
+    /// which the next record would otherwise weld onto. A record is
+    /// committed once its newline is on disk.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error.
+    pub fn open_lines(path: &Path) -> std::io::Result<AppendFile> {
+        let mut log = AppendFile::open(path)?;
+        let len = log.file.metadata()?.len();
+        let end = complete_lines_len(&mut log.file, len)?;
+        if end < len {
+            log.truncate(end)?;
+        }
+        Ok(log)
     }
 
     /// Appends `bytes` without forcing them to disk.
@@ -133,6 +154,24 @@ impl AppendFile {
     }
 }
 
+/// Length of the prefix of a `len`-byte file that ends in its last
+/// `\n` (0 when it has none), scanning back from the end.
+fn complete_lines_len(file: &mut std::fs::File, len: u64) -> std::io::Result<u64> {
+    let mut buf = [0u8; 512];
+    let mut end = len;
+    while end > 0 {
+        let start = end.saturating_sub(buf.len() as u64);
+        let chunk = &mut buf[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(i) = chunk.iter().rposition(|&b| b == b'\n') {
+            return Ok(start + i as u64 + 1);
+        }
+        end = start;
+    }
+    Ok(0)
+}
+
 /// [`atomic_write`] with a `String` error for callers in the
 /// `Result<_, String>` style used by the dump paths.
 ///
@@ -169,6 +208,39 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn line_logs_cut_a_torn_tail_before_appending() {
+        let dir = tmp_dir("lines");
+        let path = dir.join("log.jsonl");
+        let append = |line: &str| {
+            let mut log = AppendFile::open_lines(&path).unwrap();
+            log.append_durable(format!("{line}\n").as_bytes()).unwrap();
+        };
+        append("{\"n\":1}");
+        append("{\"n\":2}");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"n\":1}\n{\"n\":2}\n"
+        );
+        // A torn tail, even one that parses, is cut before the append.
+        let mut f = AppendFile::open(&path).unwrap();
+        f.append(b"{\"n\":3}").unwrap();
+        drop(f);
+        append("{\"n\":4}");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"n\":1}\n{\"n\":2}\n{\"n\":4}\n"
+        );
+        // A tail longer than one scan chunk, and a file with no newline.
+        std::fs::write(&path, format!("a\n{}", "x".repeat(2000))).unwrap();
+        append("b");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a\nb\n");
+        std::fs::write(&path, "x".repeat(700)).unwrap();
+        append("c");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "c\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,7 +11,9 @@
 //! - **Spans** ([`span!`]) are RAII scope timers. They nest via a
 //!   thread-local stack, so per-layer forward/backward time and the
 //!   im2col/matmul kernel time inside it roll up into a call tree
-//!   ([`span_report`]). Disabled spans cost one relaxed atomic load.
+//!   ([`span_report`]) and into folded self-time stacks for
+//!   flamegraphs ([`span_stacks`]). Disabled spans cost one relaxed
+//!   atomic load.
 //! - **Metrics** live in a process-global [`Registry`]: counters,
 //!   gauges, and log-bucketed histograms with p50/p95/max summaries.
 //! - **Events** ([`Event`]) are structured records (epoch finished,
@@ -66,7 +68,6 @@ pub mod flight;
 pub mod fsx;
 pub mod json;
 pub mod metrics;
-pub mod prof;
 pub mod recorder;
 pub mod serve;
 pub mod sink;
@@ -78,7 +79,7 @@ mod span;
 pub use event::{Event, Value};
 pub use metrics::{Histogram, Metric, Registry};
 pub use sink::Sink;
-pub use span::{span_report, SpanGuard};
+pub use span::{span_report, span_stacks, SpanGuard};
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -336,8 +337,6 @@ pub struct Telemetry {
     /// Address of the live telemetry server, when `CAP_METRICS_ADDR`
     /// started one.
     pub serving: Option<SocketAddr>,
-    /// Whether `CAP_PROF_HZ` started the sampling profiler.
-    pub profiling: bool,
 }
 
 /// One-call telemetry setup shared by every binary in the workspace
@@ -348,15 +347,11 @@ pub struct Telemetry {
 ///    when given, else from `CAP_TRACE`;
 /// 2. when `CAP_METRICS_ADDR` is set (e.g. `127.0.0.1:9184`), starts
 ///    the process-global [`serve`] server there — which also enables
-///    instrumentation and the [`flight`] recorder;
-/// 3. when `CAP_PROF_HZ` is set, starts the sampling [`prof`]iler at
-///    that rate (writing to `CAP_PROF_OUT` if given; a run directory
-///    opened later retargets the output to its `profile.folded`).
+///    instrumentation and the [`flight`] recorder.
 ///
 /// # Errors
 ///
-/// Propagates [`init_from_spec`] errors, server bind failures, and
-/// profiler spawn failures.
+/// Propagates [`init_from_spec`] errors and server bind failures.
 pub fn init_telemetry(cli_trace: Option<&str>) -> Result<Telemetry, String> {
     let tracing = match cli_trace {
         Some(spec) => init_from_spec(spec).map(|()| true)?,
@@ -369,21 +364,7 @@ pub fn init_telemetry(cli_trace: Option<&str>) -> Result<Telemetry, String> {
         Ok(addr) if !addr.is_empty() => serve::start_global_resilient(&addr)?,
         _ => None,
     };
-    let profiling = match prof::hz_from_env() {
-        Some(hz) => {
-            let out = std::env::var("CAP_PROF_OUT")
-                .ok()
-                .filter(|p| !p.is_empty())
-                .map(std::path::PathBuf::from);
-            prof::start_global(hz, out)?
-        }
-        None => false,
-    };
-    Ok(Telemetry {
-        tracing,
-        serving,
-        profiling,
-    })
+    Ok(Telemetry { tracing, serving })
 }
 
 /// The shared end-of-process counterpart to [`init_telemetry`], routed
@@ -393,9 +374,8 @@ pub fn init_telemetry(cli_trace: Option<&str>) -> Result<Telemetry, String> {
 /// 1. honours `CAP_FLIGHT_DUMP=<path>` by writing the flight-recorder
 ///    chrome trace there (emitting a `flight_dump` event either way);
 /// 2. stops the sampling [`recorder`] (final fsync'd sample);
-/// 3. stops the sampling [`prof`]iler (final `profile.folded` write);
-/// 4. stops the global [`serve`] server;
-/// 5. flushes the event sink.
+/// 3. stops the global [`serve`] server;
+/// 4. flushes the event sink.
 ///
 /// # Errors
 ///
@@ -416,7 +396,6 @@ pub fn finalize_process() -> Result<(), String> {
         }
     }
     recorder::stop_global();
-    prof::stop_global();
     serve::stop_global();
     flush();
     result

@@ -1,7 +1,7 @@
 //! A minimal `std::net` HTTP/1.1 server exposing live telemetry.
 //!
 //! Zero-dependency like the rest of the crate: one accept-loop thread
-//! (`cap-obs-serve`), connections handled inline, four read-only routes:
+//! (`cap-obs-serve`), connections handled inline, seven read-only routes:
 //!
 //! | Route | Content | Format |
 //! |---|---|---|
@@ -11,7 +11,7 @@
 //! | `/trace` | the flight recorder | chrome://tracing trace-event JSON |
 //! | `/api/series` | recorded history ([`crate::recorder`]) | JSON (`?name=<series>&from=<seq>&to=<seq>&downsample=<n>`) |
 //! | `/dash` | run-history dashboard ([`crate::dash`]) | self-contained HTML |
-//! | `/prof` | live sampling-profiler flamegraph ([`crate::prof`] + [`crate::flame`]) | SVG |
+//! | `/prof` | live span-tree flamegraph ([`crate::span_stacks`] + [`crate::flame`]) | SVG |
 //!
 //! The server also observes itself: every request bumps a per-route
 //! counter (`obs.http.requests.<route>`) and records its handling time
@@ -326,7 +326,7 @@ fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
         "/prof" => (
             "200 OK",
             "image/svg+xml; charset=utf-8",
-            crate::flame::render_svg(&crate::prof::live_stacks(), "live profile"),
+            crate::flame::render_svg(&crate::span_stacks(), "live profile"),
         ),
         _ => dynamic_response(base, query).unwrap_or_else(|| {
             (
@@ -493,7 +493,7 @@ pub fn start_global_resilient(addr: &str) -> Result<Option<SocketAddr>, String> 
 }
 
 fn install_global(server: Server) -> SocketAddr {
-    crate::flight::enable_from_env();
+    crate::flight::enable();
     let bound = server.addr();
     let mut slot = global_slot().lock().unwrap();
     if let Some(old) = slot.take() {
@@ -683,12 +683,24 @@ mod tests {
     }
 
     #[test]
-    fn prof_route_serves_svg_even_without_a_profiler() {
+    fn prof_route_renders_the_span_tree() {
+        let _guard = crate::test_lock();
+        crate::reset();
         let (status, content_type, body) = route("GET", "/prof");
         assert!(status.starts_with("200"));
         assert!(content_type.starts_with("image/svg+xml"));
+        assert!(body.contains("no time recorded"), "{body}");
+        crate::enable();
+        {
+            let _span = crate::SpanGuard::enter("prof_demo");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (_, _, body) = route("GET", "/prof");
         assert!(body.starts_with("<svg"), "{body}");
+        assert!(body.contains("prof_demo"), "{body}");
         assert!(body.ends_with("</svg>\n"), "{body}");
+        crate::disable();
+        crate::reset();
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::metrics::Metric;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 thread_local! {
@@ -27,11 +28,6 @@ impl SpanGuard {
             return SpanGuard { active: None };
         }
         STACK.with(|s| s.borrow_mut().push(name));
-        // Mirror the push for the sampling profiler (one relaxed load
-        // when off; the disabled-span path above is untouched).
-        if crate::prof::mirroring() {
-            crate::prof::on_span_enter(name);
-        }
         SpanGuard {
             active: Some((Instant::now(), name)),
         }
@@ -54,9 +50,6 @@ impl Drop for SpanGuard {
             }
             path
         });
-        if crate::prof::mirroring() {
-            crate::prof::on_span_exit(name);
-        }
         crate::registry().histogram_record(&format!("span.{path}"), elapsed_ns);
         if crate::flight::enabled() {
             crate::flight::record_span(&path, crate::instant_offset_us(start), elapsed_ns / 1e3);
@@ -109,6 +102,40 @@ pub fn span_report() -> String {
         ));
     }
     out
+}
+
+/// Folds every `span.*` histogram in the registry into flamegraph
+/// stacks: one `(frame;frame, µs)` pair per span path, weighing the
+/// path's total time minus its direct children's totals (its *self*
+/// time). The input of [`crate::flame`] and the content of a run
+/// directory's `profile.folded`.
+///
+/// A span still open has no total yet while its children already
+/// have theirs; its weight clamps at zero rather than going negative.
+/// Paths that round to zero µs are left out.
+pub fn span_stacks() -> Vec<(String, u64)> {
+    let snapshot = crate::registry().snapshot();
+    let totals: Vec<(&str, f64)> = snapshot
+        .iter()
+        .filter_map(|(name, metric)| match metric {
+            Metric::Histogram(h) => name.strip_prefix("span.").map(|p| (p, h.sum())),
+            _ => None,
+        })
+        .collect();
+    let mut children_ns: BTreeMap<&str, f64> = BTreeMap::new();
+    for &(path, ns) in &totals {
+        if let Some((parent, _)) = path.rsplit_once('/') {
+            *children_ns.entry(parent).or_insert(0.0) += ns;
+        }
+    }
+    totals
+        .into_iter()
+        .filter_map(|(path, ns)| {
+            let self_ns = (ns - children_ns.get(path).copied().unwrap_or(0.0)).max(0.0);
+            let us = (self_ns / 1e3).round() as u64;
+            (us > 0).then(|| (path.replace('/', ";"), us))
+        })
+        .collect()
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -218,6 +245,75 @@ mod tests {
             assert!(names.contains(&"span.worker"), "{names:?}");
             assert!(names.contains(&"span.main_side"), "{names:?}");
             assert!(!names.iter().any(|n| n.contains('/')), "{names:?}");
+        });
+    }
+
+    fn histogram_sum(name: &str) -> f64 {
+        match crate::registry()
+            .snapshot()
+            .into_iter()
+            .find(|(n, _)| n == name)
+        {
+            Some((_, Metric::Histogram(h))) => h.sum(),
+            other => panic!("no histogram {name}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn span_tree_folds_into_self_time_stacks() {
+        with_global_obs(|| {
+            let t = std::thread::spawn(|| {
+                let _w = SpanGuard::enter("worker");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            });
+            {
+                let _outer = SpanGuard::enter("outer");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                for _ in 0..2 {
+                    let _inner = SpanGuard::enter("inner");
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+            t.join().unwrap();
+            let stacks = span_stacks();
+            let names: Vec<&str> = stacks.iter().map(|(s, _)| s.as_str()).collect();
+            assert_eq!(names, vec!["outer", "outer;inner", "worker"], "{stacks:?}");
+            let weight = |stack: &str| stacks.iter().find(|(s, _)| s == stack).unwrap().1;
+            // Self time plus the child's total recovers the parent's
+            // total; each line rounds to the µs once.
+            let outer_us = histogram_sum("span.outer") / 1e3;
+            let folded_us = (weight("outer") + weight("outer;inner")) as f64;
+            assert!(
+                (folded_us - outer_us).abs() <= 1.0,
+                "{folded_us} vs {outer_us}"
+            );
+            assert!(weight("outer;inner") >= 2_000, "{stacks:?}");
+            let text = crate::flame::folded_string(&stacks);
+            assert_eq!(crate::flame::parse_folded(&text), stacks);
+        });
+    }
+
+    #[test]
+    fn open_parent_weighs_nothing_while_its_children_count() {
+        with_global_obs(|| {
+            {
+                let _run = SpanGuard::enter("run");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let _run = SpanGuard::enter("run");
+            {
+                let _child = SpanGuard::enter("child");
+                std::thread::sleep(std::time::Duration::from_millis(3));
+            }
+            // `run` holds only the first, shorter instance; its open
+            // second instance already has a longer child.
+            let stacks = span_stacks();
+            assert!(
+                stacks.iter().all(|(s, _)| s != "run"),
+                "clamped at zero, so omitted: {stacks:?}"
+            );
+            let child = stacks.iter().find(|(s, _)| s == "run;child").unwrap().1;
+            assert!(child >= 3_000, "{stacks:?}");
         });
     }
 }

@@ -417,9 +417,6 @@ impl Drop for Pool {
 
 fn worker_loop(shared: &Shared, index: usize) {
     IN_WORKER.with(|w| w.set(true));
-    // Make this worker's span stack visible to the sampling profiler
-    // (cap-obs capprof); a no-op unless profiling is ever enabled.
-    cap_obs::prof::register_current_thread();
     // Per-worker telemetry: names are built once, counters accumulate
     // locally, and the registry is touched only on the (instrumented)
     // enabled path — each gauge has exactly one writer, this thread.

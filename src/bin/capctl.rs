@@ -16,8 +16,9 @@
 //!                                     render the run's history dashboard to a
 //!                                     self-contained HTML file
 //! capctl flame <run-dir|file.folded> [--export <file.svg>]
-//!                                     render a sampled profile (capprof's
-//!                                     profile.folded) as a flamegraph SVG
+//!                                     render a run's profile.folded (its span
+//!                                     tree, µs of self time) as a flamegraph
+//!                                     SVG
 //! capctl flame --diff <A> <B> [--export <file.svg>]
 //!                                     differential flamegraph: B relative to A
 //! ```
@@ -34,7 +35,8 @@
 //!
 //! Live telemetry: `--serve-metrics <addr>` (or `CAP_METRICS_ADDR`)
 //! starts the cap-obs HTTP server exposing `/metrics`, `/healthz`,
-//! `/report` and `/trace` for the duration of the command.
+//! `/report`, `/trace`, `/api/series`, `/dash` and `/prof` for the
+//! duration of the command.
 //!
 //! # Exit codes
 //!
@@ -550,7 +552,7 @@ fn cmd_dash(args: &[String]) -> Result<(), CtlError> {
 }
 
 /// Reads a folded-stack profile. A directory argument resolves to the
-/// `profile.folded` capprof writes into every run dir.
+/// `profile.folded` every pruning run writes into its run dir.
 fn read_folded(arg: &str) -> Result<Vec<(String, u64)>, CtlError> {
     let mut path = std::path::PathBuf::from(arg);
     if path.is_dir() {
@@ -564,7 +566,7 @@ fn read_folded(arg: &str) -> Result<Vec<(String, u64)>, CtlError> {
 }
 
 /// `capctl flame <target> [--export f]` or
-/// `capctl flame --diff <A> <B> [--export f]`: renders a sampled
+/// `capctl flame --diff <A> <B> [--export f]`: renders a run's span
 /// profile (or the difference between two) as a self-contained SVG.
 fn cmd_flame(args: &[String]) -> Result<(), CtlError> {
     let mut diff = false;
