@@ -37,7 +37,10 @@ use crate::rules::{RuleId, Violation};
 fn is_entry(path: &str, name: &str) -> bool {
     (path == "crates/tensor/src/matmul.rs" && name.starts_with("matmul"))
         || (path == "crates/tensor/src/conv.rs"
-            && (name.starts_with("im2col") || name.starts_with("col2im")))
+            && (name.starts_with("im2col")
+                || name.starts_with("col2im")
+                || name == "conv_forward"
+                || name == "conv_input_grad"))
         || (path == "crates/nn/src/layer/conv.rs"
             && (name == "forward" || name.starts_with("backward")))
         || (path == "crates/core/src/score.rs" && name.starts_with("evaluate_scores"))
@@ -619,6 +622,28 @@ mod tests {
         assert_eq!(v[0].path, "crates/tensor/src/matmul.rs");
         assert!(v[0].what.contains("matmul_x -> stall"), "{}", v[0].what);
         assert!(v[0].what.contains("thread::sleep"));
+    }
+
+    #[test]
+    fn r008_covers_the_conv_entry_points() {
+        let v = run(vec![
+            parse_file(
+                "crates/tensor/src/conv.rs",
+                "use crate::simd::tile;\npub fn conv_forward() { tile(); }\npub fn conv_input_grad() { tile(); }\npub fn conv_output_size() { tile(); }\n",
+            ),
+            parse_file(
+                "crates/tensor/src/simd.rs",
+                "pub fn tile() { std::thread::yield_now(); }\n",
+            ),
+        ]);
+        let entries: Vec<&str> = v.iter().map(|v| v.what.as_str()).collect();
+        assert_eq!(v.len(), 2, "{entries:?}");
+        assert!(v.iter().all(|v| v.rule == RuleId::R008));
+        assert!(entries[0].contains("conv_forward -> tile"), "{entries:?}");
+        assert!(
+            entries[1].contains("conv_input_grad -> tile"),
+            "{entries:?}"
+        );
     }
 
     #[test]

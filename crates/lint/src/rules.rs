@@ -118,8 +118,9 @@ impl RuleId {
             RuleId::R008 => {
                 "no wall-clock read, raw std::thread call, or raw std::fs mutation may \
                  be reachable through the call graph from a tensor/nn/scoring kernel \
-                 entry point (matmul*, im2col/col2im, conv forward/backward*, \
-                 evaluate_scores*); crates/obs and crates/par are the audited homes"
+                 entry point (matmul*, im2col/col2im, conv_forward/conv_input_grad, \
+                 conv forward/backward*, evaluate_scores*); crates/obs and crates/par \
+                 are the audited homes"
             }
             RuleId::R009 => {
                 "a fn calling fs::rename must show durability evidence (sync_all/\

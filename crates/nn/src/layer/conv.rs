@@ -1,13 +1,15 @@
 use crate::layer::Grads;
 use crate::NnError;
 use cap_tensor::{
-    col2im_sample, im2col, kaiming_normal, matmul, matmul_transpose_a, matmul_transpose_b,
-    Conv2dGeometry, Tensor,
+    conv_forward, conv_input_grad, im2col, kaiming_normal, matmul_transpose_b, Conv2dGeometry,
+    Tensor,
 };
 use rand::Rng;
 
-/// A 2-D convolution layer with square kernels, lowered to matmul through
-/// im2col.
+/// A 2-D convolution layer with square kernels. cap-tensor's
+/// [`conv_forward`] and [`conv_input_grad`] pick the kernel per
+/// geometry (direct windows or im2col + GEMM); the weight gradient
+/// lowers each sample with im2col.
 ///
 /// The layer owns its weight `[out_channels, in_channels, k, k]`, optional
 /// bias `[out_channels]`, accumulated gradients, and — when
@@ -24,8 +26,8 @@ pub struct Conv2d {
     padding: usize,
     grad_weight: Tensor,
     grad_bias: Option<Tensor>,
-    // Forward caches.
-    cached_cols: Vec<Tensor>,
+    // Forward caches: the input, which the weight gradient lowers.
+    cached_input: Option<Tensor>,
     cached_geom: Option<Conv2dGeometry>,
     cached_batch: usize,
     // Importance-score recording (paper Eq. 3-4).
@@ -77,7 +79,7 @@ impl Conv2d {
             padding,
             grad_weight,
             grad_bias,
-            cached_cols: Vec::new(),
+            cached_input: None,
             cached_geom: None,
             cached_batch: 0,
             record_activations: false,
@@ -129,7 +131,7 @@ impl Conv2d {
             padding,
             grad_weight,
             grad_bias,
-            cached_cols: Vec::new(),
+            cached_input: None,
             cached_geom: None,
             cached_batch: 0,
             record_activations: false,
@@ -242,39 +244,35 @@ impl Conv2d {
             x.dim(2),
             x.dim(3),
         )?;
-        let k = self.kernel();
-        let wmat = self
-            .weight
-            .reshape(&[self.out_channels(), self.in_channels() * k * k])?;
         let mut out = Tensor::zeros(&[n, self.out_channels(), geom.out_h, geom.out_w]);
-        self.cached_cols.clear();
+        let per_in = geom.in_channels * geom.in_h * geom.in_w;
         let per_sample = self.out_channels() * geom.out_h * geom.out_w;
         // Samples are independent: each task owns one sample's output
-        // slice and im2col matrix, and the per-sample arithmetic is
-        // identical to the serial loop, so any thread count produces
-        // bit-identical results.
-        let mut col_slots: Vec<Option<Result<Tensor, NnError>>> = (0..n).map(|_| None).collect();
+        // slice, and the per-sample arithmetic is identical to the
+        // serial loop, so any thread count produces bit-identical
+        // results.
+        let mut slots: Vec<Option<Result<(), NnError>>> = (0..n).map(|_| None).collect();
         {
-            let x = &x;
             let geom = &geom;
-            let wmat = &wmat;
+            let (xs, weight) = (x.data(), self.weight.data());
             let tasks: Vec<cap_par::ScopedTask<'_>> = out.data_mut()[..n * per_sample]
                 .chunks_mut(per_sample)
-                .zip(col_slots.iter_mut())
+                .zip(slots.iter_mut())
                 .enumerate()
                 .map(|(s, (chunk, slot))| {
                     Box::new(move || {
-                        *slot = Some(forward_sample(x, s, geom, wmat, chunk));
+                        let sample = &xs[s * per_in..(s + 1) * per_in];
+                        *slot =
+                            Some(conv_forward(sample, weight, geom, chunk).map_err(NnError::from));
                     }) as cap_par::ScopedTask<'_>
                 })
                 .collect();
             cap_par::run_tasks(tasks);
         }
-        for slot in col_slots {
-            let cols = slot.ok_or(NnError::TaskNotRun {
+        for slot in slots {
+            slot.ok_or(NnError::TaskNotRun {
                 layer: "Conv2d::forward",
             })??;
-            self.cached_cols.push(cols);
         }
         if let Some(b) = &self.bias {
             let (oh, ow) = (geom.out_h, geom.out_w);
@@ -289,6 +287,7 @@ impl Conv2d {
                 }
             }
         }
+        self.cached_input = Some(x.clone());
         self.cached_geom = Some(geom);
         self.cached_batch = n;
         if self.record_activations {
@@ -343,11 +342,13 @@ impl Conv2d {
         if self.record_activations {
             self.recorded_output_grad = Some(grad_out.clone());
         }
-        let k = geom.kernel;
-        let wmat = self
-            .weight
-            .reshape(&[geom.out_channels, geom.in_channels * k * k])?;
-        let grad_in = input_grad(grad_out, n, &geom, &wmat)?;
+        let mut grad_in = Tensor::zeros(&[n, geom.in_channels, geom.in_h, geom.in_w]);
+        conv_input_grad(
+            grad_out.data(),
+            self.weight.data(),
+            &geom,
+            grad_in.data_mut(),
+        )?;
         if grads == Grads::Full {
             self.accumulate_param_grads(grad_out, n, &geom)?;
         }
@@ -370,7 +371,10 @@ impl Conv2d {
         // bit-identical for any thread count. The wave bounds memory to
         // `threads` per-sample gw tensors instead of the whole batch.
         let wave = cap_par::effective_parallelism().max(1);
-        let cached_cols = &self.cached_cols;
+        let x = self
+            .cached_input
+            .as_ref()
+            .ok_or(NnError::MissingCache { layer: "Conv2d" })?;
         let mut s0 = 0;
         while s0 < n {
             let count = wave.min(n - s0);
@@ -380,8 +384,8 @@ impl Conv2d {
                     vec![geom.out_channels, geom.out_h * geom.out_w],
                     grad_out.data()[s * per_sample..(s + 1) * per_sample].to_vec(),
                 )?;
-                // dW contribution: g · colsᵀ
-                matmul_transpose_b(&g, &cached_cols[s])
+                // dW contribution: g · colsᵀ, lowered from the input.
+                matmul_transpose_b(&g, &im2col(x, s, geom)?)
             });
             for gw in gws {
                 grad_wmat.axpy(1.0, &gw?)?;
@@ -404,10 +408,10 @@ impl Conv2d {
         Ok(())
     }
 
-    /// Drops the forward caches `backward` reads (the im2col columns
-    /// and the geometry).
+    /// Drops the forward caches `backward` reads (the input and the
+    /// geometry).
     pub fn clear_cache(&mut self) {
-        self.cached_cols.clear();
+        self.cached_input = None;
         self.cached_geom = None;
     }
 
@@ -484,114 +488,6 @@ impl Conv2d {
             f(b, gb);
         }
     }
-}
-
-/// One sample of the forward pass: lower to columns, multiply by the
-/// weight matrix, write the result into the sample's output slice and
-/// return the column matrix for the backward cache.
-fn forward_sample(
-    x: &Tensor,
-    s: usize,
-    geom: &Conv2dGeometry,
-    wmat: &Tensor,
-    out_chunk: &mut [f32],
-) -> Result<Tensor, NnError> {
-    let cols = im2col(x, s, geom)?;
-    let y = matmul(wmat, &cols)?; // [out_c, oh*ow]
-    out_chunk.copy_from_slice(y.data());
-    Ok(cols)
-}
-
-/// Output columns one dX GEMM should reach: consecutive samples are
-/// grouped until their output planes add up to this many columns, so a
-/// small map (a 2×2 map has 4 columns per sample) stops running as many
-/// tiny GEMMs.
-const DX_GROUP_COLS: usize = 256;
-
-/// Samples per dX GEMM: enough for [`DX_GROUP_COLS`] output columns, but
-/// no more than an even share of the batch per pool thread, so the groups
-/// still spread across the pool.
-fn dx_group_size(n: usize, plane: usize) -> usize {
-    DX_GROUP_COLS
-        .div_ceil(plane)
-        .min(n.div_ceil(cap_par::effective_parallelism()))
-        .max(1)
-}
-
-/// The input gradient `dX = col2im(Wᵀ · G)`, one GEMM per group of
-/// consecutive samples (one task per group), then col2im per sample.
-/// Each element of `Wᵀ · G` sums over the output channels in the same
-/// order whatever the group width, so the result is bit-identical to
-/// one GEMM per sample and to any thread count.
-fn input_grad(
-    grad_out: &Tensor,
-    n: usize,
-    geom: &Conv2dGeometry,
-    wmat: &Tensor,
-) -> Result<Tensor, NnError> {
-    let mut grad_in = Tensor::zeros(&[n, geom.in_channels, geom.in_h, geom.in_w]);
-    let per_in = geom.in_channels * geom.in_h * geom.in_w;
-    let group = dx_group_size(n, geom.out_h * geom.out_w);
-    let mut slots: Vec<Option<Result<(), NnError>>> =
-        (0..n.div_ceil(group)).map(|_| None).collect();
-    {
-        let tasks: Vec<cap_par::ScopedTask<'_>> = grad_in
-            .data_mut()
-            .chunks_mut(group * per_in)
-            .zip(slots.iter_mut())
-            .enumerate()
-            .map(|(gi, (gin_chunk, slot))| {
-                Box::new(move || {
-                    *slot = Some(input_grad_group(
-                        grad_out,
-                        gi * group,
-                        geom,
-                        wmat,
-                        gin_chunk,
-                    ));
-                }) as cap_par::ScopedTask<'_>
-            })
-            .collect();
-        cap_par::run_tasks(tasks);
-    }
-    for slot in slots {
-        slot.ok_or(NnError::TaskNotRun {
-            layer: "Conv2d::backward",
-        })??;
-    }
-    Ok(grad_in)
-}
-
-/// One group of [`input_grad`]: the samples from `s0` that fill
-/// `gin_chunk`. Their output gradients are laid side by side as
-/// `G = [g_s0 | g_s0+1 | …]` (`[out_c, count · plane]`), multiplied once
-/// by `Wᵀ`, and each sample's column block is scattered into its own
-/// slice of `gin_chunk`.
-fn input_grad_group(
-    grad_out: &Tensor,
-    s0: usize,
-    geom: &Conv2dGeometry,
-    wmat: &Tensor,
-    gin_chunk: &mut [f32],
-) -> Result<(), NnError> {
-    let plane = geom.out_h * geom.out_w;
-    let per_in = geom.in_channels * geom.in_h * geom.in_w;
-    let per_out = geom.out_channels * plane;
-    let count = gin_chunk.len() / per_in;
-    let width = count * plane;
-    let mut g = vec![0.0f32; geom.out_channels * width];
-    let samples = &grad_out.data()[s0 * per_out..(s0 + count) * per_out];
-    for (i, sample) in samples.chunks_exact(per_out).enumerate() {
-        for (o, row) in sample.chunks_exact(plane).enumerate() {
-            g[o * width + i * plane..][..plane].copy_from_slice(row);
-        }
-    }
-    let g = Tensor::from_vec(vec![geom.out_channels, width], g)?;
-    let gcols = matmul_transpose_a(wmat, &g)?; // [in_c·k·k, count·plane]
-    for (i, gin) in gin_chunk.chunks_exact_mut(per_in).enumerate() {
-        col2im_sample(&gcols.data()[i * plane..], width, gin, geom);
-    }
-    Ok(())
 }
 
 pub(crate) fn validate_keep(keep: &[usize], limit: usize, what: &str) -> Result<(), NnError> {
@@ -689,6 +585,37 @@ mod tests {
                 (fd - an).abs() < 1e-2 * (1.0 + an.abs()),
                 "idx {idx}: {fd} vs {an}"
             );
+        }
+    }
+
+    #[test]
+    fn weight_gradient_lowers_the_cached_input_in_ascending_sample_order() {
+        // A direct-kernel geometry and a strided one that lowers.
+        for stride in [1, 2] {
+            let mut conv = Conv2d::new(3, 5, 3, stride, 1, false, &mut rng()).unwrap();
+            let x = cap_tensor::randn(&[4, 3, 6, 6], 0.0, 1.0, &mut rng());
+            let y = conv.forward(&x).unwrap();
+            let g = Tensor::from_fn(y.shape(), |i| ((i as f32) * 0.37).sin());
+            conv.zero_grad();
+            conv.backward(&g).unwrap();
+            let geom = conv.cached_geom.unwrap();
+            let per_out = geom.out_channels * geom.col_cols();
+            let mut want = Tensor::zeros(&[geom.out_channels, geom.col_rows()]);
+            for s in 0..4 {
+                let gs = Tensor::from_vec(
+                    vec![geom.out_channels, geom.col_cols()],
+                    g.data()[s * per_out..(s + 1) * per_out].to_vec(),
+                )
+                .unwrap();
+                let cols = im2col(&x, s, &geom).unwrap();
+                want.axpy(1.0, &matmul_transpose_b(&gs, &cols).unwrap())
+                    .unwrap();
+            }
+            let got = conv.grad_weight().data();
+            assert_eq!(got.len(), want.numel());
+            for (i, (a, b)) in got.iter().zip(want.data()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "stride {stride}, element {i}");
+            }
         }
     }
 

@@ -62,19 +62,29 @@ impl MaxPool2d {
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
         self.cached_argmax = vec![0; n * c * oh * ow];
         let data = x.data();
+        // One pass over the input decides whether the NaN rule below can
+        // fire; without a NaN the window test stays a single compare.
+        let input_has_nan = data.iter().fold(false, |any, v| any | v.is_nan());
         for s in 0..n {
             for ch in 0..c {
                 for ph in 0..oh {
                     for pw in 0..ow {
+                        // The argmax starts at the window's own first
+                        // element, and the first NaN wins, as in torch's
+                        // max_pool2d: an all-NaN or all −∞ window keeps
+                        // its gradient in its own sample, and a NaN
+                        // reaches the loss.
+                        let first = ((s * c + ch) * h + ph * self.stride) * w + pw * self.stride;
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        let mut best_idx = first;
                         for kh in 0..self.kernel {
                             for kw in 0..self.kernel {
                                 let ih = ph * self.stride + kh;
                                 let iw = pw * self.stride + kw;
                                 let idx = ((s * c + ch) * h + ih) * w + iw;
-                                if data[idx] > best {
-                                    best = data[idx];
+                                let v = data[idx];
+                                if v > best || (input_has_nan && v.is_nan() && !best.is_nan()) {
+                                    best = v;
                                     best_idx = idx;
                                 }
                             }
@@ -236,6 +246,42 @@ mod tests {
         let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![5.0]).unwrap();
         let gin = pool.backward(&g).unwrap();
         assert_eq!(gin.data(), &[0.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_keeps_an_all_nan_window_in_its_own_sample() {
+        let mut pool = MaxPool2d::new(2, 2).unwrap();
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(
+            vec![2, 1, 2, 2],
+            vec![1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan],
+        )
+        .unwrap();
+        let y = pool.forward(&x).unwrap();
+        assert_eq!(y.data()[0], 4.0);
+        assert!(y.data()[1].is_nan(), "{:?}", y.data());
+        let g = Tensor::from_vec(vec![2, 1, 1, 1], vec![10.0, 7.0]).unwrap();
+        let gin = pool.backward(&g).unwrap();
+        assert_eq!(gin.data(), &[0.0, 0.0, 0.0, 10.0, 7.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_first_nan_wins_and_neg_infinity_stays_local() {
+        let mut pool = MaxPool2d::new(2, 2).unwrap();
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        // Sample 0: a NaN next to finite values (second NaN later);
+        // sample 1: all −∞.
+        let x = Tensor::from_vec(
+            vec![2, 1, 2, 2],
+            vec![5.0, nan, 9.0, nan, ninf, ninf, ninf, ninf],
+        )
+        .unwrap();
+        let y = pool.forward(&x).unwrap();
+        assert!(y.data()[0].is_nan());
+        assert_eq!(y.data()[1], ninf);
+        let g = Tensor::from_vec(vec![2, 1, 1, 1], vec![3.0, 2.0]).unwrap();
+        let gin = pool.backward(&g).unwrap();
+        assert_eq!(gin.data(), &[0.0, 3.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -101,8 +101,8 @@ impl Network {
         }
     }
 
-    /// Drops every layer's forward caches (im2col columns, batch-norm
-    /// x̂, ReLU masks, cached inputs), which after a forward pass can
+    /// Drops every layer's forward caches (conv and other cached
+    /// inputs, batch-norm x̂, ReLU masks), which after a forward pass can
     /// outweigh the parameters many times over. Clear before cloning a
     /// replica, so the clone copies parameters only. Until the next forward,
     /// `backward` fails with [`NnError::MissingCache`] instead of

@@ -1,3 +1,13 @@
+//! Convolution: the im2col/col2im lowering, and the two conv entry
+//! points ([`conv_forward`], [`conv_input_grad`]) that pick, per
+//! geometry, between direct kernels over zero-padded windows and the
+//! lowering followed by a GEMM.
+
+use std::cell::{Cell, RefCell};
+
+use crate::gemm::{gemm, MatRef};
+use crate::select;
+use crate::simd::{self, SimdMode};
 use crate::{Tensor, TensorError};
 
 /// Spatial output size of a convolution along one axis.
@@ -202,14 +212,20 @@ pub fn im2col(input: &Tensor, n: usize, geom: &Conv2dGeometry) -> Result<Tensor,
             expected: "input matching convolution geometry",
         });
     }
-    let mut cols = Tensor::zeros(&[geom.col_rows(), geom.col_cols()]);
-    let ncols = geom.col_cols();
     let per_sample = geom.in_channels * geom.in_h * geom.in_w;
     let sample = &input.data()[n * per_sample..(n + 1) * per_sample];
-    let cols_data = cols.data_mut();
+    let mut cols = vec![0.0f32; geom.col_rows() * geom.col_cols()];
+    lower(sample, geom, &mut cols);
+    Tensor::from_vec(vec![geom.col_rows(), geom.col_cols()], cols)
+}
+
+/// The lowering core of [`im2col`]: writes one sample's runs into a
+/// zeroed column matrix (the padding taps stay zero).
+fn lower(sample: &[f32], geom: &Conv2dGeometry, cols: &mut [f32]) {
+    let ncols = geom.col_cols();
     let stride = geom.stride;
     for_each_run(geom, |run| {
-        let dst = &mut cols_data[run.row * ncols + run.col..][..run.len];
+        let dst = &mut cols[run.row * ncols + run.col..][..run.len];
         let src = &sample[run.offset..];
         if stride == 1 {
             dst.copy_from_slice(&src[..run.len]);
@@ -219,7 +235,6 @@ pub fn im2col(input: &Tensor, n: usize, geom: &Conv2dGeometry) -> Result<Tensor,
             }
         }
     });
-    Ok(cols)
 }
 
 /// Adjoint of [`im2col`]: scatters a column matrix
@@ -269,19 +284,10 @@ pub fn col2im(
 /// The sample's column matrix is read out of `cols`, a row-major matrix
 /// `row_len` columns wide: row `r` is `cols[r * row_len ..][.. out_h *
 /// out_w]`. A plain im2col matrix has `row_len = out_h * out_w`; a
-/// matrix holding several samples side by side passes its full width
-/// and a slice starting at the sample's first column.
-///
-/// This is the building block the data-parallel convolution backward
-/// uses: each task owns its samples' slices of the input-gradient batch,
-/// so concurrent scatters never alias.
-///
-/// # Panics
-///
-/// Panics if `cols` is too short for `geom` and `row_len`, and in debug
-/// builds if `sample` disagrees with `geom`; use [`col2im`] for the
-/// validated entry point.
-pub fn col2im_sample(cols: &[f32], row_len: usize, sample: &mut [f32], geom: &Conv2dGeometry) {
+/// matrix holding several samples side by side (a group of the lowered
+/// input gradient) passes its full width and a slice starting at the
+/// sample's first column.
+fn col2im_sample(cols: &[f32], row_len: usize, sample: &mut [f32], geom: &Conv2dGeometry) {
     debug_assert!(row_len >= geom.col_cols());
     debug_assert_eq!(sample.len(), geom.in_channels * geom.in_h * geom.in_w);
     let stride = geom.stride;
@@ -298,6 +304,402 @@ pub fn col2im_sample(cols: &[f32], row_len: usize, sample: &mut [f32], geom: &Co
             }
         }
     });
+}
+
+/// Lanes of one AVX2 vector: the direct kernels' rows are whole
+/// vectors, so no column runs a scalar tail.
+const LANES: usize = 8;
+
+/// Whether `geom` runs on the direct kernels: stride 1, padding at most
+/// `k − 1` (so the input gradient's padding `k − 1 − p` is not
+/// negative), and a per-sample GEMM (`M = out_c`, `N = oh·ow`,
+/// `K = in_c·k²`) that the selector runs on its direct path. On those
+/// shapes each GEMM element is one sum in ascending order starting at
+/// `+0`, which the direct kernels repeat operand for operand.
+fn runs_direct(geom: &Conv2dGeometry) -> bool {
+    geom.stride == 1
+        && geom.padding < geom.kernel
+        && select::direct_dims(geom.out_channels, geom.col_cols(), geom.col_rows())
+}
+
+/// Per-thread scratch of the direct kernels.
+struct Scratch {
+    /// The zero-padded sample (forward) or output gradient (dX).
+    padded: Vec<f32>,
+    /// The wide rows the kernels write, `qr` columns each.
+    wide: Vec<f32>,
+    /// One row's sums on the scalar path.
+    sums: Vec<f32>,
+    /// Window offsets into `padded`, one per summed term.
+    offs: Vec<usize>,
+}
+
+thread_local! {
+    /// The direct kernels never re-enter the pool, so a borrow of this
+    /// scratch never spans a dispatch.
+    static DIRECT_SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            padded: Vec::new(),
+            wide: Vec::new(),
+            sums: Vec::new(),
+            offs: Vec::new(),
+        })
+    };
+    /// The lowered forward's im2col matrix. The GEMM after the lowering
+    /// may dispatch to the pool, whose draining caller can run another
+    /// conv task inline on this thread, so the buffer is taken out of
+    /// its cell for the call rather than borrowed across it.
+    static LOWERED_COLS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+fn slices_mismatch(lens: &[usize]) -> TensorError {
+    TensorError::InvalidShape {
+        shape: lens.to_vec(),
+        expected: "slices matching the convolution geometry",
+    }
+}
+
+/// One sample of a convolution's forward pass: writes `W · im2col(x)`
+/// into `out`.
+///
+/// `x` is the sample `[in_channels, in_h, in_w]`, `weight` the filters
+/// `[out_channels, in_channels, k, k]`, and `out` the sample's
+/// `[out_channels, out_h, out_w]` output, which is overwritten. A
+/// stride-1 conv whose per-sample GEMM would take the direct path runs
+/// a direct kernel over shifted windows of the zero-padded sample; any
+/// other conv lowers with [`im2col`] into a per-thread buffer and runs
+/// the GEMM straight into `out`. Both paths give the same bits: each
+/// output element sums the same products in the same order.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidShape`] if a slice length disagrees
+/// with `geom`.
+pub fn conv_forward(
+    x: &[f32],
+    weight: &[f32],
+    geom: &Conv2dGeometry,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    let (k_dim, n_dim) = (geom.col_rows(), geom.col_cols());
+    if x.len() != geom.in_channels * geom.in_h * geom.in_w
+        || weight.len() != geom.out_channels * k_dim
+        || out.len() != geom.out_channels * n_dim
+    {
+        return Err(slices_mismatch(&[x.len(), weight.len(), out.len()]));
+    }
+    if runs_direct(geom) {
+        forward_direct(x, weight, geom, out);
+        return Ok(());
+    }
+    let mut cols = LOWERED_COLS.take();
+    cols.clear();
+    cols.resize(k_dim * n_dim, 0.0);
+    {
+        let _span = cap_obs::span!("tensor.im2col");
+        lower(x, geom, &mut cols);
+    }
+    out.fill(0.0);
+    {
+        let _span = cap_obs::span!("tensor.matmul");
+        gemm(
+            geom.out_channels,
+            n_dim,
+            k_dim,
+            MatRef::row_major(weight, k_dim),
+            MatRef::row_major(&cols, n_dim),
+            out,
+        );
+    }
+    LOWERED_COLS.set(cols);
+    Ok(())
+}
+
+/// The input gradient of a convolution for a run of samples: writes
+/// `col2im(Wᵀ · g)` into each sample's slice of `grad_in`.
+///
+/// `grad_out` holds the samples' output gradients
+/// `[count, out_channels, out_h, out_w]`, `weight` the filters and
+/// `grad_in` their `[count, in_channels, in_h, in_w]` input gradients,
+/// which are overwritten. The samples run on the pool. On the direct
+/// path each sample is one task: every tap's sum over the output
+/// channels is taken from shifted windows of the zero-padded output
+/// gradient and added in `(kh, kw)` order, the order of col2im. Any
+/// other conv groups consecutive samples into one `Wᵀ·G` GEMM per
+/// task, then scatters each sample with col2im. Each element's sums are
+/// the same whatever the path, group or thread count.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidShape`] if a slice length disagrees
+/// with `geom`.
+pub fn conv_input_grad(
+    grad_out: &[f32],
+    weight: &[f32],
+    geom: &Conv2dGeometry,
+    grad_in: &mut [f32],
+) -> Result<(), TensorError> {
+    let per_in = geom.in_channels * geom.in_h * geom.in_w;
+    let per_out = geom.out_channels * geom.col_cols();
+    let n = grad_out.len() / per_out;
+    if grad_out.len() != n * per_out
+        || weight.len() != geom.out_channels * geom.col_rows()
+        || grad_in.len() != n * per_in
+    {
+        return Err(slices_mismatch(&[
+            grad_out.len(),
+            weight.len(),
+            grad_in.len(),
+        ]));
+    }
+    if n == 0 || per_in == 0 {
+        return Ok(());
+    }
+    let direct = runs_direct(geom);
+    let group = if direct {
+        1
+    } else {
+        dx_group_size(n, geom.col_cols())
+    };
+    let tasks: Vec<cap_par::ScopedTask<'_>> = grad_in
+        .chunks_mut(group * per_in)
+        .zip(grad_out.chunks(group * per_out))
+        .map(|(gin, g)| {
+            Box::new(move || {
+                if direct {
+                    input_grad_direct(g, weight, geom, gin);
+                } else {
+                    input_grad_group(g, weight, geom, gin);
+                }
+            }) as cap_par::ScopedTask<'_>
+        })
+        .collect();
+    cap_par::run_tasks(tasks);
+    Ok(())
+}
+
+/// The direct forward of one sample. Output position `(oh, ow)` is
+/// computed at wide column `q = oh·wp + ow` over the padded width `wp`,
+/// so tap `(c, kh, kw)` reads one contiguous window of the padded
+/// sample starting at `(c·hp + kh)·wp + kw`; each output row's `k − 1`
+/// extra columns are dropped when it is copied out.
+fn forward_direct(x: &[f32], weight: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
+    let _span = cap_obs::span!("tensor.conv.forward");
+    let (k, p) = (geom.kernel, geom.padding);
+    let (hp, wp) = (geom.in_h + 2 * p, geom.in_w + 2 * p);
+    let q = (geom.out_h - 1) * wp + geom.out_w;
+    let qr = q.next_multiple_of(LANES);
+    DIRECT_SCRATCH.with_borrow_mut(|s| {
+        pad_planes(
+            x,
+            geom.in_channels,
+            (geom.in_h, geom.in_w),
+            p,
+            qr - q,
+            &mut s.padded,
+        );
+        // One window per im2col row, in row order.
+        s.offs.clear();
+        for c in 0..geom.in_channels {
+            for kh in 0..k {
+                s.offs.extend((0..k).map(|kw| (c * hp + kh) * wp + kw));
+            }
+        }
+        s.wide.clear();
+        s.wide.resize(geom.out_channels * qr, 0.0);
+        let rows = WindowRows {
+            a: weight,
+            a_rs: geom.col_rows(),
+            a_cs: 1,
+            offs: &s.offs,
+            src: &s.padded,
+            qr,
+        };
+        rows.run(&mut s.wide, false, &mut s.sums);
+        copy_out(&s.wide, qr, wp, (geom.out_h, geom.out_w), out);
+    });
+}
+
+/// The direct input gradient of one sample. With the output gradient
+/// padded by `k − 1 − p`, tap `(kh, kw)` of input position `(y, x)`
+/// reads padded position `(y + k−1−kh, x + k−1−kw)`; a tap that falls
+/// outside the output reads padding and adds exactly `+0`.
+fn input_grad_direct(g: &[f32], weight: &[f32], geom: &Conv2dGeometry, gin: &mut [f32]) {
+    let _span = cap_obs::span!("tensor.conv.input_grad");
+    let k = geom.kernel;
+    let pad = k - 1 - geom.padding;
+    let (hg, wg) = (geom.out_h + 2 * pad, geom.out_w + 2 * pad);
+    let q = (geom.in_h - 1) * wg + geom.in_w;
+    let qr = q.next_multiple_of(LANES);
+    let kk = k * k;
+    DIRECT_SCRATCH.with_borrow_mut(|s| {
+        pad_planes(
+            g,
+            geom.out_channels,
+            (geom.out_h, geom.out_w),
+            pad,
+            qr - q,
+            &mut s.padded,
+        );
+        s.wide.clear();
+        s.wide.resize(geom.in_channels * qr, 0.0);
+        for kh in 0..k {
+            for kw in 0..k {
+                let tap = (k - 1 - kh) * wg + (k - 1 - kw);
+                s.offs.clear();
+                s.offs
+                    .extend((0..geom.out_channels).map(|o| o * hg * wg + tap));
+                // Row c, term o: weight[(o·in_c + c)·k² + kh·k + kw].
+                let rows = WindowRows {
+                    a: &weight[kh * k + kw..],
+                    a_rs: kk,
+                    a_cs: geom.in_channels * kk,
+                    offs: &s.offs,
+                    src: &s.padded,
+                    qr,
+                };
+                rows.run(&mut s.wide, true, &mut s.sums);
+            }
+        }
+        copy_out(&s.wide, qr, wg, (geom.in_h, geom.in_w), gin);
+    });
+}
+
+/// Copies `planes` planes of `h × w` into `dst` with `pad` zeros on
+/// every side of each plane, then `slack` zeros, so every window of the
+/// wide rows (rounded up to whole vectors) stays inside the buffer.
+fn pad_planes(
+    src: &[f32],
+    planes: usize,
+    (h, w): (usize, usize),
+    pad: usize,
+    slack: usize,
+    dst: &mut Vec<f32>,
+) {
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    dst.clear();
+    dst.resize(planes * hp * wp + slack, 0.0);
+    for c in 0..planes {
+        for y in 0..h {
+            dst[(c * hp + y + pad) * wp + pad..][..w].copy_from_slice(&src[(c * h + y) * w..][..w]);
+        }
+    }
+}
+
+/// Copies `h × w` planes out of wide rows `qr` apart whose image rows
+/// are `wp` apart, dropping each row's extra columns.
+fn copy_out(wide: &[f32], qr: usize, wp: usize, (h, w): (usize, usize), dst: &mut [f32]) {
+    for (c, row) in wide.chunks_exact(qr).enumerate() {
+        for y in 0..h {
+            dst[(c * h + y) * w..][..w].copy_from_slice(&row[y * wp..][..w]);
+        }
+    }
+}
+
+/// One pass of the direct kernels: row `r`, column `q` of the output is
+/// `Σ_i a[r·a_rs + i·a_cs] · src[offs[i] + q]`, ascending `i`, starting
+/// at `+0` — the direct GEMM's sum, with B's row `i` read from the
+/// window at `offs[i]`.
+struct WindowRows<'a> {
+    a: &'a [f32],
+    a_rs: usize,
+    a_cs: usize,
+    offs: &'a [usize],
+    src: &'a [f32],
+    qr: usize,
+}
+
+impl WindowRows<'_> {
+    /// Stores each sum into `out`, or adds it when `accumulate` is set.
+    /// The AVX2 kernel fuses each multiply-add as the AVX2 GEMM does;
+    /// the scalar loop multiplies and adds separately, as the scalar
+    /// GEMM does.
+    fn run(&self, out: &mut [f32], accumulate: bool, sums: &mut Vec<f32>) {
+        // The pin reports AVX2 only on x86-64.
+        if simd::simd_mode() == SimdMode::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            {
+                simd::window_rows_avx2(
+                    self.a, self.a_rs, self.a_cs, self.offs, self.src, out, self.qr, accumulate,
+                );
+                return;
+            }
+        }
+        sums.clear();
+        sums.resize(self.qr, 0.0);
+        for (r, row) in out.chunks_exact_mut(self.qr).enumerate() {
+            sums.fill(0.0);
+            for (i, &off) in self.offs.iter().enumerate() {
+                let av = self.a[r * self.a_rs + i * self.a_cs];
+                for (s, &b) in sums.iter_mut().zip(&self.src[off..][..self.qr]) {
+                    *s += av * b;
+                }
+            }
+            if accumulate {
+                for (o, &s) in row.iter_mut().zip(sums.iter()) {
+                    *o += s;
+                }
+            } else {
+                row.copy_from_slice(sums);
+            }
+        }
+    }
+}
+
+/// Output columns one lowered dX GEMM should reach: consecutive samples
+/// are grouped until their output planes add up to this many columns,
+/// so a small map (a 2×2 map has 4 columns per sample) stops running
+/// as many tiny GEMMs.
+const DX_GROUP_COLS: usize = 256;
+
+/// Samples per lowered dX GEMM: enough for [`DX_GROUP_COLS`] output
+/// columns, but no more than an even share of the batch per pool
+/// thread, so the groups still spread across the pool.
+fn dx_group_size(n: usize, plane: usize) -> usize {
+    DX_GROUP_COLS
+        .div_ceil(plane)
+        .min(n.div_ceil(cap_par::effective_parallelism()))
+        .max(1)
+}
+
+/// One group of the lowered input gradient: the samples of `grad_out`
+/// that fill `gin_chunk`. Their output gradients are laid side by side
+/// as `G = [g_s | g_s+1 | …]` (`[out_c, count · plane]`), multiplied
+/// once by `Wᵀ`, and each sample's column block is scattered into its
+/// own slice of `gin_chunk`. Each element of `Wᵀ·G` sums over the
+/// output channels in the same order whatever the group width.
+fn input_grad_group(
+    grad_out: &[f32],
+    weight: &[f32],
+    geom: &Conv2dGeometry,
+    gin_chunk: &mut [f32],
+) {
+    let plane = geom.col_cols();
+    let per_in = geom.in_channels * geom.in_h * geom.in_w;
+    let per_out = geom.out_channels * plane;
+    let width = (gin_chunk.len() / per_in) * plane;
+    let mut g = vec![0.0f32; geom.out_channels * width];
+    for (i, sample) in grad_out.chunks_exact(per_out).enumerate() {
+        for (o, row) in sample.chunks_exact(plane).enumerate() {
+            g[o * width + i * plane..][..plane].copy_from_slice(row);
+        }
+    }
+    let mut gcols = vec![0.0f32; geom.col_rows() * width];
+    {
+        let _span = cap_obs::span!("tensor.matmul_ta");
+        gemm(
+            geom.col_rows(),
+            width,
+            geom.out_channels,
+            MatRef::transposed(weight, geom.col_rows()),
+            MatRef::row_major(&g, width),
+            &mut gcols,
+        );
+    }
+    gin_chunk.fill(0.0);
+    for (i, gin) in gin_chunk.chunks_exact_mut(per_in).enumerate() {
+        col2im_sample(&gcols[i * plane..], width, gin, geom);
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,10 @@
 //!
 //! The crate provides exactly the substrate the paper's experiments rest
 //! on when they run on PyTorch: an NCHW tensor type ([`Tensor`]), matrix
-//! multiplication ([`matmul`]), the im2col/col2im lowering used to express
-//! convolution as matmul ([`im2col`], [`col2im`]), and the doubly-blocked
+//! multiplication ([`matmul`]), convolution ([`conv_forward`],
+//! [`conv_input_grad`]: direct kernels over zero-padded windows on small
+//! stride-1 shapes, and elsewhere the im2col/col2im lowering to matmul,
+//! [`im2col`], [`col2im`]), and the doubly-blocked
 //! Toeplitz construction from Fig. 2 of the paper that rewrites a
 //! convolution kernel as a sparse matrix ([`toeplitz::toeplitz_matrix`]).
 //!
@@ -39,7 +41,7 @@ mod simd;
 mod tensor;
 pub mod toeplitz;
 
-pub use conv::{col2im, col2im_sample, conv_output_size, im2col, Conv2dGeometry};
+pub use conv::{col2im, conv_forward, conv_input_grad, conv_output_size, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use init::{kaiming_normal, randn, uniform};
 pub use matmul::{

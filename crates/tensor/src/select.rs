@@ -38,6 +38,14 @@ const DIRECT_MAX_DIM: usize = 256;
 /// tuning (or cache writes).
 const TUNE_MIN_FLOPS: usize = 1 << 28;
 
+/// Whether an `m × n × k` problem is small enough for the direct path
+/// (every dimension ≤ [`DIRECT_MAX_DIM`]). The direct convolution
+/// kernels in `crate::conv` use the same rule for a conv's per-sample
+/// GEMM, so they take over exactly the shapes this path ran.
+pub(crate) fn direct_dims(m: usize, n: usize, k: usize) -> bool {
+    m <= DIRECT_MAX_DIM && n <= DIRECT_MAX_DIM && k <= DIRECT_MAX_DIM
+}
+
 /// A register-tile microkernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Micro {
@@ -223,7 +231,7 @@ fn tune_candidates() -> Vec<Config> {
 pub(crate) fn plan(m: usize, n: usize, k: usize, b_contiguous: bool, mode: SimdMode) -> Plan {
     // Small shapes: skip packing. The AVX2 direct kernel needs
     // unit-stride B rows; the scalar direct loop handles any layout.
-    if m <= DIRECT_MAX_DIM && n <= DIRECT_MAX_DIM && k <= DIRECT_MAX_DIM {
+    if direct_dims(m, n, k) {
         let direct_ok = match mode {
             SimdMode::Scalar => true,
             SimdMode::Avx2 => b_contiguous,

@@ -5,7 +5,8 @@
 //! opts out with `#![allow(unsafe_code)]` and every block carries a
 //! `// SAFETY:` justification checked by caplint rule R006). Everything
 //! here is a leaf: fixed-size register-tile kernels over packed panels,
-//! plus one direct (unpacked) row kernel for small shapes. All loads
+//! one direct (unpacked) row kernel for small shapes, and the direct
+//! convolution's shifted-window row kernel. All loads
 //! and stores are unaligned (`loadu`/`storeu`), so callers only have to
 //! guarantee slice bounds, which the safe wrappers assert.
 //!
@@ -369,6 +370,173 @@ unsafe fn direct_rows_avx2_impl(
                 }
                 *orow.add(j) = acc;
                 j += 1;
+            }
+        }
+    }
+}
+
+/// Shifted-window row kernel of the direct convolutions: for every row
+/// `r` of `out` (rows of `qr` columns, `qr` a multiple of 8) and every
+/// column `q`, the sum `Σ_i a[r·a_rs + i·a_cs] · src[offs[i] + q]`,
+/// ascending `i`, starting at `+0` in its own register, one FMA per
+/// step, exactly like [`direct_rows_avx2`] over a B whose row `i` is
+/// the window at `offs[i]`. The sum is stored into `out`, or added to
+/// it when `accumulate` is set. Columns run in whole 8-lane vectors.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn window_rows_avx2(
+    a: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    offs: &[usize],
+    src: &[f32],
+    out: &mut [f32],
+    qr: usize,
+    accumulate: bool,
+) {
+    assert!(
+        qr.is_multiple_of(8),
+        "window rows must be whole 8-lane vectors"
+    );
+    let k = offs.len();
+    let rows = out.len() / qr.max(1);
+    if rows == 0 || qr == 0 || k == 0 {
+        return;
+    }
+    // Bounds for every access the unsafe kernel performs.
+    assert_eq!(out.len(), rows * qr);
+    assert!(a.len() > (rows - 1) * a_rs + (k - 1) * a_cs);
+    assert!(offs.iter().all(|&o| o + qr <= src.len()));
+    // SAFETY: AVX2+FMA availability is guaranteed by the mode pin; the
+    // index bounds are asserted just above.
+    unsafe {
+        window_rows_avx2_impl(
+            rows,
+            qr,
+            a.as_ptr(),
+            a_rs,
+            a_cs,
+            offs,
+            src.as_ptr(),
+            out.as_mut_ptr(),
+            accumulate,
+        )
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: callers must guarantee AVX2+FMA support, `a` valid for reads
+// at `r*a_rs + i*a_cs` (r < rows, i < offs.len()), `src` for reads at
+// `offs[i] .. offs[i] + qr`, and `out` for `rows * qr` read-writes.
+unsafe fn window_rows_avx2_impl(
+    rows: usize,
+    qr: usize,
+    a: *const f32,
+    a_rs: usize,
+    a_cs: usize,
+    offs: &[usize],
+    src: *const f32,
+    out: *mut f32,
+    accumulate: bool,
+) {
+    // Tiles of up to 4 rows × 3 vectors: twelve independent FMA chains
+    // even when a row is only 24 columns (a 4×4 map), plus three window
+    // loads and one broadcast, fill the sixteen YMM registers.
+    let mut r0 = 0;
+    while r0 < rows {
+        let rt = (rows - r0).min(4);
+        let mut q0 = 0;
+        while q0 < qr {
+            let vt = ((qr - q0) / 8).min(3);
+            // SAFETY: rows r0..r0+rt and columns q0..q0+8*vt lie inside
+            // the caller-guaranteed ranges.
+            unsafe {
+                let t = Tile {
+                    a: a.add(r0 * a_rs),
+                    a_rs,
+                    a_cs,
+                    offs,
+                    src: src.add(q0),
+                    out: out.add(r0 * qr + q0),
+                    qr,
+                    accumulate,
+                };
+                match (rt, vt) {
+                    (4, 3) => window_tile::<4, 3>(t),
+                    (4, 2) => window_tile::<4, 2>(t),
+                    (4, _) => window_tile::<4, 1>(t),
+                    (3, 3) => window_tile::<3, 3>(t),
+                    (3, 2) => window_tile::<3, 2>(t),
+                    (3, _) => window_tile::<3, 1>(t),
+                    (2, 3) => window_tile::<2, 3>(t),
+                    (2, 2) => window_tile::<2, 2>(t),
+                    (2, _) => window_tile::<2, 1>(t),
+                    (_, 3) => window_tile::<1, 3>(t),
+                    (_, 2) => window_tile::<1, 2>(t),
+                    _ => window_tile::<1, 1>(t),
+                }
+            }
+            q0 += vt * 8;
+        }
+        r0 += rt;
+    }
+}
+
+/// Operands of one [`window_tile`]: `a`, `src` and `out` point at the
+/// tile's first row and first column; the rest is as in
+/// [`window_rows_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Tile<'a> {
+    a: *const f32,
+    a_rs: usize,
+    a_cs: usize,
+    offs: &'a [usize],
+    src: *const f32,
+    out: *mut f32,
+    qr: usize,
+    accumulate: bool,
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+// SAFETY: callers must guarantee AVX2+FMA support and the bounds of
+// `window_rows_avx2_impl` for rows 0..R and columns 0..8*V of the tile.
+unsafe fn window_tile<const R: usize, const V: usize>(t: Tile<'_>) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    // SAFETY: every offset below stays inside the caller-guaranteed
+    // ranges: a[r*a_rs + i*a_cs], src[offs[i] + 8v .. +8] and
+    // out[r*qr + 8v .. +8] with r < R, v < V, i < offs.len().
+    unsafe {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for (i, &off) in t.offs.iter().enumerate() {
+            let window = t.src.add(off);
+            let mut b = [_mm256_setzero_ps(); V];
+            for (v, bv) in b.iter_mut().enumerate() {
+                *bv = _mm256_loadu_ps(window.add(8 * v));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*t.a.add(r * t.a_rs + i * t.a_cs));
+                for (c, &bv) in row.iter_mut().zip(&b) {
+                    *c = _mm256_fmadd_ps(av, bv, *c);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &sum) in row.iter().enumerate() {
+                let o = t.out.add(r * t.qr + 8 * v);
+                let sum = if t.accumulate {
+                    _mm256_add_ps(_mm256_loadu_ps(o), sum)
+                } else {
+                    sum
+                };
+                _mm256_storeu_ps(o, sum);
             }
         }
     }
