@@ -191,9 +191,7 @@ struct KernelRecord {
     mode: &'static str,
     op: &'static str,
     shape: String,
-    /// The selector's steady-state verdict for this shape under this
-    /// mode (captured after warmup, so autotuned shapes report their
-    /// cached decision).
+    /// The selector's verdict for this shape under this mode.
     selector: String,
     ns_per_iter: f64,
     gflops: f64,
@@ -224,7 +222,7 @@ fn run_kernel_benches(opts: &Options) -> Vec<KernelRecord> {
         if cap_tensor::avx2_available() {
             modes.push(SimdMode::Avx2);
         }
-        // Warmup: touches the operands and lets the autotuner settle so
+        // Warmup: touches the operands and the packing buffers so
         // round 0 measures steady state like every other round.
         black_box(matmul_naive_ref(black_box(&a), black_box(&b)));
         for &mode in &modes {

@@ -8,19 +8,19 @@
 //!
 //! # Wire format
 //!
-//! Version 2 (written by [`save`]) frames the layer payload for
-//! integrity checking:
+//! Version 2, the only version [`save`] writes and [`load`] reads,
+//! frames the layer payload for integrity checking:
 //!
 //! ```text
 //! "CAPN" | u32 version=2 | u64 payload_len | u32 crc32(payload) | payload
 //! ```
 //!
-//! where `payload` is the version-1 body (layer count + tagged layers).
+//! where `payload` is the layer count followed by the tagged layers.
 //! [`load`] verifies the CRC before parsing, so any bit flip in the
 //! payload is rejected as [`CheckpointError::ChecksumMismatch`] instead
-//! of silently restoring garbage weights. Version-1 streams (no
-//! framing) remain loadable; [`save_v1`] still writes them for
-//! compatibility tests.
+//! of silently restoring garbage weights. The unframed version 1 had
+//! no CRC, so it is rejected as [`CheckpointError::UnsupportedVersion`]
+//! rather than parsed unchecked.
 //!
 //! All length fields are validated and data is read incrementally, so a
 //! hostile or truncated stream fails with a [`CheckpointError`] without
@@ -61,10 +61,8 @@ use std::fmt;
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"CAPN";
-/// Current (framed, checksummed) format version.
+/// The format version: framed and checksummed.
 const VERSION: u32 = 2;
-/// Legacy unframed format version.
-const VERSION_V1: u32 = 1;
 /// Upper bound accepted for the v2 payload length field (hostile input
 /// guard; real checkpoints in this workspace are megabytes).
 const MAX_PAYLOAD: u64 = 1 << 31;
@@ -181,19 +179,6 @@ pub fn to_bytes(net: &Network) -> Result<Vec<u8>, CheckpointError> {
     Ok(buf)
 }
 
-/// Saves `net` in the legacy unframed v1 format (no checksum). Kept so
-/// compatibility tests can prove v1 streams remain loadable; new code
-/// should use [`save`].
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on write failures.
-pub fn save_v1<W: Write>(net: &Network, mut w: W) -> Result<(), CheckpointError> {
-    w.write_all(MAGIC)?;
-    write_u32(&mut w, VERSION_V1)?;
-    save_body(net, &mut w)
-}
-
 fn save_body<W: Write>(net: &Network, w: &mut W) -> Result<(), CheckpointError> {
     write_u64(w, net.layers().len() as u64)?;
     for layer in net.layers() {
@@ -208,8 +193,8 @@ fn body_bytes(net: &Network) -> Result<Vec<u8>, CheckpointError> {
     Ok(payload)
 }
 
-/// Loads a network from `r` (v2 with CRC validation, or legacy v1). A
-/// `&mut` reference or a byte slice works as the reader.
+/// Loads a network from a v2 stream `r`, validating its CRC before
+/// parsing. A `&mut` reference or a byte slice works as the reader.
 ///
 /// # Errors
 ///
@@ -225,32 +210,29 @@ pub fn load<R: Read>(mut r: R) -> Result<Network, CheckpointError> {
         return Err(CheckpointError::BadMagic);
     }
     let version = read_u32(&mut r)?;
-    match version {
-        VERSION_V1 => load_body(&mut r),
-        VERSION => {
-            let len = read_u64(&mut r)?;
-            if len > MAX_PAYLOAD {
-                return Err(CheckpointError::Corrupt {
-                    reason: format!("implausible payload length {len}"),
-                });
-            }
-            let expected = read_u32(&mut r)?;
-            let payload = read_chunked(&mut r, len as usize)?;
-            let found = crc32(&payload);
-            if found != expected {
-                return Err(CheckpointError::ChecksumMismatch { expected, found });
-            }
-            let mut slice: &[u8] = &payload;
-            let net = load_body(&mut slice)?;
-            if !slice.is_empty() {
-                return Err(CheckpointError::Corrupt {
-                    reason: format!("{} trailing payload bytes", slice.len()),
-                });
-            }
-            Ok(net)
-        }
-        found => Err(CheckpointError::UnsupportedVersion { found }),
+    if version != VERSION {
+        return Err(CheckpointError::UnsupportedVersion { found: version });
     }
+    let len = read_u64(&mut r)?;
+    if len > MAX_PAYLOAD {
+        return Err(CheckpointError::Corrupt {
+            reason: format!("implausible payload length {len}"),
+        });
+    }
+    let expected = read_u32(&mut r)?;
+    let payload = read_chunked(&mut r, len as usize)?;
+    let found = crc32(&payload);
+    if found != expected {
+        return Err(CheckpointError::ChecksumMismatch { expected, found });
+    }
+    let mut slice: &[u8] = &payload;
+    let net = load_body(&mut slice)?;
+    if !slice.is_empty() {
+        return Err(CheckpointError::Corrupt {
+            reason: format!("{} trailing payload bytes", slice.len()),
+        });
+    }
+    Ok(net)
 }
 
 fn load_body<R: Read>(r: &mut R) -> Result<Network, CheckpointError> {
@@ -541,6 +523,17 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(77)
     }
 
+    /// `payload` behind a v2 header carrying its true length and CRC.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
     fn full_net() -> Network {
         let mut r = rng();
         let mut net = Network::new();
@@ -625,30 +618,29 @@ mod tests {
 
     #[test]
     fn unknown_tag_detected() {
-        let mut buf = Vec::new();
-        save_v1(&full_net(), &mut buf).unwrap();
-        // In the unframed v1 stream the first layer tag sits right after
-        // magic+version+count.
-        buf[16] = 200;
+        let mut payload = body_bytes(&full_net()).unwrap();
+        // The first layer tag sits right after the layer count; the
+        // frame's CRC covers the altered byte, so the parser sees it.
+        payload[8] = 200;
         assert!(matches!(
-            load(buf.as_slice()),
+            load(framed(&payload).as_slice()),
             Err(CheckpointError::Corrupt { .. })
         ));
     }
 
     #[test]
-    fn v1_streams_remain_loadable() {
-        let net = full_net();
+    fn v1_streams_are_rejected() {
+        // The unframed version 1: magic, version, then the body with no
+        // length or CRC. A flipped weight bit would load silently, so
+        // the version is refused whatever the body holds.
         let mut v1 = Vec::new();
-        save_v1(&net, &mut v1).unwrap();
-        assert_eq!(u32::from_le_bytes([v1[4], v1[5], v1[6], v1[7]]), 1);
-        let restored = load(v1.as_slice()).unwrap();
-        assert_eq!(restored.num_params(), net.num_params());
-        // Same weights as a v2 round trip.
-        assert_eq!(
-            to_bytes(&restored).unwrap(),
-            to_bytes(&load(to_bytes(&net).unwrap().as_slice()).unwrap()).unwrap()
-        );
+        v1.extend_from_slice(MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&body_bytes(&full_net()).unwrap());
+        assert!(matches!(
+            load(v1.as_slice()),
+            Err(CheckpointError::UnsupportedVersion { found: 1 })
+        ));
     }
 
     #[test]
@@ -670,18 +662,10 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_detected() {
-        let net = full_net();
-        let mut payload = Vec::new();
-        save_body(&net, &mut payload).unwrap();
+        let mut payload = body_bytes(&full_net()).unwrap();
         payload.push(0); // one stray byte inside the checksummed frame
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
         assert!(matches!(
-            load(buf.as_slice()),
+            load(framed(&payload).as_slice()),
             Err(CheckpointError::Corrupt { .. })
         ));
     }
@@ -699,7 +683,7 @@ mod tests {
         assert!(matches!(load(buf.as_slice()), Err(CheckpointError::Io(_))));
 
         // Shape whose element product overflows usize must be rejected,
-        // not panic.
+        // not panic, even behind a valid CRC.
         let mut payload = Vec::new();
         payload.extend_from_slice(&1u64.to_le_bytes()); // one layer
         payload.push(TAG_LINEAR);
@@ -707,12 +691,8 @@ mod tests {
         for _ in 0..8 {
             payload.extend_from_slice(&(1u64 << 28).to_le_bytes());
         }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-        buf.extend_from_slice(&payload);
         assert!(matches!(
-            load(buf.as_slice()),
+            load(framed(&payload).as_slice()),
             Err(CheckpointError::Corrupt { .. })
         ));
     }

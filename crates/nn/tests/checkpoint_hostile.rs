@@ -34,17 +34,16 @@ proptest! {
         let _ = checkpoint::load(bytes.as_slice());
     }
 
-    /// Byte soup behind a valid magic+version header exercises the body
-    /// parser (tags, tensor shapes, length fields) rather than dying at
-    /// the magic check.
+    /// Byte soup framed as a v2 payload with its true length and CRC
+    /// exercises the body parser (tags, tensor shapes, length fields)
+    /// rather than dying at the magic or checksum check.
     #[test]
-    fn framed_garbage_never_panics(
-        version in 1u32..3,
-        bytes in proptest::collection::vec(0u8..=255, 0..256),
-    ) {
-        let mut buf = Vec::with_capacity(bytes.len() + 8);
+    fn framed_garbage_never_panics(bytes in proptest::collection::vec(0u8..=255, 0..256)) {
+        let mut buf = Vec::with_capacity(bytes.len() + 20);
         buf.extend_from_slice(b"CAPN");
-        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&cap_obs::tsdb::crc32(&bytes).to_le_bytes());
         buf.extend_from_slice(&bytes);
         let _ = checkpoint::load(buf.as_slice());
     }

@@ -10,9 +10,6 @@
 //!
 //! Rule semantics (DESIGN.md §12):
 //!
-//! - **Threshold** — fires when the watched value is strictly above
-//!   (or strictly below) the limit. A value exactly at the limit does
-//!   not fire; NaN never fires a threshold.
 //! - **Stall** — fires when the watched series keeps the same bit
 //!   pattern for more than `window` consecutive samples (progress
 //!   gauges that stop moving). Samples missing the series don't count.
@@ -36,20 +33,6 @@ use std::sync::{Mutex, OnceLock};
 /// What a rule watches and when it trips.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuleKind {
-    /// Value of `series` strictly above `limit`.
-    ThresholdAbove {
-        /// Watched series name.
-        series: String,
-        /// Exclusive upper bound.
-        limit: f64,
-    },
-    /// Value of `series` strictly below `limit`.
-    ThresholdBelow {
-        /// Watched series name.
-        series: String,
-        /// Exclusive lower bound.
-        limit: f64,
-    },
     /// `series` unchanged (bit-identical) for more than `window`
     /// consecutive samples.
     Stall {
@@ -119,9 +102,7 @@ impl Rule {
     /// The series this rule watches.
     pub fn series(&self) -> &str {
         match &self.kind {
-            RuleKind::ThresholdAbove { series, .. }
-            | RuleKind::ThresholdBelow { series, .. }
-            | RuleKind::Stall { series, .. }
+            RuleKind::Stall { series, .. }
             | RuleKind::NanRate { series, .. }
             | RuleKind::AccuracyDrop { series, .. } => series,
         }
@@ -136,12 +117,6 @@ impl Rule {
         }
         let value = sample.value(self.series());
         let fired: Option<(f64, String)> = match &self.kind {
-            RuleKind::ThresholdAbove { limit, .. } => value
-                .filter(|v| *v > *limit)
-                .map(|v| (v, format!("value {v} above limit {limit}"))),
-            RuleKind::ThresholdBelow { limit, .. } => value
-                .filter(|v| *v < *limit)
-                .map(|v| (v, format!("value {v} below limit {limit}"))),
             RuleKind::Stall { window, .. } => value.and_then(|v| {
                 let bits = v.to_bits();
                 if state.stall_bits == Some(bits) {
@@ -337,32 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_boundaries_are_strict() {
-        let r = rule(RuleKind::ThresholdAbove {
-            series: "x".into(),
-            limit: 1.0,
-        });
-        let mut s = RuleState::default();
-        assert!(r.check(&mut s, &sample(0, 0.0, &[("x", 1.0)])).is_none());
-        assert!(r
-            .check(&mut s, &sample(1, 0.1, &[("x", f64::NAN)]))
-            .is_none());
-        assert!(r.check(&mut s, &sample(2, 0.2, &[("y", 9.0)])).is_none());
-        let fired = r.check(&mut s, &sample(3, 0.3, &[("x", 1.0000001)]));
-        assert!(fired.is_some());
-        // Latched: never fires twice.
-        assert!(r.check(&mut s, &sample(4, 0.4, &[("x", 99.0)])).is_none());
-
-        let r = rule(RuleKind::ThresholdBelow {
-            series: "x".into(),
-            limit: 0.0,
-        });
-        let mut s = RuleState::default();
-        assert!(r.check(&mut s, &sample(0, 0.0, &[("x", 0.0)])).is_none());
-        assert!(r.check(&mut s, &sample(1, 0.1, &[("x", -0.5)])).is_some());
-    }
-
-    #[test]
     fn stall_fires_only_beyond_window() {
         let r = rule(RuleKind::Stall {
             series: "iter".into(),
@@ -451,16 +400,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("alerts.jsonl");
         install(
-            vec![rule(RuleKind::ThresholdAbove {
-                series: "loss".into(),
-                limit: 10.0,
+            vec![rule(RuleKind::AccuracyDrop {
+                series: "acc".into(),
+                baseline: 0.9,
+                max_drop: 0.1,
             })],
             Some(path.clone()),
             None,
         );
-        evaluate_sample(&sample(0, 0.0, &[("loss", 1.0)]));
-        evaluate_sample(&sample(1, 0.5, &[("loss", 50.0)]));
-        evaluate_sample(&sample(2, 1.0, &[("loss", 60.0)]));
+        evaluate_sample(&sample(0, 0.0, &[("acc", 0.9)]));
+        evaluate_sample(&sample(1, 0.5, &[("acc", 0.5)]));
+        evaluate_sample(&sample(2, 1.0, &[("acc", 0.4)]));
         let alerts = fired();
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].seq, 1);

@@ -1,7 +1,7 @@
 //! Cache-blocked GEMM shared by the three matmul variants.
 //!
 //! The entry point asks [`crate::select`] for a plan and runs one of
-//! three paths:
+//! two paths:
 //!
 //! - **direct** — small shapes (all dims ≤ 256) run an unpacked serial
 //!   kernel; operands already fit in cache, so packing was pure
@@ -9,13 +9,11 @@
 //! - **packed serial / parallel** — the classic BLIS/GotoBLAS
 //!   structure: `n` tiled by `nc`, `k` by the fixed [`KC`], `m` by
 //!   `mc`; operand panels packed into `mr`×`kc` / `kc`×`nr` strips and
-//!   multiplied by a register-tile microkernel ([`crate::simd`] for
-//!   AVX2+FMA, a portable scalar 4×8 otherwise). The parallel path
+//!   multiplied by a register-tile microkernel (the AVX2+FMA 8×8 tile
+//!   in [`crate::simd`], the portable scalar 4×8 otherwise), with one
+//!   fixed blocking per `CAP_SIMD` mode. The parallel path
 //!   double-buffers B panels: the next panel is packed by a pool task
 //!   while the current one is being computed.
-//! - **tune** — very large shapes on the AVX2 path measure a few
-//!   blocking candidates once and persist the winner
-//!   ([`crate::autotune`]).
 //!
 //! # Parallelism and determinism
 //!
@@ -24,13 +22,12 @@
 //! [`KC`], each summed in ascending `p` order — depends only on the
 //! shape, never on the thread count or on blocking choices. For a
 //! fixed `CAP_SIMD` mode, results are bitwise identical for any
-//! `CAP_THREADS`, any `mc`/`nc`, and either AVX2 tile (both perform
-//! one FMA per element per step). Only switching between scalar
+//! `CAP_THREADS` and any `mc`/`nc`. Only switching between scalar
 //! (separate multiply and add) and AVX2 (fused) changes rounding.
 
 use std::cell::RefCell;
 
-use crate::select::{self, Config, Decision, Micro};
+use crate::select::{self, Config, Micro, Plan};
 use crate::simd::{self, SimdMode, ACC_LEN};
 
 pub(crate) use crate::select::KC;
@@ -110,10 +107,9 @@ pub(crate) fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, o
     let mode = simd::simd_mode();
     let plan = select::plan(m, n, k, b.col_stride == 1, mode);
     select::observe(&plan);
-    match plan.decision {
-        Decision::Direct => direct(n, k, a, b, out, mode),
-        Decision::Packed(cfg) => packed(m, n, k, a, b, out, cfg),
-        Decision::Tune { candidates, key } => tune(m, n, k, a, b, out, &candidates, &key),
+    match plan {
+        Plan::Direct => direct(n, k, a, b, out, mode),
+        Plan::Packed(cfg) => packed(m, n, k, a, b, out, cfg),
     }
 }
 
@@ -202,7 +198,6 @@ fn packed(
     count_kernel(match cfg.micro {
         Micro::Scalar4x8 => "tensor.gemm.kernel.scalar_4x8_total",
         Micro::Avx2_8x8 => "tensor.gemm.kernel.avx2_8x8_total",
-        Micro::Avx2_16x4 => "tensor.gemm.kernel.avx2_16x4_total",
     });
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
     if flops < PARALLEL_FLOP_THRESHOLD || cap_par::effective_parallelism() == 1 {
@@ -336,53 +331,6 @@ fn compute_row_block(
     });
 }
 
-/// Measures every candidate once, writes the first candidate's result
-/// to `out` and the rest to scratch, and records the fastest in the
-/// autotune cache. All candidates are AVX2+FMA configurations, so
-/// every run produces identical bits and tuning is invisible in the
-/// output.
-#[allow(clippy::too_many_arguments)] // GEMM operand set + tuning key
-fn tune(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    out: &mut [f32],
-    candidates: &[Config],
-    key: &str,
-) {
-    let mut best: Option<(Config, f64)> = None;
-    let mut scratch: Vec<f32> = Vec::new();
-    for (i, cfg) in candidates.iter().enumerate() {
-        let start = cap_obs::clock::now();
-        if i == 0 {
-            packed(m, n, k, a, b, out, *cfg);
-        } else {
-            scratch.clear();
-            scratch.resize(m * n, 0.0);
-            packed(m, n, k, a, b, &mut scratch, *cfg);
-        }
-        let ns = cap_obs::clock::elapsed_secs(start) * 1e9;
-        if best.map(|(_, b_ns)| ns < b_ns).unwrap_or(true) {
-            best = Some((*cfg, ns));
-        }
-    }
-    let Some((winner, ns)) = best else {
-        return; // empty candidate list: nothing ran, out untouched
-    };
-    crate::autotune::record(key, winner, ns);
-    if cap_obs::enabled() {
-        cap_obs::emit(
-            cap_obs::Event::new("gemm.autotune")
-                .str("key", key)
-                .str("winner", winner.describe())
-                .f64("ns_per_iter", ns)
-                .u64("candidates", candidates.len() as u64),
-        );
-    }
-}
-
 /// Packs `A[row0 .. row0+mc, pc .. pc+kc]` into `mr`-row strips laid
 /// out `p`-major (`strip · kc · mr + p · mr + r`), zero-padding the
 /// ragged final strip so the microkernel never branches on row
@@ -465,8 +413,6 @@ fn run_micro(micro: Micro, kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; AC
         Micro::Scalar4x8 => micro_scalar_4x8(kc, pa, pb, acc),
         #[cfg(target_arch = "x86_64")]
         Micro::Avx2_8x8 => simd::micro_8x8_avx2(kc, pa, pb, acc),
-        #[cfg(target_arch = "x86_64")]
-        Micro::Avx2_16x4 => simd::micro_16x4_avx2(kc, pa, pb, acc),
         // The selector never picks a SIMD kernel off-architecture.
         #[cfg(not(target_arch = "x86_64"))]
         _ => micro_scalar_4x8(kc, pa, pb, acc),
@@ -565,20 +511,12 @@ mod tests {
         let a = fill(m * k, 0.173);
         let b = fill(k * n, 0.119);
         let want = reference(m, n, k, &a, &b);
-        let mut configs = vec![Config {
-            micro: Micro::Scalar4x8,
-            mc: 64,
-            nc: 512,
-        }];
+        let mut configs = vec![select::SCALAR_PACKED];
         if crate::simd::avx2_available() {
+            configs.push(select::AVX2_PACKED);
             configs.push(Config {
                 micro: Micro::Avx2_8x8,
-                mc: 128,
-                nc: 512,
-            });
-            configs.push(Config {
-                micro: Micro::Avx2_16x4,
-                mc: 128,
+                mc: 48,
                 nc: 64,
             });
         }
@@ -597,45 +535,21 @@ mod tests {
 
     #[test]
     fn avx2_tiles_and_blockings_are_bit_identical() {
-        // The determinism contract: blocking parameters and the choice
-        // between the two FMA tiles never change output bits — only
-        // the ISA pin does. This is what lets the autotuner measure
-        // candidates invisibly.
+        // The determinism contract: blocking parameters never change
+        // output bits — only the ISA pin does.
         if !crate::simd::avx2_available() {
             return;
         }
         let (m, n, k) = (97, 123, KC + 40);
         let a = fill(m * k, 0.211);
         let b = fill(k * n, 0.307);
-        let base = run_packed(
-            m,
-            n,
-            k,
-            &a,
-            &b,
-            Config {
+        let base = run_packed(m, n, k, &a, &b, select::AVX2_PACKED);
+        for (mc, nc) in [(32, 64), (48, 96), (40, 200), (136, 24)] {
+            let cfg = Config {
                 micro: Micro::Avx2_8x8,
-                mc: 128,
-                nc: 512,
-            },
-        );
-        for cfg in [
-            Config {
-                micro: Micro::Avx2_8x8,
-                mc: 32,
-                nc: 64,
-            },
-            Config {
-                micro: Micro::Avx2_16x4,
-                mc: 128,
-                nc: 512,
-            },
-            Config {
-                micro: Micro::Avx2_16x4,
-                mc: 48,
-                nc: 96,
-            },
-        ] {
+                mc,
+                nc,
+            };
             let got = run_packed(m, n, k, &a, &b, cfg);
             assert!(
                 got.iter()

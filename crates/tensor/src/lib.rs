@@ -29,7 +29,6 @@
 //! # }
 //! ```
 
-mod autotune;
 mod conv;
 mod error;
 mod gemm;

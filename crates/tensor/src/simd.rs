@@ -4,11 +4,12 @@
 //! code (the crate root carries `#![deny(unsafe_code)]`; this module
 //! opts out with `#![allow(unsafe_code)]` and every block carries a
 //! `// SAFETY:` justification checked by caplint rule R006). Everything
-//! here is a leaf: fixed-size register-tile kernels over packed panels,
+//! here is a leaf: the 8×8 register-tile kernel over packed panels,
 //! one direct (unpacked) row kernel for small shapes, and the direct
-//! convolution's shifted-window row kernel. All loads
-//! and stores are unaligned (`loadu`/`storeu`), so callers only have to
-//! guarantee slice bounds, which the safe wrappers assert.
+//! convolution's shifted-window row kernel. All loads and stores are
+//! unaligned (`loadu`/`storeu`), so callers only have to guarantee
+//! slice bounds, which the safe wrappers assert. Other architectures
+//! run the scalar reference path.
 //!
 //! # Mode pin
 //!
@@ -23,18 +24,18 @@
 //! Every kernel accumulates each output element in ascending `p`
 //! (depth) order. All AVX2 kernels use one fused multiply-add per
 //! element per step, so *every* AVX2 kernel produces bit-identical
-//! results for the same operands — selecting between 8×8 and 16×4
-//! tiles (or changing cache blocking) never changes bits. The scalar
-//! kernels use separate multiply and add, which rounds differently
-//! from FMA; that is why the ISA pin, not the selector, is the unit of
-//! numerical reproducibility (see DESIGN.md §13).
+//! results for the same operands — changing cache blocking never
+//! changes bits. The scalar kernels use separate multiply and add,
+//! which rounds differently from FMA; that is why the ISA pin, not the
+//! selector, is the unit of numerical reproducibility (see DESIGN.md
+//! §13).
 
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Maximum microkernel rows across all kernels (16×4 tile).
-pub(crate) const MR_MAX: usize = 16;
+/// Maximum microkernel rows across all kernels (8×8 tile).
+pub(crate) const MR_MAX: usize = 8;
 /// Maximum microkernel columns across all kernels (8×8 tile).
 pub(crate) const NR_MAX: usize = 8;
 /// Accumulator scratch large enough for any tile (`MR_MAX × NR_MAX`).
@@ -50,8 +51,8 @@ pub enum SimdMode {
 }
 
 impl SimdMode {
-    /// Stable lowercase name (`scalar` / `avx2`) used in telemetry,
-    /// autotune-cache keys, and `BENCH_kernels.json`.
+    /// Stable lowercase name (`scalar` / `avx2`) used in telemetry and
+    /// `BENCH_kernels.json`.
     pub fn name(self) -> &'static str {
         match self {
             SimdMode::Scalar => "scalar",
@@ -216,49 +217,6 @@ unsafe fn micro_8x8_avx2_impl(kc: usize, pa: *const f32, pb: *const f32, acc: *m
         _mm256_storeu_ps(acc.add(40), c5);
         _mm256_storeu_ps(acc.add(48), c6);
         _mm256_storeu_ps(acc.add(56), c7);
-    }
-}
-
-/// 16×4 register tile for tall-skinny problems (`n` too small to feed
-/// 8-wide rows): `acc[r*4 + c] += Σ_p pa[p*16 + r] · pb[p*4 + c]`,
-/// ascending `p`, one FMA per element per step.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn micro_16x4_avx2(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; ACC_LEN]) {
-    assert!(pa.len() >= kc * 16, "packed A strip too short");
-    assert!(pb.len() >= kc * 4, "packed B strip too short");
-    // SAFETY: AVX2+FMA availability is guaranteed by the mode pin, and
-    // the slice bounds the kernel reads/writes are asserted above.
-    unsafe { micro_16x4_avx2_impl(kc, pa.as_ptr(), pb.as_ptr(), acc.as_mut_ptr()) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-// SAFETY: callers must guarantee AVX2+FMA support, `pa` valid for
-// `kc*16` reads, `pb` for `kc*4` reads, and `acc` for 64 writes.
-unsafe fn micro_16x4_avx2_impl(kc: usize, pa: *const f32, pb: *const f32, acc: *mut f32) {
-    use std::arch::x86_64::{
-        _mm_fmadd_ps, _mm_loadu_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
-    };
-    // SAFETY: intrinsics below only touch pa[0..kc*16], pb[0..kc*4] and
-    // acc[0..64], all within the caller-guaranteed bounds.
-    unsafe {
-        let mut c = [_mm_setzero_ps(); 16];
-        for p in 0..kc {
-            let b = _mm_loadu_ps(pb.add(p * 4));
-            let a = pa.add(p * 16);
-            // Four unrolled groups of four keep register pressure
-            // predictable; each row is one FMA per step.
-            for g in 0..4 {
-                let r = g * 4;
-                c[r] = _mm_fmadd_ps(_mm_set1_ps(*a.add(r)), b, c[r]);
-                c[r + 1] = _mm_fmadd_ps(_mm_set1_ps(*a.add(r + 1)), b, c[r + 1]);
-                c[r + 2] = _mm_fmadd_ps(_mm_set1_ps(*a.add(r + 2)), b, c[r + 2]);
-                c[r + 3] = _mm_fmadd_ps(_mm_set1_ps(*a.add(r + 3)), b, c[r + 3]);
-            }
-        }
-        for (r, v) in c.iter().enumerate() {
-            _mm_storeu_ps(acc.add(r * 4), *v);
-        }
     }
 }
 
@@ -542,19 +500,6 @@ unsafe fn window_tile<const R: usize, const V: usize>(t: Tile<'_>) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// NEON stub (aarch64): detection reports unavailable until the kernels
-// land; the scalar reference path covers the architecture meanwhile.
-// ---------------------------------------------------------------------------
-
-/// Whether NEON microkernels are implemented and available. Stub: the
-/// aarch64 kernels are a planned follow-up (ROADMAP); until then every
-/// aarch64 host runs the scalar reference path.
-#[cfg(target_arch = "aarch64")]
-pub fn neon_available() -> bool {
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,29 +533,16 @@ mod tests {
         }
         let kc = 37;
         // Integer-valued operands: products and partial sums are exact
-        // in f32, so FMA and mul+add round identically and the tiles
+        // in f32, so FMA and mul+add round identically and the tile
         // must match the scalar computation bit for bit.
-        let pa16: Vec<f32> = (0..kc * 16).map(|i| ((i % 7) as f32) - 3.0).collect();
-        let pb8: Vec<f32> = (0..kc * 8).map(|i| ((i % 5) as f32) - 2.0).collect();
+        let pa: Vec<f32> = (0..kc * 8).map(|i| ((i % 7) as f32) - 3.0).collect();
+        let pb: Vec<f32> = (0..kc * 8).map(|i| ((i % 5) as f32) - 2.0).collect();
         let mut acc = [0.0f32; ACC_LEN];
-        micro_8x8_avx2(kc, &pa16, &pb8, &mut acc);
+        micro_8x8_avx2(kc, &pa, &pb, &mut acc);
         for r in 0..8 {
             for c in 0..8 {
-                let want: f32 = (0..kc)
-                    .map(|p| pa16[p * 8 + r] * pb8[p * 8 + c])
-                    .sum::<f32>();
+                let want: f32 = (0..kc).map(|p| pa[p * 8 + r] * pb[p * 8 + c]).sum::<f32>();
                 assert_eq!(acc[r * 8 + c].to_bits(), want.to_bits(), "8x8 r{r} c{c}");
-            }
-        }
-        let pb4: Vec<f32> = (0..kc * 4).map(|i| ((i % 3) as f32) - 1.0).collect();
-        let mut acc = [0.0f32; ACC_LEN];
-        micro_16x4_avx2(kc, &pa16, &pb4, &mut acc);
-        for r in 0..16 {
-            for c in 0..4 {
-                let want: f32 = (0..kc)
-                    .map(|p| pa16[p * 16 + r] * pb4[p * 4 + c])
-                    .sum::<f32>();
-                assert_eq!(acc[r * 4 + c].to_bits(), want.to_bits(), "16x4 r{r} c{c}");
             }
         }
     }
