@@ -231,9 +231,8 @@ pub fn evaluate_scores_with_attribution(
     data: &Dataset,
     cfg: &ScoreConfig,
 ) -> Result<(NetworkScores, ClassAttribution), PruneError> {
-    // Profiler scope: class-aware Taylor scoring is the candidate
-    // dominant cost (see ROADMAP's coarse-to-fine direction), so it
-    // gets its own frame in sampled flamegraphs.
+    // The pass's frame in the span tree (`profile.folded`, `/prof`);
+    // each shard opens `core.score.shard` on the thread that runs it.
     let _span = cap_obs::span!("core.score");
     cfg.validate()?;
     let classes = data.classes();
@@ -356,6 +355,11 @@ fn collect_scores(
 /// Computes `s_{f,n}` (Eq. 5–7) for one class and every filter of a
 /// site, given flat NCHW activation and gradient buffers for `m`
 /// samples. Returns one value per filter.
+///
+/// Each sample's maps are walked once, in memory order, adding 0/1 into
+/// a hit count per (filter, position). The largest count of a filter
+/// divided by `m` is the max over positions of `hits / m` (Eq. 6–7),
+/// because rounded division by `m` is monotonic in the count.
 fn site_class_contributions(
     filters: usize,
     activations: &[f32],
@@ -363,9 +367,10 @@ fn site_class_contributions(
     m: usize,
     tau_mode: TauMode,
 ) -> Vec<f64> {
-    let mut contrib = vec![0.0f64; filters];
-    if filters == 0 || m == 0 {
-        return contrib;
+    // No filters, samples or positions: every score is 0.
+    let plane = activations.len().checked_div(m * filters).unwrap_or(0);
+    if plane == 0 {
+        return vec![0.0f64; filters];
     }
     let tau = match tau_mode {
         TauMode::Absolute(v) => v,
@@ -377,32 +382,18 @@ fn site_class_contributions(
             alpha * sum / activations.len().max(1) as f64
         }
     };
-    let plane = activations.len() / (m * filters);
     // A plain loop: the pass already runs one scoring shard per pool
     // thread (see `evaluate_scores_with_attribution`).
-    for (f, slot) in contrib.iter_mut().enumerate() {
-        // s_ave over positions; track the max on the fly (Eq. 6-7).
-        let mut best = 0.0f64;
-        for pos in 0..plane {
-            let mut hits = 0usize;
-            for sample in 0..m {
-                let idx = (sample * filters + f) * plane + pos;
-                let theta = f64::from((activations[idx] * grads[idx]).abs());
-                if theta > tau {
-                    hits += 1;
-                }
-            }
-            let s_ave = hits as f64 / m as f64;
-            if s_ave > best {
-                best = s_ave;
-                if best >= 1.0 {
-                    break;
-                }
-            }
+    let maps = filters * plane;
+    let mut hits = vec![0u32; maps];
+    for (a, g) in activations.chunks_exact(maps).zip(grads.chunks_exact(maps)) {
+        for ((h, a), g) in hits.iter_mut().zip(a).zip(g) {
+            *h += u32::from(f64::from((a * g).abs()) > tau);
         }
-        *slot = best;
     }
-    contrib
+    hits.chunks_exact(plane)
+        .map(|counts| counts.iter().copied().max().unwrap_or(0) as f64 / m as f64)
+        .collect()
 }
 
 #[cfg(test)]
@@ -616,9 +607,55 @@ mod tests {
         net
     }
 
+    /// Eq. 4–7 for one class batch as the paper writes them, sharing no
+    /// code with `site_class_contributions`: θ = |a·g| per activation
+    /// (Eq. 4, the f32 product widened to f64), binarised at τ (Eq. 5),
+    /// averaged over the M images (Eq. 6) and maxed over the filter's
+    /// positions (Eq. 7). `a` and `g` are one site's recorded
+    /// `[M, F, H, W]` activations and their gradients.
+    fn naive_eq4_to_7(a: &Tensor, g: &Tensor, tau: TauMode) -> Vec<f64> {
+        let (m, filters, h, w) = (a.dim(0), a.dim(1), a.dim(2), a.dim(3));
+        let theta = |s, f, y, x| f64::from((a.at4(s, f, y, x) * g.at4(s, f, y, x)).abs());
+        let tau = match tau {
+            TauMode::Absolute(v) => v,
+            TauMode::SiteRelative(alpha) => {
+                // α · the mean θ over every activation of the site.
+                let mut sum = 0.0f64;
+                for s in 0..m {
+                    for f in 0..filters {
+                        for y in 0..h {
+                            for x in 0..w {
+                                sum += theta(s, f, y, x);
+                            }
+                        }
+                    }
+                }
+                alpha * sum / (m * filters * h * w) as f64
+            }
+        };
+        (0..filters)
+            .map(|f| {
+                let mut best = 0.0f64;
+                for y in 0..h {
+                    for x in 0..w {
+                        let mut important = 0.0f64;
+                        for s in 0..m {
+                            if theta(s, f, y, x) > tau {
+                                important += 1.0;
+                            }
+                        }
+                        best = best.max(important / m as f64);
+                    }
+                }
+                best
+            })
+            .collect()
+    }
+
     /// The scoring loop with the full `Network::backward` and a
-    /// `zero_grad` per class: what Eq. 3–7 are defined on, computing
-    /// parameter gradients the scores never read.
+    /// `zero_grad` per class, scored by [`naive_eq4_to_7`]: what Eq. 3–7
+    /// are defined on, computing parameter gradients the scores never
+    /// read.
     fn full_backward_reference(
         net: &mut Network,
         sites: &[PrunableSite],
@@ -647,9 +684,10 @@ mod tests {
             net.backward(&out.grad).unwrap();
             for (si, site) in sites.iter().enumerate() {
                 let conv = site.conv(net).unwrap();
-                let a = conv.recorded_output().unwrap().data();
-                let g = conv.recorded_output_grad().unwrap().data();
-                let contrib = site_class_contributions(filters[si], a, g, m, cfg.tau);
+                let a = conv.recorded_output().unwrap();
+                let g = conv.recorded_output_grad().unwrap();
+                assert_eq!(a.dim(0), m);
+                let contrib = naive_eq4_to_7(a, g, cfg.tau);
                 for ((total, row), c) in totals[si]
                     .iter_mut()
                     .zip(per_class[si].iter_mut())
@@ -726,15 +764,29 @@ mod tests {
         pruned
     }
 
+    /// The production pass against the full backward scored by the naive
+    /// equations, on plain and residual nets and their odd-channel pruned
+    /// copies. τ = 0 tells `>` from `>=`: every activation a ReLU gates
+    /// off has θ = 0 exactly.
     #[test]
     fn input_only_scoring_matches_full_backward_reference() {
         let data = tiny_data();
         let mut rng = StdRng::seed_from_u64(8);
-        let mut dense = tiny_resnet(&mut rng);
-        let mut pruned = odd_pruned(&dense);
-        for (what, net) in [("dense", &mut dense), ("pruned", &mut pruned)] {
+        let mut nets = Vec::new();
+        for (what, dense) in [
+            ("tiny_net", tiny_net(&mut rng)),
+            ("tiny_resnet", tiny_resnet(&mut rng)),
+        ] {
+            nets.push((format!("pruned {what}"), odd_pruned(&dense)));
+            nets.push((format!("dense {what}"), dense));
+        }
+        for (what, net) in &mut nets {
             let sites = find_prunable_sites(net);
-            for tau in [TauMode::default(), TauMode::SiteRelative(3.0)] {
+            for tau in [
+                TauMode::default(),
+                TauMode::Absolute(0.0),
+                TauMode::SiteRelative(3.0),
+            ] {
                 let cfg = ScoreConfig {
                     tau,
                     ..ScoreConfig::default()

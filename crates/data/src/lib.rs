@@ -32,11 +32,9 @@
 mod augment;
 mod dataset;
 mod error;
-mod io;
 mod synthetic;
 
 pub use augment::{random_crop_shift, random_horizontal_flip};
 pub use dataset::Dataset;
 pub use error::DataError;
-pub use io::{load_dataset, save_dataset};
 pub use synthetic::{DatasetSpec, SyntheticDataset};

@@ -34,4 +34,4 @@ mod vgg;
 
 pub use config::ModelConfig;
 pub use resnet::{resnet20, resnet56, resnet_cifar};
-pub use vgg::{vgg11, vgg13, vgg16, vgg19, vgg_from_plan, PlanEntry};
+pub use vgg::{vgg11, vgg16, vgg19, vgg_from_plan, PlanEntry};

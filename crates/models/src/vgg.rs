@@ -50,24 +50,6 @@ const VGG11_PLAN: &[PlanEntry] = &[
     PlanEntry::Pool,
 ];
 
-const VGG13_PLAN: &[PlanEntry] = &[
-    PlanEntry::Conv(64),
-    PlanEntry::Conv(64),
-    PlanEntry::Pool,
-    PlanEntry::Conv(128),
-    PlanEntry::Conv(128),
-    PlanEntry::Pool,
-    PlanEntry::Conv(256),
-    PlanEntry::Conv(256),
-    PlanEntry::Pool,
-    PlanEntry::Conv(512),
-    PlanEntry::Conv(512),
-    PlanEntry::Pool,
-    PlanEntry::Conv(512),
-    PlanEntry::Conv(512),
-    PlanEntry::Pool,
-];
-
 const VGG19_PLAN: &[PlanEntry] = &[
     PlanEntry::Conv(64),
     PlanEntry::Conv(64),
@@ -150,15 +132,6 @@ pub fn vgg11(cfg: &ModelConfig, rng: &mut impl Rng) -> Result<Network, NnError> 
     vgg_from_plan(VGG11_PLAN, cfg, rng)
 }
 
-/// Builds VGG13 (10 convolutions).
-///
-/// # Errors
-///
-/// Returns [`NnError::InvalidConfig`] for an invalid `cfg`.
-pub fn vgg13(cfg: &ModelConfig, rng: &mut impl Rng) -> Result<Network, NnError> {
-    vgg_from_plan(VGG13_PLAN, cfg, rng)
-}
-
 /// Builds VGG16 (13 convolutions) for CIFAR-style classification.
 ///
 /// # Errors
@@ -194,10 +167,9 @@ mod tests {
     }
 
     #[test]
-    fn vgg11_and_vgg13_conv_counts() {
+    fn vgg11_has_8_convs() {
         let cfg = ModelConfig::new(10).with_width(0.125);
         assert_eq!(vgg11(&cfg, &mut rng()).unwrap().conv_count(), 8);
-        assert_eq!(vgg13(&cfg, &mut rng()).unwrap().conv_count(), 10);
     }
 
     #[test]

@@ -38,13 +38,15 @@ impl Relu {
                 got: grad_out.shape().to_vec(),
             });
         }
-        let mut g = grad_out.clone();
-        for (v, &m) in g.data_mut().iter_mut().zip(mask.iter()) {
-            if !m {
-                *v = 0.0;
-            }
-        }
-        Ok(g)
+        // A select per element in one pass: a branch on the
+        // data-dependent mask mispredicts.
+        let data = grad_out
+            .data()
+            .iter()
+            .zip(mask)
+            .map(|(&g, &m)| if m { g } else { 0.0 })
+            .collect();
+        Ok(Tensor::from_vec(grad_out.shape().to_vec(), data)?)
     }
 }
 
@@ -95,6 +97,73 @@ impl Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Relu::backward` as it was before it became one select: copy the
+    /// gradient, then zero it where the mask is off.
+    fn copy_then_zero_backward(relu: &Relu, grad_out: &Tensor) -> Tensor {
+        let mask = relu.cached_mask.as_ref().unwrap();
+        let mut g = grad_out.clone();
+        for (v, &m) in g.data_mut().iter_mut().zip(mask.iter()) {
+            if !m {
+                *v = 0.0;
+            }
+        }
+        g
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    const SPECIALS: [f32; 10] = [
+        f32::NAN,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        1e-40,
+        f32::NEG_INFINITY,
+        -1e-40,
+        1.5,
+        f32::MIN_POSITIVE,
+        -2.25,
+    ];
+
+    #[test]
+    fn backward_select_matches_copy_then_zero_bit_for_bit() {
+        // Every pairing of an input with a gradient from the list, over
+        // n ∈ {1, 3} samples of planes of 1 and 7 elements.
+        for n in [1, 3] {
+            for w in [1, 7] {
+                for shift in 0..SPECIALS.len() {
+                    let shape = [n, 1, 1, w];
+                    let x = Tensor::from_fn(&shape, |i| SPECIALS[i % SPECIALS.len()]);
+                    let g = Tensor::from_fn(&shape, |i| SPECIALS[(i + shift) % SPECIALS.len()]);
+                    let mut relu = Relu::new();
+                    relu.forward(&x);
+                    let got = relu.backward(&g).unwrap();
+                    assert_eq!(got.shape(), g.shape());
+                    assert_eq!(
+                        bits(&got),
+                        bits(&copy_then_zero_backward(&relu, &g)),
+                        "n={n} w={w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_and_zero_inputs_are_inactive() {
+        let mut relu = Relu::new();
+        let x = Tensor::from_vec(vec![4], vec![f32::NAN, -f32::NAN, 0.0, -0.0]).unwrap();
+        let y = relu.forward(&x);
+        assert_eq!(relu.cached_mask.as_deref(), Some(&[false; 4][..]));
+        // NaN maps to +0.0; a zero input stays a zero.
+        assert_eq!(bits(&y)[..2], [0.0f32.to_bits(); 2]);
+        assert!(y.data().iter().all(|&v| v == 0.0));
+        let g = relu.backward(&Tensor::full(&[4], f32::NAN)).unwrap();
+        assert_eq!(bits(&g), [0.0f32.to_bits(); 4]);
+    }
 
     #[test]
     fn relu_clamps_and_masks() {

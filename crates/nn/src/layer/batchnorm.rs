@@ -28,29 +28,15 @@ fn tree_reduce_pairs(mut levels: Vec<Vec<[f64; 2]>>) -> Vec<[f64; 2]> {
 
 /// Per-sample `[a, b]` partials for every channel, computed in
 /// parallel (one task per sample), then tree-reduced in fixed order.
-/// `f` maps one element index to its `[a, b]` contribution; elements
-/// within a sample accumulate in ascending order.
-fn channel_partials(
-    n: usize,
-    c: usize,
-    plane: usize,
-    f: impl Fn(usize) -> [f64; 2] + Sync,
-) -> Vec<[f64; 2]> {
+/// `f` maps the plane of one (sample, channel) pair, by its index
+/// `s · c + ch`, to its `[a, b]` sums, accumulated from `0.0` in
+/// ascending element order.
+fn channel_partials(n: usize, c: usize, f: impl Fn(usize) -> [f64; 2] + Sync) -> Vec<[f64; 2]> {
     if n == 0 {
         return vec![[0.0f64; 2]; c];
     }
-    let per_sample: Vec<Vec<[f64; 2]>> = cap_par::parallel_map(n, |s| {
-        let mut acc = vec![[0.0f64; 2]; c];
-        for (ch, slot) in acc.iter_mut().enumerate() {
-            let base = (s * c + ch) * plane;
-            for i in base..base + plane {
-                let [a, b] = f(i);
-                slot[0] += a;
-                slot[1] += b;
-            }
-        }
-        acc
-    });
+    let per_sample: Vec<Vec<[f64; 2]>> =
+        cap_par::parallel_map(n, |s| (s * c..(s + 1) * c).map(&f).collect());
     tree_reduce_pairs(per_sample)
 }
 
@@ -185,12 +171,20 @@ impl BatchNorm2d {
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] if `x` is not `[N, C, H, W]` with the
-    /// layer's channel count.
+    /// layer's channel count, or, in training mode, if it holds no value
+    /// per channel (`N·H·W = 0`), whose batch mean would be `0/0`.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
         if x.ndim() != 4 || x.dim(1) != self.channels() {
             return Err(NnError::BadInput {
                 layer: "BatchNorm2d",
                 expected: format!("[N, {}, H, W]", self.channels()),
+                got: x.shape().to_vec(),
+            });
+        }
+        if training && x.numel() == 0 {
+            return Err(NnError::BadInput {
+                layer: "BatchNorm2d",
+                expected: "at least one value per channel in training mode".to_string(),
                 got: x.shape().to_vec(),
             });
         }
@@ -203,9 +197,15 @@ impl BatchNorm2d {
         // Per-channel batch statistics: per-sample partials in
         // parallel, fixed-order tree reduction across samples.
         let stats: Vec<[f64; 2]> = if training {
-            channel_partials(n, c, plane, |i| {
-                let v = f64::from(x.data()[i]);
-                [v, v * v]
+            let x_data = x.data();
+            channel_partials(n, c, |p| {
+                let mut acc = [0.0f64; 2];
+                for &v in &x_data[p * plane..(p + 1) * plane] {
+                    let v = f64::from(v);
+                    acc[0] += v;
+                    acc[1] += v * v;
+                }
+                acc
             })
         } else {
             Vec::new()
@@ -229,7 +229,7 @@ impl BatchNorm2d {
         }
         // Normalisation writes are pure per-element maps; one task per
         // sample (each owns a contiguous `c · plane` slice of both
-        // outputs).
+        // outputs), walking it one channel plane at a time.
         let gamma = self.gamma.data().to_vec();
         let beta = self.beta.data().to_vec();
         {
@@ -238,23 +238,27 @@ impl BatchNorm2d {
             let inv_stds = &inv_stds;
             let gamma = &gamma;
             let beta = &beta;
-            let sample = c * plane;
+            // At least 1: an empty map has no chunks to hand out.
+            let sample = (c * plane).max(1);
             let tasks: Vec<cap_par::ScopedTask<'_>> = xhat
                 .data_mut()
                 .chunks_mut(sample)
                 .zip(out.data_mut().chunks_mut(sample))
-                .enumerate()
-                .map(|(s, (xh_chunk, out_chunk))| {
+                .zip(x_data.chunks(sample))
+                .map(|((xh_chunk, out_chunk), x_chunk)| {
                     let task: cap_par::ScopedTask<'_> = Box::new(move || {
                         for ch in 0..c {
-                            let base = (s * c + ch) * plane;
-                            let local = ch * plane;
-                            let g = f64::from(gamma[ch]);
-                            let b = f64::from(beta[ch]);
-                            for off in 0..plane {
-                                let xh = (f64::from(x_data[base + off]) - means[ch]) * inv_stds[ch];
-                                xh_chunk[local + off] = xh as f32;
-                                out_chunk[local + off] = (g * xh + b) as f32;
+                            let span = ch * plane..(ch + 1) * plane;
+                            let (mean, inv_std) = (means[ch], inv_stds[ch]);
+                            let (g, b) = (f64::from(gamma[ch]), f64::from(beta[ch]));
+                            let planes = xh_chunk[span.clone()]
+                                .iter_mut()
+                                .zip(&mut out_chunk[span.clone()])
+                                .zip(&x_chunk[span]);
+                            for ((xh, y), &v) in planes {
+                                let norm = (f64::from(v) - mean) * inv_std;
+                                *xh = norm as f32;
+                                *y = (g * norm + b) as f32;
                             }
                         }
                     });
@@ -317,10 +321,18 @@ impl BatchNorm2d {
         // Per-channel (Σg, Σg·x̂): per-sample partials in parallel,
         // fixed-order tree reduction across samples. Needed by the
         // training-mode input gradient and by the γ/β gradients.
+        let go_data = grad_out.data();
+        let xh_data = xhat.data();
         let sums: Vec<[f64; 2]> = if training || grads == Grads::Full {
-            channel_partials(n, c, plane, |i| {
-                let g = f64::from(grad_out.data()[i]);
-                [g, g * f64::from(xhat.data()[i])]
+            channel_partials(n, c, |p| {
+                let span = p * plane..(p + 1) * plane;
+                let mut acc = [0.0f64; 2];
+                for (&g, &xh) in go_data[span.clone()].iter().zip(&xh_data[span]) {
+                    let g = f64::from(g);
+                    acc[0] += g;
+                    acc[1] += g * f64::from(xh);
+                }
+                acc
             })
         } else {
             Vec::new()
@@ -334,28 +346,25 @@ impl BatchNorm2d {
         let ks: Vec<f64> = (0..c)
             .map(|ch| f64::from(self.gamma.data()[ch]) * self.cached_inv_std[ch])
             .collect();
-        {
-            let go_data = grad_out.data();
-            let xh_data = xhat.data();
-            cap_par::parallel_chunks_mut(grad_in.data_mut(), c * plane, |s, gi_chunk| {
-                for ch in 0..c {
-                    let base = (s * c + ch) * plane;
-                    let local = ch * plane;
-                    let k = ks[ch];
-                    for off in 0..plane {
-                        let g = f64::from(go_data[base + off]);
-                        let gi = if training {
-                            let [sum_g, sum_gx] = sums[ch];
-                            let xh = f64::from(xh_data[base + off]);
-                            k * (g - sum_g / count - xh * sum_gx / count)
-                        } else {
-                            k * g
-                        };
-                        gi_chunk[local + off] = gi as f32;
+        cap_par::parallel_chunks_mut(grad_in.data_mut(), c * plane, |s, gi_chunk| {
+            for ch in 0..c {
+                let span = (s * c + ch) * plane..(s * c + ch + 1) * plane;
+                let gi_plane = &mut gi_chunk[ch * plane..(ch + 1) * plane];
+                let go_plane = &go_data[span.clone()];
+                let k = ks[ch];
+                if training {
+                    let [sum_g, sum_gx] = sums[ch];
+                    let mean_g = sum_g / count;
+                    for ((gi, &g), &xh) in gi_plane.iter_mut().zip(go_plane).zip(&xh_data[span]) {
+                        *gi = (k * (f64::from(g) - mean_g - f64::from(xh) * sum_gx / count)) as f32;
+                    }
+                } else {
+                    for (gi, &g) in gi_plane.iter_mut().zip(go_plane) {
+                        *gi = (k * f64::from(g)) as f32;
                     }
                 }
-            });
-        }
+            }
+        });
         Ok(grad_in)
     }
 
@@ -400,6 +409,235 @@ impl BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `channel_partials` as it was before the slice-wise rewrite: one
+    /// closure call per element index.
+    fn indexed_channel_partials(
+        n: usize,
+        c: usize,
+        plane: usize,
+        f: impl Fn(usize) -> [f64; 2] + Sync,
+    ) -> Vec<[f64; 2]> {
+        if n == 0 {
+            return vec![[0.0f64; 2]; c];
+        }
+        let per_sample: Vec<Vec<[f64; 2]>> = cap_par::parallel_map(n, |s| {
+            let mut acc = vec![[0.0f64; 2]; c];
+            for (ch, slot) in acc.iter_mut().enumerate() {
+                let base = (s * c + ch) * plane;
+                for i in base..base + plane {
+                    let [a, b] = f(i);
+                    slot[0] += a;
+                    slot[1] += b;
+                }
+            }
+            acc
+        });
+        tree_reduce_pairs(per_sample)
+    }
+
+    /// `forward` after its shape check as it was before the slice-wise
+    /// rewrite, every element addressed by index. It runs the samples
+    /// one after another instead of one task each, which changes no value.
+    fn indexed_forward(bn: &mut BatchNorm2d, x: &Tensor, training: bool) -> Tensor {
+        let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+        let count = (n * h * w) as f64;
+        let plane = h * w;
+        let mut out = Tensor::zeros(x.shape());
+        let mut xhat = Tensor::zeros(x.shape());
+        let mut inv_stds = vec![0.0f64; c];
+        let stats: Vec<[f64; 2]> = if training {
+            indexed_channel_partials(n, c, plane, |i| {
+                let v = f64::from(x.data()[i]);
+                [v, v * v]
+            })
+        } else {
+            Vec::new()
+        };
+        let mut means = vec![0.0f64; c];
+        for ch in 0..c {
+            let (mean, var) = if training {
+                let [sum, sq] = stats[ch];
+                let mean = sum / count;
+                let var = (sq / count - mean * mean).max(0.0);
+                bn.running_mean[ch] =
+                    (1.0 - bn.momentum) * bn.running_mean[ch] + bn.momentum * mean;
+                bn.running_var[ch] = (1.0 - bn.momentum) * bn.running_var[ch] + bn.momentum * var;
+                (mean, var)
+            } else {
+                (bn.running_mean[ch], bn.running_var[ch])
+            };
+            means[ch] = mean;
+            inv_stds[ch] = 1.0 / (var + bn.eps).sqrt();
+        }
+        let x_data = x.data();
+        let sample = c * plane;
+        for (s, (xh_chunk, out_chunk)) in xhat
+            .data_mut()
+            .chunks_mut(sample)
+            .zip(out.data_mut().chunks_mut(sample))
+            .enumerate()
+        {
+            for ch in 0..c {
+                let base = (s * c + ch) * plane;
+                let local = ch * plane;
+                let g = f64::from(bn.gamma.data()[ch]);
+                let b = f64::from(bn.beta.data()[ch]);
+                for off in 0..plane {
+                    let xh = (f64::from(x_data[base + off]) - means[ch]) * inv_stds[ch];
+                    xh_chunk[local + off] = xh as f32;
+                    out_chunk[local + off] = (g * xh + b) as f32;
+                }
+            }
+        }
+        bn.cached_xhat = Some(xhat);
+        bn.cached_inv_std = inv_stds;
+        bn.cached_shape = x.shape().to_vec();
+        bn.cached_training = training;
+        out
+    }
+
+    /// `backward_pass` after its cache and shape checks as it was before
+    /// the slice-wise rewrite, serial like [`indexed_forward`].
+    fn indexed_backward(bn: &mut BatchNorm2d, grad_out: &Tensor, grads: Grads) -> Tensor {
+        let xhat = bn.cached_xhat.as_ref().unwrap();
+        let (n, c, h, w) = (
+            bn.cached_shape[0],
+            bn.cached_shape[1],
+            bn.cached_shape[2],
+            bn.cached_shape[3],
+        );
+        let plane = h * w;
+        let count = (n * h * w) as f64;
+        let training = bn.cached_training;
+        let mut grad_in = Tensor::zeros(grad_out.shape());
+        let sums: Vec<[f64; 2]> = if training || grads == Grads::Full {
+            indexed_channel_partials(n, c, plane, |i| {
+                let g = f64::from(grad_out.data()[i]);
+                [g, g * f64::from(xhat.data()[i])]
+            })
+        } else {
+            Vec::new()
+        };
+        if grads == Grads::Full {
+            for (ch, [sum_g, sum_gx]) in sums.iter().enumerate() {
+                bn.grad_beta.data_mut()[ch] += *sum_g as f32;
+                bn.grad_gamma.data_mut()[ch] += *sum_gx as f32;
+            }
+        }
+        let ks: Vec<f64> = (0..c)
+            .map(|ch| f64::from(bn.gamma.data()[ch]) * bn.cached_inv_std[ch])
+            .collect();
+        let go_data = grad_out.data();
+        let xh_data = xhat.data();
+        for (s, gi_chunk) in grad_in.data_mut().chunks_mut(c * plane).enumerate() {
+            for ch in 0..c {
+                let base = (s * c + ch) * plane;
+                let local = ch * plane;
+                let k = ks[ch];
+                for off in 0..plane {
+                    let g = f64::from(go_data[base + off]);
+                    let gi = if training {
+                        let [sum_g, sum_gx] = sums[ch];
+                        let xh = f64::from(xh_data[base + off]);
+                        k * (g - sum_g / count - xh * sum_gx / count)
+                    } else {
+                        k * g
+                    };
+                    gi_chunk[local + off] = gi as f32;
+                }
+            }
+        }
+        grad_in
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits64(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Channel 0 cycles through NaN, ±∞, ±0.0, subnormals and ordinary
+    /// values; channel 1 through the finite ones only, so its batch
+    /// statistics stay finite while channel 0's go NaN.
+    fn special(i: usize, ch: usize) -> f32 {
+        const ANY: [f32; 10] = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            1e-40,
+            f32::NEG_INFINITY,
+            -1e-40,
+            1.5,
+            f32::MIN_POSITIVE,
+            -2.25,
+        ];
+        const FINITE: [f32; 7] = [0.75, -0.0, 1e-40, 0.0, -3.5, -1e-42, 2.0];
+        if ch == 0 {
+            ANY[i % ANY.len()]
+        } else {
+            FINITE[i % FINITE.len()]
+        }
+    }
+
+    #[test]
+    fn slice_loops_match_the_indexed_loops_bit_for_bit() {
+        let c = 2;
+        for n in [1, 3] {
+            for w in [1, 7] {
+                for training in [true, false] {
+                    for grads in [Grads::Full, Grads::InputOnly] {
+                        let what = format!("n={n} plane={w} training={training} {grads:?}");
+                        let shape = [n, c, 1, w];
+                        let x = Tensor::from_fn(&shape, |i| special(i, i / w % c));
+                        let g = Tensor::from_fn(&shape, |i| special(i + 3, i / w % c));
+                        // Channel 1's running mean sits just off its 0.75
+                        // inputs, so x − μ cancels to a few ulps of μ and a
+                        // reassociated normalisation shows in f32.
+                        let mut bn = BatchNorm2d::from_parts(
+                            Tensor::from_vec(vec![c], vec![1.3, -0.7]).unwrap(),
+                            Tensor::from_vec(vec![c], vec![0.25, -1.5]).unwrap(),
+                            vec![0.5, 0.75 + 1e-12],
+                            vec![2.0, 0.25],
+                        )
+                        .unwrap();
+                        bn.grad_gamma_mut().fill(0.5);
+                        let mut reference = bn.clone();
+                        let y = bn.forward(&x, training).unwrap();
+                        let y_ref = indexed_forward(&mut reference, &x, training);
+                        assert_eq!(bits(y.data()), bits(y_ref.data()), "{what}: output");
+                        assert_eq!(
+                            bits(bn.cached_xhat.as_ref().unwrap().data()),
+                            bits(reference.cached_xhat.as_ref().unwrap().data()),
+                            "{what}: x-hat"
+                        );
+                        assert_eq!(
+                            bits64(&bn.cached_inv_std),
+                            bits64(&reference.cached_inv_std)
+                        );
+                        assert_eq!(bits64(bn.running_mean()), bits64(reference.running_mean()));
+                        assert_eq!(bits64(bn.running_var()), bits64(reference.running_var()));
+                        let gi = bn.backward_pass(&g, grads).unwrap();
+                        let gi_ref = indexed_backward(&mut reference, &g, grads);
+                        assert_eq!(bits(gi.data()), bits(gi_ref.data()), "{what}: input grad");
+                        assert_eq!(
+                            bits(bn.grad_gamma().data()),
+                            bits(reference.grad_gamma().data())
+                        );
+                        assert_eq!(bits(bn.grad_beta.data()), bits(reference.grad_beta.data()));
+                        // Channel 1 saw no NaN or ∞, so its results are finite.
+                        let finite = |t: &Tensor| {
+                            (0..n).all(|s| (0..w).all(|i| t.at4(s, 1, 0, i).is_finite()))
+                        };
+                        assert!(finite(&y) && finite(&gi), "{what}: channel 1");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn training_forward_normalises_batch() {
@@ -516,5 +754,18 @@ mod tests {
         assert!(bn.forward(&Tensor::ones(&[1, 2, 2, 2]), true).is_err());
         assert!(bn.backward(&Tensor::ones(&[1, 3, 2, 2])).is_err());
         assert!(BatchNorm2d::new(0).is_err());
+    }
+
+    #[test]
+    fn empty_inputs_pass_eval_and_are_rejected_in_training() {
+        let mut bn = BatchNorm2d::new(3).unwrap();
+        for shape in [[2, 3, 0, 4], [0, 3, 4, 4]] {
+            let x = Tensor::zeros(&shape);
+            assert!(bn.forward(&x, true).is_err(), "{shape:?}");
+            assert_eq!(bn.running_mean(), &[0.0; 3], "{shape:?}: statistics kept");
+            assert_eq!(bn.forward(&x, false).unwrap().shape(), x.shape());
+            let g = bn.backward_pass(&x, Grads::InputOnly).unwrap();
+            assert_eq!(g.shape(), x.shape());
+        }
     }
 }
