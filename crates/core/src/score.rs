@@ -386,14 +386,29 @@ fn site_class_contributions(
     // thread (see `evaluate_scores_with_attribution`).
     let maps = filters * plane;
     let mut hits = vec![0u32; maps];
+    let tau32 = f32_floor(tau);
     for (a, g) in activations.chunks_exact(maps).zip(grads.chunks_exact(maps)) {
         for ((h, a), g) in hits.iter_mut().zip(a).zip(g) {
-            *h += u32::from(f64::from((a * g).abs()) > tau);
+            *h += u32::from((a * g).abs() > tau32);
         }
     }
     hits.chunks_exact(plane)
         .map(|counts| counts.iter().copied().max().unwrap_or(0) as f64 / m as f64)
         .collect()
+}
+
+/// The largest `f32` not above `tau` (`-∞` below `-f32::MAX`, NaN for
+/// NaN). For every `f32` θ, `θ > f32_floor(τ)` holds exactly when
+/// `f64::from(θ) > τ`: no `f32` lies between the two, and a NaN on
+/// either side is false in both. Eq. 5 then compares in `f32`.
+fn f32_floor(tau: f64) -> f32 {
+    // Rounds to nearest; one step down if that went above τ.
+    let t = tau as f32;
+    if f64::from(t) > tau {
+        t.next_down()
+    } else {
+        t
+    }
 }
 
 #[cfg(test)]
@@ -889,6 +904,58 @@ mod tests {
                 }
                 assert_eq!(param_bits(net), params, "{what}: parameters changed");
                 assert_left_clean(net, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn f32_threshold_compares_like_the_f64_threshold() {
+        let one_up = f64::from(1.0f32.next_up());
+        let taus = [
+            1.5,                        // exactly an f32
+            0.1,                        // rounds up to its f32
+            1.0 + 2f64.powi(-30),       // rounds down to 1.0
+            one_up - 2f64.powi(-30),    // rounds up to 1 + 2⁻²³
+            -(one_up - 2f64.powi(-30)), // and its negative
+            1e-50,                      // below every subnormal
+            -1e-50,
+            0.0,
+            -0.0,
+            f64::from(f32::from_bits(1)) * 1.5, // between two subnormals
+            f64::from(f32::MAX) * 1.5,          // above f32::MAX
+            -f64::from(f32::MAX) * 1.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &tau in &taus {
+            let t32 = f32_floor(tau);
+            let rounded = tau as f32;
+            let thetas = [
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::from_bits(1),
+                f32::MIN_POSITIVE / 2.0,
+                -f32::MIN_POSITIVE / 2.0,
+                0.0,
+                -0.0,
+                1.0,
+                f32::MAX,
+                -f32::MAX,
+                rounded,
+                rounded.next_up(),
+                rounded.next_down(),
+                t32,
+                t32.next_up(),
+                t32.next_down(),
+            ];
+            for theta in thetas {
+                assert_eq!(
+                    theta > t32,
+                    f64::from(theta) > tau,
+                    "theta {theta:e} against tau {tau:e} (f32 floor {t32:e})"
+                );
             }
         }
     }

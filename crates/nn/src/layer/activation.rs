@@ -15,8 +15,22 @@ impl Relu {
 
     /// Forward pass: `max(x, 0)` element-wise, caching the active mask.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cached_mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
+        self.cache_mask(x);
         x.map(|v| v.max(0.0))
+    }
+
+    /// [`Relu::forward`] in place over an input taken by value.
+    pub(crate) fn forward_owned(&mut self, mut x: Tensor) -> Tensor {
+        self.cache_mask(&x);
+        x.map_inplace(|v| v.max(0.0));
+        x
+    }
+
+    /// Caches `x > 0` per element, reusing the previous mask's buffer.
+    fn cache_mask(&mut self, x: &Tensor) {
+        let mask = self.cached_mask.get_or_insert_with(Vec::new);
+        mask.clear();
+        mask.extend(x.data().iter().map(|&v| v > 0.0));
     }
 
     /// Backward pass: gradient passes where the input was positive.
@@ -27,17 +41,7 @@ impl Relu {
     /// [`NnError::BadInput`] if the gradient size differs from the cached
     /// input.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let mask = self
-            .cached_mask
-            .as_ref()
-            .ok_or(NnError::MissingCache { layer: "Relu" })?;
-        if mask.len() != grad_out.numel() {
-            return Err(NnError::BadInput {
-                layer: "Relu backward",
-                expected: format!("{} elements", mask.len()),
-                got: grad_out.shape().to_vec(),
-            });
-        }
+        let mask = self.mask_for(grad_out)?;
         // A select per element in one pass: a branch on the
         // data-dependent mask mispredicts.
         let data = grad_out
@@ -47,6 +51,31 @@ impl Relu {
             .map(|(&g, &m)| if m { g } else { 0.0 })
             .collect();
         Ok(Tensor::from_vec(grad_out.shape().to_vec(), data)?)
+    }
+
+    /// [`Relu::backward`] in place over a gradient taken by value.
+    pub(crate) fn backward_owned(&mut self, mut grad_out: Tensor) -> Result<Tensor, NnError> {
+        let mask = self.mask_for(&grad_out)?;
+        for (g, &m) in grad_out.data_mut().iter_mut().zip(mask) {
+            *g = if m { *g } else { 0.0 };
+        }
+        Ok(grad_out)
+    }
+
+    /// The cached mask, checked against the gradient's size.
+    fn mask_for(&self, grad_out: &Tensor) -> Result<&[bool], NnError> {
+        let mask = self
+            .cached_mask
+            .as_deref()
+            .ok_or(NnError::MissingCache { layer: "Relu" })?;
+        if mask.len() != grad_out.numel() {
+            return Err(NnError::BadInput {
+                layer: "Relu backward",
+                expected: format!("{} elements", mask.len()),
+                got: grad_out.shape().to_vec(),
+            });
+        }
+        Ok(mask)
     }
 }
 

@@ -40,6 +40,25 @@ fn channel_partials(n: usize, c: usize, f: impl Fn(usize) -> [f64; 2] + Sync) ->
     tree_reduce_pairs(per_sample)
 }
 
+/// `(x − μ)·σ⁻¹` in f64: the forward rounds it to x̂ and scales it into
+/// `y`, and an eval-mode `Grads::Full` backward recomputes x̂ from it.
+#[inline]
+fn normalise(x: f32, mean: f64, inv_std: f64) -> f64 {
+    (f64::from(x) - mean) * inv_std
+}
+
+/// `[Σg, Σg·x̂]` over one plane, from `0.0` in ascending element order.
+#[inline]
+fn grad_sums(g: &[f32], xhat: impl Iterator<Item = f32>) -> [f64; 2] {
+    let mut acc = [0.0f64; 2];
+    for (&g, xh) in g.iter().zip(xhat) {
+        let g = f64::from(g);
+        acc[0] += g;
+        acc[1] += g * f64::from(xh);
+    }
+    acc
+}
+
 /// Batch normalisation over the channel dimension of an NCHW tensor.
 ///
 /// In training mode the layer normalises with batch statistics and updates
@@ -56,8 +75,11 @@ pub struct BatchNorm2d {
     running_var: Vec<f64>,
     momentum: f64,
     eps: f64,
-    // Caches for backward.
-    cached_xhat: Option<Tensor>,
+    // Caches for backward: x̂ after a training-mode forward, the input
+    // after an eval-mode one (x̂ is recomputed from it only when a
+    // `Grads::Full` backward needs Σg·x̂).
+    cached_map: Option<Tensor>,
+    cached_mean: Vec<f64>,
     cached_inv_std: Vec<f64>,
     cached_shape: Vec<usize>,
     cached_training: bool,
@@ -85,7 +107,8 @@ impl BatchNorm2d {
             running_var: vec![1.0; channels],
             momentum: 0.1,
             eps: 1e-5,
-            cached_xhat: None,
+            cached_map: None,
+            cached_mean: Vec::new(),
             cached_inv_std: Vec::new(),
             cached_shape: Vec::new(),
             cached_training: false,
@@ -174,6 +197,16 @@ impl BatchNorm2d {
     /// layer's channel count, or, in training mode, if it holds no value
     /// per channel (`N·H·W = 0`), whose batch mean would be `0/0`.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
+        self.forward_owned(x.clone(), training)
+    }
+
+    /// [`BatchNorm2d::forward`] taking the input by value. In training
+    /// mode x̂ is written over it; in eval mode it is cached unchanged.
+    pub(crate) fn forward_owned(
+        &mut self,
+        mut x: Tensor,
+        training: bool,
+    ) -> Result<Tensor, NnError> {
         if x.ndim() != 4 || x.dim(1) != self.channels() {
             return Err(NnError::BadInput {
                 layer: "BatchNorm2d",
@@ -192,7 +225,6 @@ impl BatchNorm2d {
         let count = (n * h * w) as f64;
         let plane = h * w;
         let mut out = Tensor::zeros(x.shape());
-        let mut xhat = Tensor::zeros(x.shape());
         let mut inv_stds = vec![0.0f64; c];
         // Per-channel batch statistics: per-sample partials in
         // parallel, fixed-order tree reduction across samples.
@@ -228,37 +260,34 @@ impl BatchNorm2d {
             inv_stds[ch] = 1.0 / (var + self.eps).sqrt();
         }
         // Normalisation writes are pure per-element maps; one task per
-        // sample (each owns a contiguous `c · plane` slice of both
-        // outputs), walking it one channel plane at a time.
-        let gamma = self.gamma.data().to_vec();
-        let beta = self.beta.data().to_vec();
+        // sample (each owns a contiguous `c · plane` slice of `out`, and
+        // in training of `x`), walking it one channel plane at a time.
         {
-            let x_data = x.data();
-            let means = &means;
-            let inv_stds = &inv_stds;
-            let gamma = &gamma;
-            let beta = &beta;
+            let (means, inv_stds) = (&means, &inv_stds);
+            let (gamma, beta) = (self.gamma.data(), self.beta.data());
             // At least 1: an empty map has no chunks to hand out.
             let sample = (c * plane).max(1);
-            let tasks: Vec<cap_par::ScopedTask<'_>> = xhat
+            let tasks: Vec<cap_par::ScopedTask<'_>> = x
                 .data_mut()
                 .chunks_mut(sample)
                 .zip(out.data_mut().chunks_mut(sample))
-                .zip(x_data.chunks(sample))
-                .map(|((xh_chunk, out_chunk), x_chunk)| {
+                .map(|(x_chunk, out_chunk)| {
                     let task: cap_par::ScopedTask<'_> = Box::new(move || {
                         for ch in 0..c {
                             let span = ch * plane..(ch + 1) * plane;
                             let (mean, inv_std) = (means[ch], inv_stds[ch]);
                             let (g, b) = (f64::from(gamma[ch]), f64::from(beta[ch]));
-                            let planes = xh_chunk[span.clone()]
-                                .iter_mut()
-                                .zip(&mut out_chunk[span.clone()])
-                                .zip(&x_chunk[span]);
-                            for ((xh, y), &v) in planes {
-                                let norm = (f64::from(v) - mean) * inv_std;
-                                *xh = norm as f32;
-                                *y = (g * norm + b) as f32;
+                            let planes = x_chunk[span.clone()].iter_mut().zip(&mut out_chunk[span]);
+                            if training {
+                                for (xh, y) in planes {
+                                    let norm = normalise(*xh, mean, inv_std);
+                                    *xh = norm as f32;
+                                    *y = (g * norm + b) as f32;
+                                }
+                            } else {
+                                for (&mut v, y) in planes {
+                                    *y = (g * normalise(v, mean, inv_std) + b) as f32;
+                                }
                             }
                         }
                     });
@@ -267,9 +296,10 @@ impl BatchNorm2d {
                 .collect();
             cap_par::run_tasks(tasks);
         }
-        self.cached_xhat = Some(xhat);
-        self.cached_inv_std = inv_stds;
         self.cached_shape = x.shape().to_vec();
+        self.cached_map = Some(x);
+        self.cached_mean = means;
+        self.cached_inv_std = inv_stds;
         self.cached_training = training;
         Ok(out)
     }
@@ -287,18 +317,21 @@ impl BatchNorm2d {
     /// Returns [`NnError::MissingCache`] if called before `forward`, or
     /// [`NnError::BadInput`] on shape mismatch.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_pass(grad_out, Grads::Full)
+        self.backward_owned(grad_out.clone(), Grads::Full)
     }
 
-    /// [`BatchNorm2d::backward`] with the γ/β gradients skipped under
-    /// [`Grads::InputOnly`]. After an eval-mode forward that leaves only
-    /// `γσ̂⁻¹·g`, so the per-channel sums are not computed at all.
-    pub(crate) fn backward_pass(
+    /// [`BatchNorm2d::backward`] over a gradient taken by value, which
+    /// the input gradient is written over, with the γ/β gradients
+    /// skipped under [`Grads::InputOnly`]. After an eval-mode forward
+    /// that leaves only `γσ̂⁻¹·g`, so the per-channel sums are not
+    /// computed at all; under [`Grads::Full`] their x̂ is recomputed from
+    /// the cached input, the same expression the forward rounds.
+    pub(crate) fn backward_owned(
         &mut self,
-        grad_out: &Tensor,
+        mut grad_out: Tensor,
         grads: Grads,
     ) -> Result<Tensor, NnError> {
-        let xhat = self.cached_xhat.as_ref().ok_or(NnError::MissingCache {
+        let cached = self.cached_map.as_ref().ok_or(NnError::MissingCache {
             layer: "BatchNorm2d",
         })?;
         if grad_out.shape() != self.cached_shape.as_slice() {
@@ -317,22 +350,25 @@ impl BatchNorm2d {
         let plane = h * w;
         let count = (n * h * w) as f64;
         let training = self.cached_training;
-        let mut grad_in = Tensor::zeros(grad_out.shape());
         // Per-channel (Σg, Σg·x̂): per-sample partials in parallel,
         // fixed-order tree reduction across samples. Needed by the
         // training-mode input gradient and by the γ/β gradients.
         let go_data = grad_out.data();
-        let xh_data = xhat.data();
+        let cached_data = cached.data();
         let sums: Vec<[f64; 2]> = if training || grads == Grads::Full {
+            let (means, inv_stds) = (&self.cached_mean, &self.cached_inv_std);
             channel_partials(n, c, |p| {
                 let span = p * plane..(p + 1) * plane;
-                let mut acc = [0.0f64; 2];
-                for (&g, &xh) in go_data[span.clone()].iter().zip(&xh_data[span]) {
-                    let g = f64::from(g);
-                    acc[0] += g;
-                    acc[1] += g * f64::from(xh);
+                let g = &go_data[span.clone()];
+                if training {
+                    grad_sums(g, cached_data[span].iter().copied())
+                } else {
+                    let (mean, inv_std) = (means[p % c], inv_stds[p % c]);
+                    let xhat = cached_data[span]
+                        .iter()
+                        .map(|&v| normalise(v, mean, inv_std) as f32);
+                    grad_sums(g, xhat)
                 }
-                acc
             })
         } else {
             Vec::new()
@@ -346,32 +382,33 @@ impl BatchNorm2d {
         let ks: Vec<f64> = (0..c)
             .map(|ch| f64::from(self.gamma.data()[ch]) * self.cached_inv_std[ch])
             .collect();
-        cap_par::parallel_chunks_mut(grad_in.data_mut(), c * plane, |s, gi_chunk| {
+        cap_par::parallel_chunks_mut(grad_out.data_mut(), c * plane, |s, chunk| {
             for ch in 0..c {
                 let span = (s * c + ch) * plane..(s * c + ch + 1) * plane;
-                let gi_plane = &mut gi_chunk[ch * plane..(ch + 1) * plane];
-                let go_plane = &go_data[span.clone()];
+                let g_plane = &mut chunk[ch * plane..(ch + 1) * plane];
                 let k = ks[ch];
                 if training {
                     let [sum_g, sum_gx] = sums[ch];
                     let mean_g = sum_g / count;
-                    for ((gi, &g), &xh) in gi_plane.iter_mut().zip(go_plane).zip(&xh_data[span]) {
-                        *gi = (k * (f64::from(g) - mean_g - f64::from(xh) * sum_gx / count)) as f32;
+                    for (gi, &xh) in g_plane.iter_mut().zip(&cached_data[span]) {
+                        *gi =
+                            (k * (f64::from(*gi) - mean_g - f64::from(xh) * sum_gx / count)) as f32;
                     }
                 } else {
-                    for (gi, &g) in gi_plane.iter_mut().zip(go_plane) {
-                        *gi = (k * f64::from(g)) as f32;
+                    for gi in g_plane {
+                        *gi = (k * f64::from(*gi)) as f32;
                     }
                 }
             }
         });
-        Ok(grad_in)
+        Ok(grad_out)
     }
 
-    /// Drops the forward caches `backward` reads (x̂, the inverse
-    /// standard deviations and the input shape).
+    /// Drops the forward caches `backward` reads (x̂ or the input, the
+    /// means, the inverse standard deviations and the input shape).
     pub(crate) fn clear_cache(&mut self) {
-        self.cached_xhat = None;
+        self.cached_map = None;
+        self.cached_mean = Vec::new();
         self.cached_inv_std = Vec::new();
         self.cached_shape = Vec::new();
     }
@@ -439,7 +476,10 @@ mod tests {
     /// `forward` after its shape check as it was before the slice-wise
     /// rewrite, every element addressed by index. It runs the samples
     /// one after another instead of one task each, which changes no value.
-    fn indexed_forward(bn: &mut BatchNorm2d, x: &Tensor, training: bool) -> Tensor {
+    /// Like the layer before it cached its eval-mode input, it computes x̂
+    /// in both modes; it returns `(y, x̂)`, and [`indexed_backward`] reads
+    /// that x̂.
+    fn indexed_forward(bn: &mut BatchNorm2d, x: &Tensor, training: bool) -> (Tensor, Tensor) {
         let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
         let count = (n * h * w) as f64;
         let plane = h * w;
@@ -490,17 +530,22 @@ mod tests {
                 }
             }
         }
-        bn.cached_xhat = Some(xhat);
+        bn.cached_map = None;
         bn.cached_inv_std = inv_stds;
         bn.cached_shape = x.shape().to_vec();
         bn.cached_training = training;
-        out
+        (out, xhat)
     }
 
-    /// `backward_pass` after its cache and shape checks as it was before
-    /// the slice-wise rewrite, serial like [`indexed_forward`].
-    fn indexed_backward(bn: &mut BatchNorm2d, grad_out: &Tensor, grads: Grads) -> Tensor {
-        let xhat = bn.cached_xhat.as_ref().unwrap();
+    /// The backward after its cache and shape checks as it was before
+    /// the slice-wise rewrite, serial like [`indexed_forward`], reading
+    /// the x̂ that forward returned.
+    fn indexed_backward(
+        bn: &mut BatchNorm2d,
+        xhat: &Tensor,
+        grad_out: &Tensor,
+        grads: Grads,
+    ) -> Tensor {
         let (n, c, h, w) = (
             bn.cached_shape[0],
             bn.cached_shape[1],
@@ -555,6 +600,30 @@ mod tests {
         v.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The layer's x̂: cached after a training-mode forward, recomputed
+    /// from the cached input (as an eval-mode `Grads::Full` backward
+    /// does) after an eval-mode one.
+    fn xhat(bn: &BatchNorm2d) -> Vec<f32> {
+        let cached = bn.cached_map.as_ref().unwrap();
+        if bn.cached_training {
+            return cached.data().to_vec();
+        }
+        let (c, plane) = (bn.cached_shape[1], bn.cached_shape[2] * bn.cached_shape[3]);
+        let stats = |i: usize| {
+            let ch = i / plane % c;
+            (bn.cached_mean[ch], bn.cached_inv_std[ch])
+        };
+        cached
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let (mean, inv_std) = stats(i);
+                normalise(v, mean, inv_std) as f32
+            })
+            .collect()
+    }
+
     fn bits64(v: &[f64]) -> Vec<u64> {
         v.iter().map(|v| v.to_bits()).collect()
     }
@@ -607,21 +676,17 @@ mod tests {
                         bn.grad_gamma_mut().fill(0.5);
                         let mut reference = bn.clone();
                         let y = bn.forward(&x, training).unwrap();
-                        let y_ref = indexed_forward(&mut reference, &x, training);
+                        let (y_ref, xhat_ref) = indexed_forward(&mut reference, &x, training);
                         assert_eq!(bits(y.data()), bits(y_ref.data()), "{what}: output");
-                        assert_eq!(
-                            bits(bn.cached_xhat.as_ref().unwrap().data()),
-                            bits(reference.cached_xhat.as_ref().unwrap().data()),
-                            "{what}: x-hat"
-                        );
+                        assert_eq!(bits(&xhat(&bn)), bits(xhat_ref.data()), "{what}: x-hat");
                         assert_eq!(
                             bits64(&bn.cached_inv_std),
                             bits64(&reference.cached_inv_std)
                         );
                         assert_eq!(bits64(bn.running_mean()), bits64(reference.running_mean()));
                         assert_eq!(bits64(bn.running_var()), bits64(reference.running_var()));
-                        let gi = bn.backward_pass(&g, grads).unwrap();
-                        let gi_ref = indexed_backward(&mut reference, &g, grads);
+                        let gi = bn.backward_owned(g.clone(), grads).unwrap();
+                        let gi_ref = indexed_backward(&mut reference, &xhat_ref, &g, grads);
                         assert_eq!(bits(gi.data()), bits(gi_ref.data()), "{what}: input grad");
                         assert_eq!(
                             bits(bn.grad_gamma().data()),
@@ -637,6 +702,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn eval_forward_then_full_backward_matches_the_xhat_caching_loop() {
+        // The path TPP's scoring takes: an eval-mode forward, which now
+        // caches the input, then a full backward, which recomputes x̂
+        // for Σg·x̂. The reference caches x̂ at the forward, as the layer
+        // did before. Running means sit near the inputs (x − μ cancels)
+        // and variances span small to large inverse deviations.
+        let (n, c, h, w) = (3, 5, 4, 6);
+        let x = Tensor::from_fn(&[n, c, h, w], |i| {
+            ((i as f32) * 0.37).sin() * (1.0 + (i % 11) as f32 * 13.0)
+        });
+        let g = Tensor::from_fn(x.shape(), |i| ((i as f32) * 0.53).cos() * 0.1);
+        let mut bn = BatchNorm2d::from_parts(
+            Tensor::from_fn(&[c], |ch| 0.3 + ch as f32 * 0.45),
+            Tensor::from_fn(&[c], |ch| ch as f32 * -0.2),
+            (0..c)
+                .map(|ch| f64::from(x.data()[ch * h * w]) + 1e-9)
+                .collect(),
+            (0..c).map(|ch| 10f64.powi(ch as i32 - 2)).collect(),
+        )
+        .unwrap();
+        bn.grad_gamma_mut().fill(0.25);
+        let mut reference = bn.clone();
+        let y = bn.forward(&x, false).unwrap();
+        let (y_ref, xhat_ref) = indexed_forward(&mut reference, &x, false);
+        assert_eq!(bits(y.data()), bits(y_ref.data()), "output");
+        // Once through the borrowed backward, once by value.
+        let mut owned = bn.clone();
+        let gi = bn.backward(&g).unwrap();
+        let gi_owned = owned.backward_owned(g.clone(), Grads::Full).unwrap();
+        let gi_ref = indexed_backward(&mut reference, &xhat_ref, &g, Grads::Full);
+        for (what, got) in [("borrowed", &bn), ("owned", &owned)] {
+            assert_eq!(
+                bits(got.grad_gamma().data()),
+                bits(reference.grad_gamma().data()),
+                "{what}: gamma grad"
+            );
+            assert_eq!(
+                bits(got.grad_beta.data()),
+                bits(reference.grad_beta.data()),
+                "{what}: beta grad"
+            );
+        }
+        assert_eq!(bits(gi.data()), bits(gi_ref.data()), "input grad");
+        assert_eq!(
+            bits(gi_owned.data()),
+            bits(gi_ref.data()),
+            "owned input grad"
+        );
     }
 
     #[test]
@@ -764,7 +880,7 @@ mod tests {
             assert!(bn.forward(&x, true).is_err(), "{shape:?}");
             assert_eq!(bn.running_mean(), &[0.0; 3], "{shape:?}: statistics kept");
             assert_eq!(bn.forward(&x, false).unwrap().shape(), x.shape());
-            let g = bn.backward_pass(&x, Grads::InputOnly).unwrap();
+            let g = bn.backward_owned(x.clone(), Grads::InputOnly).unwrap();
             assert_eq!(g.shape(), x.shape());
         }
     }

@@ -227,6 +227,12 @@ impl Conv2d {
     /// Returns [`NnError::BadInput`] for non-4-D inputs or channel
     /// mismatches, and propagates geometry errors.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, NnError> {
+        self.forward_owned(x.clone())
+    }
+
+    /// [`Conv2d::forward`] taking the input by value: it moves into the
+    /// cache the weight gradient lowers.
+    pub(crate) fn forward_owned(&mut self, x: Tensor) -> Result<Tensor, NnError> {
         if x.ndim() != 4 || x.dim(1) != self.in_channels() {
             return Err(NnError::BadInput {
                 layer: "Conv2d",
@@ -287,7 +293,7 @@ impl Conv2d {
                 }
             }
         }
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(x);
         self.cached_geom = Some(geom);
         self.cached_batch = n;
         if self.record_activations {
@@ -305,7 +311,7 @@ impl Conv2d {
     /// [`NnError::BadInput`] if `grad_out` does not match the cached
     /// forward geometry.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_pass(grad_out, Grads::Full)
+        self.backward_ref(grad_out, Grads::Full)
     }
 
     /// Backward pass that returns the gradient w.r.t. the input and
@@ -317,14 +323,35 @@ impl Conv2d {
     ///
     /// As [`Conv2d::backward`].
     pub fn backward_input_only(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_pass(grad_out, Grads::InputOnly)
+        self.backward_ref(grad_out, Grads::InputOnly)
     }
 
-    pub(crate) fn backward_pass(
+    /// The borrowed backward: copies the gradient only to record it.
+    fn backward_ref(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Tensor, NnError> {
+        let grad_in = self.gradients(grad_out, grads)?;
+        if self.record_activations {
+            self.recorded_output_grad = Some(grad_out.clone());
+        }
+        Ok(grad_in)
+    }
+
+    /// The backward taking the output gradient by value: a recording
+    /// layer keeps it as [`Conv2d::recorded_output_grad`] without a copy.
+    pub(crate) fn backward_owned(
         &mut self,
-        grad_out: &Tensor,
+        grad_out: Tensor,
         grads: Grads,
     ) -> Result<Tensor, NnError> {
+        let grad_in = self.gradients(&grad_out, grads)?;
+        if self.record_activations {
+            self.recorded_output_grad = Some(grad_out);
+        }
+        Ok(grad_in)
+    }
+
+    /// Returns the input gradient, and under [`Grads::Full`] adds the
+    /// batch's weight and bias gradients to the accumulators.
+    fn gradients(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Tensor, NnError> {
         let geom = self
             .cached_geom
             .ok_or(NnError::MissingCache { layer: "Conv2d" })?;
@@ -338,9 +365,6 @@ impl Conv2d {
                 ),
                 got: grad_out.shape().to_vec(),
             });
-        }
-        if self.record_activations {
-            self.recorded_output_grad = Some(grad_out.clone());
         }
         let mut grad_in = Tensor::zeros(&[n, geom.in_channels, geom.in_h, geom.in_w]);
         conv_input_grad(

@@ -106,6 +106,12 @@ impl Linear {
     ///
     /// Returns [`NnError::BadInput`] on shape mismatch.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, NnError> {
+        self.forward_owned(x.clone())
+    }
+
+    /// [`Linear::forward`] taking the input by value: it moves into the
+    /// cache the weight gradient reads.
+    pub(crate) fn forward_owned(&mut self, x: Tensor) -> Result<Tensor, NnError> {
         if x.ndim() != 2 || x.dim(1) != self.in_features() {
             return Err(NnError::BadInput {
                 layer: "Linear",
@@ -113,7 +119,7 @@ impl Linear {
                 got: x.shape().to_vec(),
             });
         }
-        let mut y = matmul_transpose_b(x, &self.weight)?; // [N, out]
+        let mut y = matmul_transpose_b(&x, &self.weight)?; // [N, out]
         let n = y.dim(0);
         let out = y.dim(1);
         for s in 0..n {
@@ -121,7 +127,7 @@ impl Linear {
                 y.data_mut()[s * out + j] += b;
             }
         }
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(x);
         Ok(y)
     }
 

@@ -117,26 +117,54 @@ impl Layer {
         }
     }
 
+    /// [`Layer::forward`] taking the input by value, so a layer that
+    /// caches it or works in place needs no copy. Same bits.
+    pub(crate) fn forward_owned(&mut self, x: Tensor, training: bool) -> Result<Tensor, NnError> {
+        let _span = cap_obs::SpanGuard::enter(self.span_name(false));
+        match self {
+            Layer::Conv(l) => l.forward_owned(x),
+            Layer::BatchNorm(l) => l.forward_owned(x, training),
+            Layer::Relu(l) => Ok(l.forward_owned(x)),
+            Layer::MaxPool(l) => l.forward(&x),
+            Layer::GlobalAvgPool(l) => l.forward(&x),
+            Layer::Flatten(l) => l.forward(&x),
+            Layer::Linear(l) => l.forward_owned(x),
+            Layer::Residual(l) => l.forward_owned(x, training),
+        }
+    }
+
     /// Backward pass.
     ///
     /// # Errors
     ///
     /// Propagates the underlying layer's cache/shape errors.
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_pass(grad, Grads::Full)
-    }
-
-    pub(crate) fn backward_pass(&mut self, grad: &Tensor, grads: Grads) -> Result<Tensor, NnError> {
         let _span = cap_obs::SpanGuard::enter(self.span_name(true));
         match self {
-            Layer::Conv(l) => l.backward_pass(grad, grads),
-            Layer::BatchNorm(l) => l.backward_pass(grad, grads),
+            Layer::Conv(l) => l.backward(grad),
+            Layer::BatchNorm(l) => l.backward(grad),
             Layer::Relu(l) => l.backward(grad),
             Layer::MaxPool(l) => l.backward(grad),
             Layer::GlobalAvgPool(l) => l.backward(grad),
             Layer::Flatten(l) => l.backward(grad),
-            Layer::Linear(l) => l.backward_pass(grad, grads),
-            Layer::Residual(l) => l.backward_pass(grad, grads),
+            Layer::Linear(l) => l.backward(grad),
+            Layer::Residual(l) => l.backward(grad),
+        }
+    }
+
+    /// The backward over a gradient taken by value, producing the
+    /// gradients `grads` names. Same bits as [`Layer::backward`].
+    pub(crate) fn backward_owned(&mut self, grad: Tensor, grads: Grads) -> Result<Tensor, NnError> {
+        let _span = cap_obs::SpanGuard::enter(self.span_name(true));
+        match self {
+            Layer::Conv(l) => l.backward_owned(grad, grads),
+            Layer::BatchNorm(l) => l.backward_owned(grad, grads),
+            Layer::Relu(l) => l.backward_owned(grad),
+            Layer::MaxPool(l) => l.backward(&grad),
+            Layer::GlobalAvgPool(l) => l.backward(&grad),
+            Layer::Flatten(l) => l.backward(&grad),
+            Layer::Linear(l) => l.backward_pass(&grad, grads),
+            Layer::Residual(l) => l.backward_owned(grad, grads),
         }
     }
 

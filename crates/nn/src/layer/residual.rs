@@ -151,20 +151,28 @@ impl ResidualBlock {
     ///
     /// Propagates layer errors on shape mismatch.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
-        let mut h = self.conv1.forward(x)?;
-        h = self.bn1.forward(&h, training)?;
-        h = self.relu1.forward(&h);
-        h = self.conv2.forward(&h)?;
-        h = self.bn2.forward(&h, training)?;
+        self.forward_owned(x.clone(), training)
+    }
+
+    /// [`ResidualBlock::forward`] taking the input by value. It is
+    /// copied once, for the shortcut; the main path's output takes the
+    /// shortcut's sum in place.
+    pub(crate) fn forward_owned(&mut self, x: Tensor, training: bool) -> Result<Tensor, NnError> {
+        let shortcut_in = x.clone();
+        let mut h = self.conv1.forward_owned(x)?;
+        h = self.bn1.forward_owned(h, training)?;
+        h = self.relu1.forward_owned(h);
+        h = self.conv2.forward_owned(h)?;
+        h = self.bn2.forward_owned(h, training)?;
         let s = match &mut self.shortcut {
             Some((conv, bn)) => {
-                let t = conv.forward(x)?;
-                bn.forward(&t, training)?
+                let t = conv.forward_owned(shortcut_in)?;
+                bn.forward_owned(t, training)?
             }
-            None => x.clone(),
+            None => shortcut_in,
         };
-        let sum = h.add(&s)?;
-        Ok(self.relu_out.forward(&sum))
+        h.add_in_place(&s)?;
+        Ok(self.relu_out.forward_owned(h))
     }
 
     /// Backward pass.
@@ -173,30 +181,35 @@ impl ResidualBlock {
     ///
     /// Propagates layer errors; fails if called before `forward`.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_pass(grad_out, Grads::Full)
+        self.backward_owned(grad_out.clone(), Grads::Full)
     }
 
-    pub(crate) fn backward_pass(
+    /// The backward over a gradient taken by value. The gradient is
+    /// copied once, for the shortcut path, whose gradient the main
+    /// path's then takes in place.
+    pub(crate) fn backward_owned(
         &mut self,
-        grad_out: &Tensor,
+        grad_out: Tensor,
         grads: Grads,
     ) -> Result<Tensor, NnError> {
-        let g = self.relu_out.backward(grad_out)?;
+        let g = self.relu_out.backward_owned(grad_out)?;
+        let shortcut_g = g.clone();
         // Main path.
-        let mut gm = self.bn2.backward_pass(&g, grads)?;
-        gm = self.conv2.backward_pass(&gm, grads)?;
-        gm = self.relu1.backward(&gm)?;
-        gm = self.bn1.backward_pass(&gm, grads)?;
-        gm = self.conv1.backward_pass(&gm, grads)?;
+        let mut gm = self.bn2.backward_owned(g, grads)?;
+        gm = self.conv2.backward_owned(gm, grads)?;
+        gm = self.relu1.backward_owned(gm)?;
+        gm = self.bn1.backward_owned(gm, grads)?;
+        gm = self.conv1.backward_owned(gm, grads)?;
         // Shortcut path.
         let gs = match &mut self.shortcut {
             Some((conv, bn)) => {
-                let t = bn.backward_pass(&g, grads)?;
-                conv.backward_pass(&t, grads)?
+                let t = bn.backward_owned(shortcut_g, grads)?;
+                conv.backward_owned(t, grads)?
             }
-            None => g,
+            None => shortcut_g,
         };
-        Ok(gm.add(&gs)?)
+        gm.add_in_place(&gs)?;
+        Ok(gm)
     }
 
     /// Clears accumulated gradients in all sub-layers.
@@ -237,13 +250,10 @@ impl ResidualBlock {
                 .map_or(0, |(c, b)| c.num_params() + b.num_params())
     }
 
-    /// Enables activation recording on both convolutions.
+    /// Enables activation recording on `conv1`, the block's only
+    /// pruning site: `conv2` and the shortcut are never scored.
     pub fn set_record_activations(&mut self, on: bool) {
         self.conv1.set_record_activations(on);
-        self.conv2.set_record_activations(on);
-        if let Some((c, _)) = &mut self.shortcut {
-            c.set_record_activations(on);
-        }
     }
 
     pub(crate) fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

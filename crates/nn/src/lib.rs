@@ -56,7 +56,7 @@ pub use gradcheck::{check_gradients, GradCheckReport};
 pub use loss::{CrossEntropyLoss, LossOutput, Reduction};
 pub use metrics::{accuracy, ConfusionMatrix};
 pub use network::Network;
-pub use optimizer::{Adam, Sgd};
+pub use optimizer::Sgd;
 pub use regularizer::{kernel_gram_residual_grad, kernel_gram_residual_sq, RegularizerConfig};
 pub use rundir::{RunDir, RunDirError};
 pub use train::{evaluate, fit, gather_batch, predict_all, EpochStats, FaultPolicy, TrainConfig};

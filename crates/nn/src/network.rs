@@ -56,9 +56,10 @@ impl Network {
     ///
     /// Propagates the first layer error encountered.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
+        // One copy of the input; each layer then takes its input by value.
         let mut h = x.clone();
         for layer in &mut self.layers {
-            h = layer.forward(&h, training)?;
+            h = layer.forward_owned(h, training)?;
         }
         Ok(h)
     }
@@ -89,7 +90,7 @@ impl Network {
     fn backward_pass(&mut self, grad: &Tensor, grads: Grads) -> Result<Tensor, NnError> {
         let mut g = grad.clone();
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_pass(&g, grads)?;
+            g = layer.backward_owned(g, grads)?;
         }
         Ok(g)
     }
@@ -289,6 +290,99 @@ mod tests {
         assert_eq!(bits(&replica.forward(&x, false).unwrap()), want);
         assert_eq!(bits(&net.forward(&x, false).unwrap()), want);
         net.backward(&Tensor::ones(&[2, 5])).unwrap();
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every conv's recorded output and output gradient, in visit order.
+    type Recorded = Vec<(Option<Vec<u32>>, Option<Vec<u32>>)>;
+
+    fn recorded(net: &Network) -> Recorded {
+        let mut out = Vec::new();
+        net.visit_convs(&mut |c| {
+            out.push((
+                c.recorded_output().map(bits),
+                c.recorded_output_grad().map(bits),
+            ))
+        });
+        out
+    }
+
+    fn grad_bits(net: &mut Network) -> Vec<u32> {
+        let mut out = Vec::new();
+        net.visit_params_mut(&mut |_, g| out.extend(bits(g)));
+        out
+    }
+
+    #[test]
+    fn by_value_passes_match_a_borrowed_layer_walk_bit_for_bit() {
+        let mut r = rng();
+        let mut net = Network::new();
+        net.push(Conv2d::new(3, 4, 3, 1, 1, true, &mut r).unwrap());
+        net.push(BatchNorm2d::new(4).unwrap());
+        net.push(Relu::new());
+        net.push(ResidualBlock::new(4, 4, 1, &mut r).unwrap());
+        net.push(MaxPool2d::new(2, 2).unwrap());
+        net.push(ResidualBlock::new(4, 8, 2, &mut r).unwrap());
+        net.push(GlobalAvgPool::new());
+        net.push(Flatten::new());
+        net.push(Linear::new(8, 5, &mut r).unwrap());
+        let x = cap_tensor::randn(&[3, 3, 8, 8], 0.0, 1.0, &mut r);
+        let g_out = Tensor::from_fn(&[3, 5], |i| ((i as f32) * 0.61).sin());
+        // Training forwards move the batch-norm running statistics.
+        for _ in 0..2 {
+            net.forward(&x, true).unwrap();
+        }
+        net.clear_caches();
+        net.set_record_activations(true);
+        // Eval forward with the input-only backward (the scoring pass),
+        // then a training step with the full backward.
+        for training in [false, true] {
+            let mut walk = net.clone();
+            let logits = net.forward(&x, training).unwrap();
+            let gin = if training {
+                net.backward(&g_out).unwrap()
+            } else {
+                net.backward_input_only(&g_out).unwrap()
+            };
+            // The borrowed walk: `Layer::forward` and the full
+            // `Layer::backward`, layer by layer.
+            let mut h = x.clone();
+            for layer in walk.layers_mut() {
+                h = layer.forward(&h, training).unwrap();
+            }
+            let mut g = g_out.clone();
+            for layer in walk.layers_mut().iter_mut().rev() {
+                g = layer.backward(&g).unwrap();
+            }
+            assert_eq!(bits(&logits), bits(&h), "training={training}: logits");
+            assert_eq!(bits(&gin), bits(&g), "training={training}: input gradient");
+            assert_eq!(recorded(&net), recorded(&walk), "training={training}");
+            if training {
+                assert_eq!(
+                    grad_bits(&mut net),
+                    grad_bits(&mut walk),
+                    "parameter gradients"
+                );
+            }
+        }
+        // A recording block records its pruning site, conv1, only.
+        for layer in net.layers() {
+            if let Some(block) = layer.as_residual() {
+                assert!(block.conv1().recorded_output().is_some());
+                assert!(block.conv1().recorded_output_grad().is_some());
+                let mut others = 0;
+                block.visit_convs(&mut |c| {
+                    others += usize::from(
+                        c.recorded_output().is_some() || c.recorded_output_grad().is_some(),
+                    )
+                });
+                assert_eq!(others, 1, "only conv1 records");
+                assert!(block.conv2().recorded_output().is_none());
+            }
+        }
     }
 
     #[test]

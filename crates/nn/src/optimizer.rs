@@ -98,110 +98,6 @@ impl Sgd {
     }
 }
 
-/// Adam optimiser (Kingma & Ba) with decoupled weight decay, provided as
-/// an alternative to the paper's SGD for users fine-tuning on their own
-/// data. Not used by the reproduction experiments, which follow the
-/// paper's optimiser setting exactly.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    step_count: u64,
-    first_moments: Vec<Tensor>,
-    second_moments: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Creates an Adam optimiser.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] for a non-positive learning
-    /// rate, betas outside `[0, 1)`, or a negative weight decay.
-    pub fn new(lr: f32, beta1: f32, beta2: f32, weight_decay: f32) -> Result<Self, NnError> {
-        if lr <= 0.0 || !lr.is_finite() {
-            return Err(NnError::InvalidConfig {
-                reason: format!("learning rate must be positive, got {lr}"),
-            });
-        }
-        if !(0.0..1.0).contains(&beta1) || !(0.0..1.0).contains(&beta2) || weight_decay < 0.0 {
-            return Err(NnError::InvalidConfig {
-                reason: format!(
-                    "betas ({beta1}, {beta2}) or weight decay {weight_decay} out of range"
-                ),
-            });
-        }
-        Ok(Adam {
-            lr,
-            beta1,
-            beta2,
-            eps: 1e-8,
-            weight_decay,
-            step_count: 0,
-            first_moments: Vec::new(),
-            second_moments: Vec::new(),
-        })
-    }
-
-    /// The common default: lr 1e-3, betas (0.9, 0.999), no decay.
-    pub fn default_config() -> Self {
-        Adam::new(1e-3, 0.9, 0.999, 0.0).expect("defaults are valid")
-    }
-
-    /// Applies one update step using the gradients accumulated in `net`.
-    /// Moment buffers self-heal on shape changes, as with [`Sgd::step`].
-    pub fn step(&mut self, net: &mut Network) {
-        self.step_count += 1;
-        let t = self.step_count as f64;
-        let bc1 = 1.0 - (f64::from(self.beta1)).powf(t);
-        let bc2 = 1.0 - (f64::from(self.beta2)).powf(t);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        let first = &mut self.first_moments;
-        let second = &mut self.second_moments;
-        let mut idx = 0usize;
-        net.visit_params_mut(&mut |w, g| {
-            if first.len() <= idx {
-                first.push(Tensor::zeros(w.shape()));
-                second.push(Tensor::zeros(w.shape()));
-            }
-            if first[idx].shape() != w.shape() {
-                first[idx] = Tensor::zeros(w.shape());
-                second[idx] = Tensor::zeros(w.shape());
-            }
-            let m = &mut first[idx];
-            let v = &mut second[idx];
-            let wd_active = wd > 0.0 && w.ndim() > 1;
-            for i in 0..w.numel() {
-                let grad = g.data()[i];
-                let mi = b1 * m.data()[i] + (1.0 - b1) * grad;
-                let vi = b2 * v.data()[i] + (1.0 - b2) * grad * grad;
-                m.data_mut()[i] = mi;
-                v.data_mut()[i] = vi;
-                let m_hat = f64::from(mi) / bc1;
-                let v_hat = f64::from(vi) / bc2;
-                let mut update = (m_hat / (v_hat.sqrt() + f64::from(eps))) as f32;
-                if wd_active {
-                    update += wd * w.data()[i];
-                }
-                w.data_mut()[i] -= lr * update;
-            }
-            idx += 1;
-        });
-        first.truncate(idx);
-        second.truncate(idx);
-    }
-
-    /// Drops all moment state.
-    pub fn reset(&mut self) {
-        self.first_moments.clear();
-        self.second_moments.clear();
-        self.step_count = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,58 +184,6 @@ mod tests {
             i += 1;
         });
         assert!(d_heavy > d_plain * 2.0);
-    }
-
-    #[test]
-    fn adam_config_validation() {
-        assert!(Adam::new(0.0, 0.9, 0.999, 0.0).is_err());
-        assert!(Adam::new(1e-3, 1.0, 0.999, 0.0).is_err());
-        assert!(Adam::new(1e-3, 0.9, 0.999, -1.0).is_err());
-        assert!(Adam::new(1e-3, 0.9, 0.999, 1e-4).is_ok());
-    }
-
-    #[test]
-    fn adam_descends_a_simple_quadratic() {
-        let mut r = rng();
-        let mut network = net(&mut r);
-        let mut opt = Adam::new(0.05, 0.9, 0.999, 0.0).unwrap();
-        let mut norm_before = 0.0;
-        network.visit_params_mut(&mut |w, _| norm_before += w.l2_norm().powi(2));
-        for _ in 0..30 {
-            network.zero_grad();
-            network.visit_params_mut(&mut |w, g| {
-                for i in 0..w.numel() {
-                    g.data_mut()[i] = 2.0 * w.data()[i];
-                }
-            });
-            opt.step(&mut network);
-        }
-        let mut norm_after = 0.0;
-        network.visit_params_mut(&mut |w, _| norm_after += w.l2_norm().powi(2));
-        assert!(
-            norm_after < norm_before * 0.5,
-            "{norm_after} vs {norm_before}"
-        );
-    }
-
-    #[test]
-    fn adam_self_heals_after_pruning() {
-        let mut r = rng();
-        let mut network = net(&mut r);
-        let mut opt = Adam::default_config();
-        network.zero_grad();
-        network.visit_params_mut(&mut |_, g| g.fill(0.1));
-        opt.step(&mut network);
-        if let Some(c) = network.layers_mut()[0].as_conv_mut() {
-            c.retain_output_channels(&[0]).unwrap();
-        }
-        if let crate::layer::Layer::Linear(l) = &mut network.layers_mut()[3] {
-            l.retain_input_features(&[0]).unwrap();
-        }
-        network.zero_grad();
-        network.visit_params_mut(&mut |_, g| g.fill(0.1));
-        opt.step(&mut network); // must not panic
-        opt.reset();
     }
 
     #[test]

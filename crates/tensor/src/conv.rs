@@ -325,13 +325,29 @@ fn runs_direct(geom: &Conv2dGeometry) -> bool {
 /// Per-thread scratch of the direct kernels.
 struct Scratch {
     /// The zero-padded sample (forward) or output gradient (dX).
-    padded: Vec<f32>,
-    /// The wide rows the kernels write, `qr` columns each.
+    padded: Padded,
+    /// The wide rows the kernels write, `qr` columns each. The kernels
+    /// overwrite every element, so it is never cleared.
     wide: Vec<f32>,
     /// One row's sums on the scalar path.
     sums: Vec<f32>,
     /// Window offsets into `padded`, one per summed term.
     offs: Vec<usize>,
+    /// dX only: the offset of each tap `(kh, kw)`, added to every term's.
+    taps: Vec<usize>,
+    /// The pass (`true` for dX) and geometry `offs` and `taps` were
+    /// built for; they are rebuilt only when either changes.
+    windows_for: Option<(bool, Conv2dGeometry)>,
+}
+
+/// A zero-padded copy of one sample's planes. The halo and slack are
+/// zeroed only when the layout changes: every fill rewrites all
+/// interior rows and nothing else, so they stay zero while the layout
+/// repeats.
+struct Padded {
+    buf: Vec<f32>,
+    /// `(planes, h, w, pad, slack)` of the copy `buf` holds.
+    layout: Option<[usize; 5]>,
 }
 
 thread_local! {
@@ -339,10 +355,15 @@ thread_local! {
     /// scratch never spans a dispatch.
     static DIRECT_SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
-            padded: Vec::new(),
+            padded: Padded {
+                buf: Vec::new(),
+                layout: None,
+            },
             wide: Vec::new(),
             sums: Vec::new(),
             offs: Vec::new(),
+            taps: Vec::new(),
+            windows_for: None,
         })
     };
     /// The lowered forward's im2col matrix. The GEMM after the lowering
@@ -490,33 +511,30 @@ fn forward_direct(x: &[f32], weight: &[f32], geom: &Conv2dGeometry, out: &mut [f
     let q = (geom.out_h - 1) * wp + geom.out_w;
     let qr = q.next_multiple_of(LANES);
     DIRECT_SCRATCH.with_borrow_mut(|s| {
-        pad_planes(
-            x,
-            geom.in_channels,
-            (geom.in_h, geom.in_w),
-            p,
-            qr - q,
-            &mut s.padded,
-        );
-        // One window per im2col row, in row order.
-        s.offs.clear();
-        for c in 0..geom.in_channels {
-            for kh in 0..k {
-                s.offs.extend((0..k).map(|kw| (c * hp + kh) * wp + kw));
+        let padded = s
+            .padded
+            .fill(x, geom.in_channels, (geom.in_h, geom.in_w), p, qr - q);
+        if s.windows_for != Some((false, *geom)) {
+            // One window per im2col row, in row order.
+            s.offs.clear();
+            for c in 0..geom.in_channels {
+                for kh in 0..k {
+                    s.offs.extend((0..k).map(|kw| (c * hp + kh) * wp + kw));
+                }
             }
+            s.windows_for = Some((false, *geom));
         }
-        s.wide.clear();
-        s.wide.resize(geom.out_channels * qr, 0.0);
+        let wide = wide_rows(&mut s.wide, geom.out_channels * qr);
         let rows = WindowRows {
             a: weight,
             a_rs: geom.col_rows(),
             a_cs: 1,
             offs: &s.offs,
-            src: &s.padded,
+            src: padded,
             qr,
         };
-        rows.run(&mut s.wide, false, &mut s.sums);
-        copy_out(&s.wide, qr, wp, (geom.out_h, geom.out_w), out);
+        rows.run(wide, &mut s.sums);
+        copy_out(wide, qr, wp, (geom.out_h, geom.out_w), out);
     });
 }
 
@@ -533,57 +551,74 @@ fn input_grad_direct(g: &[f32], weight: &[f32], geom: &Conv2dGeometry, gin: &mut
     let qr = q.next_multiple_of(LANES);
     let kk = k * k;
     DIRECT_SCRATCH.with_borrow_mut(|s| {
-        pad_planes(
-            g,
-            geom.out_channels,
-            (geom.out_h, geom.out_w),
-            pad,
-            qr - q,
-            &mut s.padded,
-        );
-        s.wide.clear();
-        s.wide.resize(geom.in_channels * qr, 0.0);
-        for kh in 0..k {
-            for kw in 0..k {
-                let tap = (k - 1 - kh) * wg + (k - 1 - kw);
-                s.offs.clear();
-                s.offs
-                    .extend((0..geom.out_channels).map(|o| o * hg * wg + tap));
-                // Row c, term o: weight[(o·in_c + c)·k² + kh·k + kw].
-                let rows = WindowRows {
-                    a: &weight[kh * k + kw..],
-                    a_rs: kk,
-                    a_cs: geom.in_channels * kk,
-                    offs: &s.offs,
-                    src: &s.padded,
-                    qr,
-                };
-                rows.run(&mut s.wide, true, &mut s.sums);
+        let padded = s
+            .padded
+            .fill(g, geom.out_channels, (geom.out_h, geom.out_w), pad, qr - q);
+        if s.windows_for != Some((true, *geom)) {
+            s.offs.clear();
+            s.offs.extend((0..geom.out_channels).map(|o| o * hg * wg));
+            s.taps.clear();
+            for kh in 0..k {
+                s.taps
+                    .extend((0..k).map(|kw| (k - 1 - kh) * wg + (k - 1 - kw)));
             }
+            s.windows_for = Some((true, *geom));
         }
-        copy_out(&s.wide, qr, wg, (geom.in_h, geom.in_w), gin);
+        let wide = wide_rows(&mut s.wide, geom.in_channels * qr);
+        // Row c, term o, tap t = kh·k + kw: weight[(o·in_c + c)·k² + t].
+        let rows = TapRows {
+            a: weight,
+            a_rs: kk,
+            a_cs: geom.in_channels * kk,
+            offs: &s.offs,
+            taps: &s.taps,
+            src: padded,
+            qr,
+        };
+        rows.run(wide, &mut s.sums);
+        copy_out(wide, qr, wg, (geom.in_h, geom.in_w), gin);
     });
 }
 
-/// Copies `planes` planes of `h × w` into `dst` with `pad` zeros on
-/// every side of each plane, then `slack` zeros, so every window of the
-/// wide rows (rounded up to whole vectors) stays inside the buffer.
-fn pad_planes(
-    src: &[f32],
-    planes: usize,
-    (h, w): (usize, usize),
-    pad: usize,
-    slack: usize,
-    dst: &mut Vec<f32>,
-) {
-    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
-    dst.clear();
-    dst.resize(planes * hp * wp + slack, 0.0);
-    for c in 0..planes {
-        for y in 0..h {
-            dst[(c * hp + y + pad) * wp + pad..][..w].copy_from_slice(&src[(c * h + y) * w..][..w]);
+impl Padded {
+    /// Copies `planes` planes of `h × w` in with `pad` zeros on every
+    /// side of each plane, then `slack` zeros, so every window of the
+    /// wide rows (rounded up to whole vectors) stays inside the buffer.
+    fn fill(
+        &mut self,
+        src: &[f32],
+        planes: usize,
+        (h, w): (usize, usize),
+        pad: usize,
+        slack: usize,
+    ) -> &[f32] {
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let layout = [planes, h, w, pad, slack];
+        if self.layout != Some(layout) {
+            self.buf.clear();
+            self.buf.resize(planes * hp * wp + slack, 0.0);
+            self.layout = Some(layout);
         }
+        for c in 0..planes {
+            for y in 0..h {
+                copy_row(
+                    &mut self.buf[(c * hp + y + pad) * wp + pad..],
+                    &src[(c * h + y) * w..],
+                    w,
+                );
+            }
+        }
+        &self.buf
     }
+}
+
+/// The first `len` elements of `buf`, grown if needed and left
+/// uncleared: the kernels overwrite every element they are handed.
+fn wide_rows(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 /// Copies `h × w` planes out of wide rows `qr` apart whose image rows
@@ -591,12 +626,29 @@ fn pad_planes(
 fn copy_out(wide: &[f32], qr: usize, wp: usize, (h, w): (usize, usize), dst: &mut [f32]) {
     for (c, row) in wide.chunks_exact(qr).enumerate() {
         for y in 0..h {
-            dst[(c * h + y) * w..][..w].copy_from_slice(&row[y * wp..][..w]);
+            copy_row(&mut dst[(c * h + y) * w..], &row[y * wp..], w);
         }
     }
 }
 
-/// One pass of the direct kernels: row `r`, column `q` of the output is
+/// Copies the first `w` elements of `src` to `dst`. The map widths of
+/// the small nets (4, 8 and 16) copy as fixed-size arrays, inline,
+/// instead of one `memcpy` call per row.
+#[inline]
+fn copy_row(dst: &mut [f32], src: &[f32], w: usize) {
+    // A constant length: the copy compiles to a few vector moves.
+    fn fixed<const W: usize>(dst: &mut [f32], src: &[f32]) {
+        dst[..W].copy_from_slice(&src[..W]);
+    }
+    match w {
+        4 => fixed::<4>(dst, src),
+        8 => fixed::<8>(dst, src),
+        16 => fixed::<16>(dst, src),
+        _ => dst[..w].copy_from_slice(&src[..w]),
+    }
+}
+
+/// The direct forward's kernel: row `r`, column `q` of the output is
 /// `Σ_i a[r·a_rs + i·a_cs] · src[offs[i] + q]`, ascending `i`, starting
 /// at `+0` — the direct GEMM's sum, with B's row `i` read from the
 /// window at `offs[i]`.
@@ -610,17 +662,16 @@ struct WindowRows<'a> {
 }
 
 impl WindowRows<'_> {
-    /// Stores each sum into `out`, or adds it when `accumulate` is set.
-    /// The AVX2 kernel fuses each multiply-add as the AVX2 GEMM does;
-    /// the scalar loop multiplies and adds separately, as the scalar
-    /// GEMM does.
-    fn run(&self, out: &mut [f32], accumulate: bool, sums: &mut Vec<f32>) {
+    /// Stores each sum into `out`, overwriting every element. The AVX2
+    /// kernel fuses each multiply-add as the AVX2 GEMM does; the scalar
+    /// loop multiplies and adds separately, as the scalar GEMM does.
+    fn run(&self, out: &mut [f32], sums: &mut Vec<f32>) {
         // The pin reports AVX2 only on x86-64.
         if simd::simd_mode() == SimdMode::Avx2 {
             #[cfg(target_arch = "x86_64")]
             {
                 simd::window_rows_avx2(
-                    self.a, self.a_rs, self.a_cs, self.offs, self.src, out, self.qr, accumulate,
+                    self.a, self.a_rs, self.a_cs, self.offs, self.src, out, self.qr,
                 );
                 return;
             }
@@ -635,12 +686,56 @@ impl WindowRows<'_> {
                     *s += av * b;
                 }
             }
-            if accumulate {
+            row.copy_from_slice(sums);
+        }
+    }
+}
+
+/// The direct input gradient's kernel: row `r`, column `q` of the
+/// output is the sum over taps `t` (ascending, from `+0`) of
+/// `Σ_i a[r·a_rs + i·a_cs + t] · src[offs[i] + taps[t] + q]` (ascending
+/// `i`, from `+0`). Each tap's sum is col2im's term for that tap, and
+/// the taps are added in col2im's `(kh, kw)` order.
+struct TapRows<'a> {
+    a: &'a [f32],
+    a_rs: usize,
+    a_cs: usize,
+    offs: &'a [usize],
+    taps: &'a [usize],
+    src: &'a [f32],
+    qr: usize,
+}
+
+impl TapRows<'_> {
+    /// Stores each sum into `out`, overwriting every element. The AVX2
+    /// kernel keeps the tap sums and the running sum in registers; the
+    /// scalar loop takes the same steps, multiply and add separate.
+    fn run(&self, out: &mut [f32], sums: &mut Vec<f32>) {
+        // The pin reports AVX2 only on x86-64.
+        if simd::simd_mode() == SimdMode::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            {
+                simd::tap_rows_avx2(
+                    self.a, self.a_rs, self.a_cs, self.offs, self.taps, self.src, out, self.qr,
+                );
+                return;
+            }
+        }
+        sums.clear();
+        sums.resize(self.qr, 0.0);
+        for (r, row) in out.chunks_exact_mut(self.qr).enumerate() {
+            row.fill(0.0);
+            for (t, &tap) in self.taps.iter().enumerate() {
+                sums.fill(0.0);
+                for (i, &off) in self.offs.iter().enumerate() {
+                    let av = self.a[r * self.a_rs + i * self.a_cs + t];
+                    for (s, &b) in sums.iter_mut().zip(&self.src[off + tap..][..self.qr]) {
+                        *s += av * b;
+                    }
+                }
                 for (o, &s) in row.iter_mut().zip(sums.iter()) {
                     *o += s;
                 }
-            } else {
-                row.copy_from_slice(sums);
             }
         }
     }

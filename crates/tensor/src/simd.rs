@@ -6,7 +6,8 @@
 //! `// SAFETY:` justification checked by caplint rule R006). Everything
 //! here is a leaf: the 8×8 register-tile kernel over packed panels,
 //! one direct (unpacked) row kernel for small shapes, and the direct
-//! convolution's shifted-window row kernel. All loads and stores are
+//! convolutions' shifted-window kernels (one row kernel for the forward,
+//! one tap-summing kernel for the input gradient). All loads and stores are
 //! unaligned (`loadu`/`storeu`), so callers only have to guarantee
 //! slice bounds, which the safe wrappers assert. Other architectures
 //! run the scalar reference path.
@@ -333,15 +334,14 @@ unsafe fn direct_rows_avx2_impl(
     }
 }
 
-/// Shifted-window row kernel of the direct convolutions: for every row
-/// `r` of `out` (rows of `qr` columns, `qr` a multiple of 8) and every
-/// column `q`, the sum `Σ_i a[r·a_rs + i·a_cs] · src[offs[i] + q]`,
+/// Shifted-window row kernel of the direct forward convolution: for
+/// every row `r` of `out` (rows of `qr` columns, `qr` a multiple of 8)
+/// and every column `q`, the sum `Σ_i a[r·a_rs + i·a_cs] · src[offs[i] + q]`,
 /// ascending `i`, starting at `+0` in its own register, one FMA per
 /// step, exactly like [`direct_rows_avx2`] over a B whose row `i` is
-/// the window at `offs[i]`. The sum is stored into `out`, or added to
-/// it when `accumulate` is set. Columns run in whole 8-lane vectors.
+/// the window at `offs[i]`. The sum is stored into `out`, overwriting
+/// every element. Columns run in whole 8-lane vectors.
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn window_rows_avx2(
     a: &[f32],
     a_rs: usize,
@@ -350,7 +350,6 @@ pub(crate) fn window_rows_avx2(
     src: &[f32],
     out: &mut [f32],
     qr: usize,
-    accumulate: bool,
 ) {
     assert!(
         qr.is_multiple_of(8),
@@ -377,7 +376,6 @@ pub(crate) fn window_rows_avx2(
             offs,
             src.as_ptr(),
             out.as_mut_ptr(),
-            accumulate,
         )
     }
 }
@@ -387,7 +385,7 @@ pub(crate) fn window_rows_avx2(
 #[allow(clippy::too_many_arguments)]
 // SAFETY: callers must guarantee AVX2+FMA support, `a` valid for reads
 // at `r*a_rs + i*a_cs` (r < rows, i < offs.len()), `src` for reads at
-// `offs[i] .. offs[i] + qr`, and `out` for `rows * qr` read-writes.
+// `offs[i] .. offs[i] + qr`, and `out` for `rows * qr` writes.
 unsafe fn window_rows_avx2_impl(
     rows: usize,
     qr: usize,
@@ -397,7 +395,6 @@ unsafe fn window_rows_avx2_impl(
     offs: &[usize],
     src: *const f32,
     out: *mut f32,
-    accumulate: bool,
 ) {
     // Tiles of up to 4 rows × 3 vectors: twelve independent FMA chains
     // even when a row is only 24 columns (a 4×4 map), plus three window
@@ -416,10 +413,10 @@ unsafe fn window_rows_avx2_impl(
                     a_rs,
                     a_cs,
                     offs,
+                    taps: &[0],
                     src: src.add(q0),
                     out: out.add(r0 * qr + q0),
                     qr,
-                    accumulate,
                 };
                 match (rt, vt) {
                     (4, 3) => window_tile::<4, 3>(t),
@@ -442,9 +439,121 @@ unsafe fn window_rows_avx2_impl(
     }
 }
 
-/// Operands of one [`window_tile`]: `a`, `src` and `out` point at the
-/// tile's first row and first column; the rest is as in
-/// [`window_rows_avx2`].
+/// Tap-summing row kernel of the direct input gradient: for every row
+/// `r` of `out` (rows of `qr` columns, `qr` a multiple of 8) and every
+/// column `q`, the sum over taps `t` (ascending, starting at `+0`) of
+/// the tap's own sum `Σ_i a[r·a_rs + i·a_cs + t] · src[offs[i] + taps[t] + q]`
+/// (ascending `i`, starting at `+0`, one FMA per step). Each tap's sum
+/// is the one [`window_rows_avx2`] would compute over the windows at
+/// `offs[i] + taps[t]`; the running sum adds them in tap order in a
+/// register and is stored once, overwriting every element of `out`.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tap_rows_avx2(
+    a: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    offs: &[usize],
+    taps: &[usize],
+    src: &[f32],
+    out: &mut [f32],
+    qr: usize,
+) {
+    assert!(
+        qr.is_multiple_of(8),
+        "window rows must be whole 8-lane vectors"
+    );
+    let (k, nt) = (offs.len(), taps.len());
+    let rows = out.len() / qr.max(1);
+    if rows == 0 || qr == 0 {
+        return;
+    }
+    assert_eq!(out.len(), rows * qr);
+    if k == 0 || nt == 0 {
+        // Every sum is empty.
+        out.fill(0.0);
+        return;
+    }
+    // Bounds for every access the unsafe kernel performs.
+    assert!(a.len() > (rows - 1) * a_rs + (k - 1) * a_cs + (nt - 1));
+    let max_off = offs.iter().max().copied().unwrap_or(0);
+    let max_tap = taps.iter().max().copied().unwrap_or(0);
+    assert!(max_off + max_tap + qr <= src.len());
+    // SAFETY: AVX2+FMA availability is guaranteed by the mode pin; the
+    // index bounds are asserted just above.
+    unsafe {
+        tap_rows_avx2_impl(
+            rows,
+            qr,
+            a.as_ptr(),
+            a_rs,
+            a_cs,
+            offs,
+            taps,
+            src.as_ptr(),
+            out.as_mut_ptr(),
+        )
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: callers must guarantee AVX2+FMA support, `a` valid for reads
+// at `r*a_rs + i*a_cs + t` (r < rows, i < offs.len(), t < taps.len()),
+// `src` for reads at `offs[i] + taps[t] .. + qr`, and `out` for
+// `rows * qr` writes.
+unsafe fn tap_rows_avx2_impl(
+    rows: usize,
+    qr: usize,
+    a: *const f32,
+    a_rs: usize,
+    a_cs: usize,
+    offs: &[usize],
+    taps: &[usize],
+    src: *const f32,
+    out: *mut f32,
+) {
+    // Tiles of up to 2 rows × 3 vectors: six running sums and six tap
+    // sums, plus three window loads and one broadcast, fill the sixteen
+    // YMM registers.
+    let mut r0 = 0;
+    while r0 < rows {
+        let rt = (rows - r0).min(2);
+        let mut q0 = 0;
+        while q0 < qr {
+            let vt = ((qr - q0) / 8).min(3);
+            // SAFETY: rows r0..r0+rt and columns q0..q0+8*vt lie inside
+            // the caller-guaranteed ranges.
+            unsafe {
+                let t = Tile {
+                    a: a.add(r0 * a_rs),
+                    a_rs,
+                    a_cs,
+                    offs,
+                    taps,
+                    src: src.add(q0),
+                    out: out.add(r0 * qr + q0),
+                    qr,
+                };
+                match (rt, vt) {
+                    (2, 3) => tap_tile::<2, 3>(t),
+                    (2, 2) => tap_tile::<2, 2>(t),
+                    (2, _) => tap_tile::<2, 1>(t),
+                    (_, 3) => tap_tile::<1, 3>(t),
+                    (_, 2) => tap_tile::<1, 2>(t),
+                    _ => tap_tile::<1, 1>(t),
+                }
+            }
+            q0 += vt * 8;
+        }
+        r0 += rt;
+    }
+}
+
+/// Operands of one [`window_tile`] or [`tap_tile`]: `a`, `src` and
+/// `out` point at the tile's first row and first column; the rest is as
+/// in [`tap_rows_avx2`] (the forward's tile has the single tap `0`).
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct Tile<'a> {
@@ -452,49 +561,92 @@ struct Tile<'a> {
     a_rs: usize,
     a_cs: usize,
     offs: &'a [usize],
+    taps: &'a [usize],
     src: *const f32,
     out: *mut f32,
     qr: usize,
-    accumulate: bool,
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+// SAFETY: callers must guarantee AVX2+FMA support and, for the tile's
+// rows 0..R, columns 0..8*V and tap `t.taps[0]`, the bounds of
+// `window_rows_avx2_impl`.
+unsafe fn window_tile<const R: usize, const V: usize>(t: Tile<'_>) {
+    use std::arch::x86_64::{_mm256_setzero_ps, _mm256_storeu_ps};
+    // SAFETY: the tap sum reads inside the caller-guaranteed ranges;
+    // every store is at out[r*qr + 8v .. +8] with r < R, v < V.
+    unsafe {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        tap_sum(&t, 0, &mut acc);
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &sum) in row.iter().enumerate() {
+                _mm256_storeu_ps(t.out.add(r * t.qr + 8 * v), sum);
+            }
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[inline]
 // SAFETY: callers must guarantee AVX2+FMA support and the bounds of
-// `window_rows_avx2_impl` for rows 0..R and columns 0..8*V of the tile.
-unsafe fn window_tile<const R: usize, const V: usize>(t: Tile<'_>) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-    // SAFETY: every offset below stays inside the caller-guaranteed
-    // ranges: a[r*a_rs + i*a_cs], src[offs[i] + 8v .. +8] and
-    // out[r*qr + 8v .. +8] with r < R, v < V, i < offs.len().
+// `tap_rows_avx2_impl` for rows 0..R and columns 0..8*V of the tile.
+unsafe fn tap_tile<const R: usize, const V: usize>(t: Tile<'_>) {
+    use std::arch::x86_64::{_mm256_add_ps, _mm256_setzero_ps, _mm256_storeu_ps};
+    // SAFETY: each tap sum reads inside the caller-guaranteed ranges;
+    // every store is at out[r*qr + 8v .. +8] with r < R, v < V.
     unsafe {
         let mut acc = [[_mm256_setzero_ps(); V]; R];
-        for (i, &off) in t.offs.iter().enumerate() {
-            let window = t.src.add(off);
-            let mut b = [_mm256_setzero_ps(); V];
-            for (v, bv) in b.iter_mut().enumerate() {
-                *bv = _mm256_loadu_ps(window.add(8 * v));
-            }
-            for (r, row) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*t.a.add(r * t.a_rs + i * t.a_cs));
-                for (c, &bv) in row.iter_mut().zip(&b) {
-                    *c = _mm256_fmadd_ps(av, bv, *c);
+        for ti in 0..t.taps.len() {
+            let mut sum = [[_mm256_setzero_ps(); V]; R];
+            tap_sum(&t, ti, &mut sum);
+            for (acc_row, sum_row) in acc.iter_mut().zip(&sum) {
+                for (a, &s) in acc_row.iter_mut().zip(sum_row) {
+                    *a = _mm256_add_ps(*a, s);
                 }
             }
         }
         for (r, row) in acc.iter().enumerate() {
-            for (v, &sum) in row.iter().enumerate() {
-                let o = t.out.add(r * t.qr + 8 * v);
-                let sum = if t.accumulate {
-                    _mm256_add_ps(_mm256_loadu_ps(o), sum)
-                } else {
-                    sum
-                };
-                _mm256_storeu_ps(o, sum);
+            for (v, &total) in row.iter().enumerate() {
+                _mm256_storeu_ps(t.out.add(r * t.qr + 8 * v), total);
+            }
+        }
+    }
+}
+
+/// Adds tap `ti`'s products into `sum`, term by term in ascending `i`,
+/// one FMA per step: row `r`, vector `v` gains
+/// `a[r·a_rs + i·a_cs + ti] · src[offs[i] + taps[ti] + 8v ..]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+// SAFETY: callers must guarantee AVX2+FMA support and reads of
+// a[r*a_rs + i*a_cs + ti] and src[offs[i] + taps[ti] + 8v .. +8] for
+// r < R, v < V and every i.
+unsafe fn tap_sum<const R: usize, const V: usize>(
+    t: &Tile<'_>,
+    ti: usize,
+    sum: &mut [[std::arch::x86_64::__m256; V]; R],
+) {
+    use std::arch::x86_64::{_mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps};
+    // SAFETY: every offset below stays inside the caller-guaranteed
+    // ranges listed above.
+    unsafe {
+        let a = t.a.add(ti);
+        let src = t.src.add(t.taps[ti]);
+        for (i, &off) in t.offs.iter().enumerate() {
+            let window = src.add(off);
+            let mut b = [_mm256_setzero_ps(); V];
+            for (v, bv) in b.iter_mut().enumerate() {
+                *bv = _mm256_loadu_ps(window.add(8 * v));
+            }
+            for (r, row) in sum.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*a.add(r * t.a_rs + i * t.a_cs));
+                for (c, &bv) in row.iter_mut().zip(&b) {
+                    *c = _mm256_fmadd_ps(av, bv, *c);
+                }
             }
         }
     }

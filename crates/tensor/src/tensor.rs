@@ -192,6 +192,26 @@ impl Tensor {
         self.zip_map(other, "add", |a, b| a + b)
     }
 
+    /// In-place element-wise sum: [`Tensor::add`] written over `self`
+    /// instead of into a new buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] on differing shapes.
+    pub fn add_in_place(&mut self, other: &Tensor) -> Result<(), TensorError> {
+        if self.shape != other.shape {
+            return Err(TensorError::ShapeMismatch {
+                left: self.shape.clone(),
+                right: other.shape.clone(),
+                op: "add",
+            });
+        }
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a += b;
+        }
+        Ok(())
+    }
+
     /// Element-wise difference.
     ///
     /// # Errors

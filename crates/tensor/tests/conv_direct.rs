@@ -95,6 +95,19 @@ const CASES: &[Case] = &[
     case("M = 257", 2, 257, 4, 3, 1),
     case("N = 256", 2, 4, 16, 3, 1),
     case("N = 289", 2, 4, 17, 3, 1),
+    // Every tile of the dX kernel (2 input channels × 3 vectors at
+    // most): 1, 3 and 5 input channels leave a 1-channel tile or none,
+    // and 6×6, 7×7 and 8×8 inputs make rows of 6, 8 and 10 vectors,
+    // whose last tile holds 3, 2 and 1 of them.
+    case("dX tiles: 1 channel, 6x6", 1, 4, 6, 3, 1),
+    case("dX tiles: 1 channel, 7x7", 1, 4, 7, 3, 1),
+    case("dX tiles: 1 channel, 8x8", 1, 4, 8, 3, 1),
+    case("dX tiles: 3 channels, 6x6", 3, 5, 6, 3, 1),
+    case("dX tiles: 3 channels, 7x7", 3, 5, 7, 3, 1),
+    case("dX tiles: 3 channels, 8x8", 3, 5, 8, 3, 1),
+    case("dX tiles: 5 channels, 6x6", 5, 3, 6, 3, 1),
+    case("dX tiles: 5 channels, 7x7", 5, 3, 7, 3, 1),
+    case("dX tiles: 5 channels, 8x8", 5, 3, 8, 3, 1),
     // Strided and over-padded convs stay on the lowering.
     Case {
         what: "stride 2",
@@ -131,6 +144,31 @@ fn assert_bits(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// Sample `s` of the forward through the lowering: `W · im2col(x_s)`.
+fn lowered_forward(c: &Case, x: &Tensor, weight: &[f32], s: usize) -> Tensor {
+    let g = c.geom();
+    let wmat = Tensor::from_vec(vec![c.out_c, g.col_rows()], weight.to_vec()).unwrap();
+    matmul(&wmat, &im2col(x, s, &g).unwrap()).unwrap()
+}
+
+/// The input gradient of every sample through the lowering:
+/// `col2im(Wᵀ · g_s)`.
+fn lowered_input_grad(c: &Case, grad_out: &[f32], weight: &[f32]) -> Tensor {
+    let g = c.geom();
+    let wmat = Tensor::from_vec(vec![c.out_c, g.col_rows()], weight.to_vec()).unwrap();
+    let per_out = c.out_c * g.col_cols();
+    let mut want = Tensor::zeros(&[c.batch, c.in_c, c.side, c.side]);
+    for s in 0..c.batch {
+        let gs = Tensor::from_vec(
+            vec![c.out_c, g.col_cols()],
+            grad_out[s * per_out..][..per_out].to_vec(),
+        )
+        .unwrap();
+        col2im(&matmul_transpose_a(&wmat, &gs).unwrap(), &mut want, s, &g).unwrap();
+    }
+    want
+}
+
 #[test]
 fn forward_matches_im2col_and_matmul_bit_for_bit() {
     for_each_mode(|mode| {
@@ -142,16 +180,14 @@ fn forward_matches_im2col_and_matmul_bit_for_bit() {
             )
             .unwrap();
             let weight = gated(c.out_c * g.col_rows(), 0.71);
-            let wmat = Tensor::from_vec(vec![c.out_c, g.col_rows()], weight.clone()).unwrap();
             let per_in = c.in_c * c.side * c.side;
             let per_out = c.out_c * g.col_cols();
             for s in 0..c.batch {
-                let want = matmul(&wmat, &im2col(&x, s, &g).unwrap()).unwrap();
                 // A stale, NaN-filled output slice must be overwritten.
                 let mut got = vec![f32::NAN; per_out];
                 conv_forward(&x.data()[s * per_in..][..per_in], &weight, &g, &mut got).unwrap();
                 let what = format!("{} forward, sample {s}, {}", c.what, mode.name());
-                assert_bits(&got, want.data(), &what);
+                assert_bits(&got, lowered_forward(c, &x, &weight, s).data(), &what);
             }
         }
     });
@@ -164,21 +200,62 @@ fn input_grad_matches_matmul_transpose_a_and_col2im_bit_for_bit() {
             let g = c.geom();
             let grad_out = gated(c.batch * c.out_c * g.col_cols(), 0.53);
             let weight = gated(c.out_c * g.col_rows(), 0.29);
-            let wmat = Tensor::from_vec(vec![c.out_c, g.col_rows()], weight.clone()).unwrap();
-            let per_out = c.out_c * g.col_cols();
-            let mut want = Tensor::zeros(&[c.batch, c.in_c, c.side, c.side]);
-            for s in 0..c.batch {
-                let gs = Tensor::from_vec(
-                    vec![c.out_c, g.col_cols()],
-                    grad_out[s * per_out..][..per_out].to_vec(),
-                )
-                .unwrap();
-                col2im(&matmul_transpose_a(&wmat, &gs).unwrap(), &mut want, s, &g).unwrap();
-            }
+            let want = lowered_input_grad(c, &grad_out, &weight);
             let mut got = vec![f32::NAN; want.numel()];
             conv_input_grad(&grad_out, &weight, &g, &mut got).unwrap();
             let what = format!("{} input gradient, {}", c.what, mode.name());
             assert_bits(&got, want.data(), &what);
+        }
+    });
+}
+
+#[test]
+fn alternating_geometries_on_one_thread_match_the_lowering() {
+    // The direct kernels keep a per-thread padded buffer, zeroed only
+    // when its layout changes, and window offsets rebuilt only when the
+    // geometry changes. One-sample calls run on this thread, so each
+    // step below sees what the previous one left: a new geometry with
+    // the same padded layout, a smaller layout (stale interior values
+    // would land in its halo), then forward, dX and forward again.
+    let single = |what, in_c, out_c, side| Case {
+        batch: 1,
+        ..case(what, in_c, out_c, side, 3, 1)
+    };
+    let a = single("3->4 at 8x8", 3, 4, 8);
+    let same_layout = single("3->6 at 8x8", 3, 6, 8);
+    let smaller = single("2->3 at 5x5", 2, 3, 5);
+    let steps = [
+        (&a, false),
+        (&same_layout, false),
+        (&smaller, false),
+        (&a, false),
+        (&a, true),
+        (&smaller, true),
+        (&a, false),
+        (&smaller, false),
+    ];
+    for_each_mode(|mode| {
+        for (i, &(c, dx)) in steps.iter().enumerate() {
+            let g = c.geom();
+            let seed = 0.1 + i as f32 * 0.07;
+            let weight = gated(c.out_c * g.col_rows(), seed + 0.5);
+            let what = format!("step {i}: {} dx={dx}, {}", c.what, mode.name());
+            if dx {
+                let grad_out = gated(c.out_c * g.col_cols(), seed);
+                let want = lowered_input_grad(c, &grad_out, &weight);
+                let mut got = vec![f32::NAN; want.numel()];
+                conv_input_grad(&grad_out, &weight, &g, &mut got).unwrap();
+                assert_bits(&got, want.data(), &what);
+            } else {
+                let x = Tensor::from_vec(
+                    vec![1, c.in_c, c.side, c.side],
+                    gated(c.in_c * c.side * c.side, seed),
+                )
+                .unwrap();
+                let mut got = vec![f32::NAN; c.out_c * g.col_cols()];
+                conv_forward(x.data(), &weight, &g, &mut got).unwrap();
+                assert_bits(&got, lowered_forward(c, &x, &weight, 0).data(), &what);
+            }
         }
     });
 }
