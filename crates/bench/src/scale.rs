@@ -44,7 +44,8 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Smoke scale for Criterion benches and CI: seconds per experiment.
+    /// Smoke scale for CI and quick end-to-end checks: seconds per
+    /// experiment.
     pub fn smoke() -> Self {
         ExperimentScale {
             image_size: 8,

@@ -22,7 +22,7 @@ use crate::{
     PruneSelection, PruneStrategy, ScoreConfig,
 };
 use cap_data::Dataset;
-use cap_nn::{evaluate, fit, predict_all, ConfusionMatrix, Network, RunDir, TrainConfig};
+use cap_nn::{accuracy, evaluate, fit, predict_all, ConfusionMatrix, Network, RunDir, TrainConfig};
 use cap_obs::json::Json;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -557,11 +557,14 @@ impl ClassAwarePruner {
             }
             let secs_finetune = t_finetune.elapsed().as_secs_f64();
 
+            // One prediction pass gives both the accuracy and, in a
+            // persisted run, the per-class recall.
             let t_eval2 = cap_obs::clock::now();
-            let accuracy_after_finetune = {
+            let predictions = {
                 let _span = cap_obs::span!("core.prune.eval");
-                evaluate(net, test.images(), test.labels(), cfg.eval_batch)?
+                predict_all(net, test.images(), cfg.eval_batch)?
             };
+            let accuracy_after_finetune = accuracy(&predictions, test.labels())?;
             secs_eval += t_eval2.elapsed().as_secs_f64();
 
             let cost = analyze_network(net, in_c, in_h, in_w)?;
@@ -590,7 +593,7 @@ impl ClassAwarePruner {
             cap_obs::gauge_set("core.accuracy", record.accuracy_after_finetune);
             cap_obs::gauge_set("core.remaining_filters", record.remaining_filters as f64);
             if let Some(h) = history.as_ref() {
-                h.publish_iteration(&record, &pass, &selection, net, test)?;
+                h.publish_iteration(&record, &pass, &selection, &predictions, test.labels())?;
             }
             if let Some(dir) = persist {
                 // Checkpoint first, then the journal line: a crash in
@@ -680,7 +683,6 @@ const NAN_WINDOW_SECS: f64 = 3600.0;
 /// rules.
 struct RunHistory<'a> {
     dir: &'a RunDir,
-    eval_batch: usize,
     /// Whether *this* run started the process-global recorder (another
     /// concurrent run may already own it; then we must not stop it).
     recording: bool,
@@ -729,11 +731,7 @@ impl<'a> RunHistory<'a> {
             Some(dir.root().join("alerts.jsonl")),
             Some(dir.root().join("flight_alert.json")),
         );
-        RunHistory {
-            dir,
-            eval_batch: cfg.eval_batch,
-            recording,
-        }
+        RunHistory { dir, recording }
     }
 
     /// Rewrites `profile.folded` from the span totals recorded so far.
@@ -748,22 +746,22 @@ impl<'a> RunHistory<'a> {
     }
 
     /// Publishes the per-class view of one completed iteration:
-    /// `core.class_accuracy.<k>` gauges (recall on the test set) and a
-    /// durable boundary sample carrying them; with a criterion that
-    /// attributes its scores to classes, also `core.class_importance.<k>`
-    /// gauges (mean `s_{f,n}` over all scored filters) and one
-    /// `class_attribution.jsonl` line per removed filter.
+    /// `core.class_accuracy.<k>` gauges (recall of the test-set
+    /// `predictions` against `labels`) and a durable boundary sample
+    /// carrying them; with a criterion that attributes its scores to
+    /// classes, also `core.class_importance.<k>` gauges (mean `s_{f,n}`
+    /// over all scored filters) and one `class_attribution.jsonl` line
+    /// per removed filter.
     fn publish_iteration(
         &self,
         record: &IterationRecord,
         pass: &ScorePass,
         selection: &PruneSelection,
-        net: &mut Network,
-        test: &Dataset,
+        predictions: &[usize],
+        labels: &[usize],
     ) -> Result<(), PruneError> {
         let classes = pass.scores.classes;
-        let preds = predict_all(net, test.images(), self.eval_batch)?;
-        let cm = ConfusionMatrix::from_predictions(&preds, test.labels(), classes)?;
+        let cm = ConfusionMatrix::from_predictions(predictions, labels, classes)?;
         for k in 0..classes {
             if let Some(r) = cm.recall(k) {
                 cap_obs::gauge_set(&format!("core.class_accuracy.{k}"), r);
@@ -1368,6 +1366,57 @@ mod tests {
             .unwrap();
         assert_eq!(resumed.scores_before, outcome.scores_before);
         assert_eq!(passes.load(Ordering::SeqCst), 1 + (k - 1) + 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn persisted_iteration_predicts_the_test_set_twice() {
+        let _guard = cap_obs::test_lock();
+        let data = tiny_data();
+        let mut net = tiny_net();
+        let pruner = ClassAwarePruner::new(PruneConfig {
+            strategy: PruneStrategy::Percentage { fraction: 0.2 },
+            max_iterations: 2,
+            ..quick_config()
+        })
+        .unwrap();
+        let root = std::env::temp_dir().join(format!("cap_predictions_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = RunDir::create(&root).unwrap();
+        cap_obs::reset();
+        cap_obs::enable();
+        // The test's own root frame keeps its paths apart from those of
+        // pruning tests that may run alongside without the lock.
+        let outcome = {
+            let _span = cap_obs::SpanGuard::enter("test.persisted_run");
+            pruner.run_with_dir(&mut net, data.train(), data.test(), &dir)
+        };
+        cap_obs::disable();
+        let outcome = outcome.unwrap();
+        assert_eq!(outcome.iterations.len(), 2);
+        let under_iteration = "span.test.persisted_run/core.prune.run/core.prune.iteration/";
+        let spans: Vec<(String, u64)> = cap_obs::registry()
+            .snapshot()
+            .into_iter()
+            .filter_map(|(name, metric)| match metric {
+                cap_obs::Metric::Histogram(h) if name.starts_with(under_iteration) => {
+                    Some((name, h.count()))
+                }
+                _ => None,
+            })
+            .collect();
+        cap_obs::reset();
+        let count = |leaf: &str| -> u64 {
+            spans
+                .iter()
+                .filter(|(path, _)| path.rsplit('/').next() == Some(leaf))
+                .map(|(_, n)| n)
+                .sum()
+        };
+        // After the prune, `evaluate`; after fine-tuning, one
+        // `predict_all` gives the accuracy and the per-class recall.
+        assert_eq!(count("nn.evaluate"), 2, "{spans:?}");
+        assert_eq!(count("nn.predict_all"), 2, "{spans:?}");
         let _ = std::fs::remove_dir_all(&root);
     }
 

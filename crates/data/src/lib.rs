@@ -29,12 +29,10 @@
 //! # }
 //! ```
 
-mod augment;
 mod dataset;
 mod error;
 mod synthetic;
 
-pub use augment::{random_crop_shift, random_horizontal_flip};
 pub use dataset::Dataset;
 pub use error::DataError;
 pub use synthetic::{DatasetSpec, SyntheticDataset};

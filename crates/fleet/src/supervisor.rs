@@ -15,9 +15,11 @@
 //!   is marked `poisoned` and never retried, so one broken spec cannot
 //!   starve the fleet.
 //! - **Resume** — a rescheduled run re-enters through the run dir: the
-//!   journal makes [`ClassAwarePruner::resume`] replay completed
-//!   iterations bit-identically, so a crashed-and-rescheduled run's
-//!   final checkpoint equals an uninterrupted run's.
+//!   journal makes
+//!   [`ClassAwarePruner::resume`](cap_core::ClassAwarePruner::resume)
+//!   replay completed iterations bit-identically, so a
+//!   crashed-and-rescheduled run's final checkpoint equals an
+//!   uninterrupted run's.
 //! - **Supervisor death** — the queue and the run dirs are the truth,
 //!   not this process's memory. [`reconcile`] (run at every startup)
 //!   resolves stale `running` entries: a run dir holding `DONE.json`

@@ -2,7 +2,7 @@
 //! trees, `fn`/`impl` items, and approximate call sites.
 //!
 //! This is deliberately **not** a Rust parser. It runs on
-//! [`MaskedFile`](crate::lexer::MaskedFile) output (comments and
+//! [`MaskedFile`] output (comments and
 //! literal contents blanked, positions preserved), tracks brace depth
 //! and a scope stack (`mod` / `impl` / `fn`), and records, for every
 //! function item, where its body starts and ends plus every

@@ -1,8 +1,8 @@
 //! Rule set R001–R007: each rule encodes one load-bearing workspace
-//! contract (see DESIGN.md §11). Rules operate on [`MaskedFile`]s, so
-//! string literals and comments never trigger false positives, and
-//! test regions are exempted where the contract only binds shipping
-//! code.
+//! contract (see DESIGN.md §11). Rules operate on
+//! [`MaskedFile`](crate::lexer::MaskedFile)s, so string literals and
+//! comments never trigger false positives, and test regions are
+//! exempted where the contract only binds shipping code.
 
 use crate::lexer::{find_word, mask};
 

@@ -32,14 +32,6 @@ pub enum NnError {
         /// Human-readable description.
         reason: String,
     },
-    /// A task dispatched to the `cap-par` pool never produced its
-    /// result slot. The pool guarantees every submitted task runs (or
-    /// re-raises its panic), so this indicates a pool bug — but the
-    /// hot path surfaces it as an error instead of panicking.
-    TaskNotRun {
-        /// Which layer dispatched the task batch.
-        layer: &'static str,
-    },
     /// Training hit a non-finite loss or gradient and the configured
     /// [`FaultPolicy`](crate::FaultPolicy) could not (or would not)
     /// recover.
@@ -67,12 +59,6 @@ impl fmt::Display for NnError {
             }
             NnError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             NnError::BadLabels { reason } => write!(f, "bad labels: {reason}"),
-            NnError::TaskNotRun { layer } => {
-                write!(
-                    f,
-                    "{layer}: a parallel worker task never produced its result"
-                )
-            }
             NnError::NumericFault { what, epoch, batch } => write!(
                 f,
                 "numeric fault: non-finite {what} at epoch {epoch}, batch {batch} \

@@ -13,57 +13,25 @@ impl Relu {
         Relu::default()
     }
 
-    /// Forward pass: `max(x, 0)` element-wise, caching the active mask.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_mask(x);
-        x.map(|v| v.max(0.0))
-    }
-
-    /// [`Relu::forward`] in place over an input taken by value.
-    pub(crate) fn forward_owned(&mut self, mut x: Tensor) -> Tensor {
-        self.cache_mask(&x);
+    /// Forward pass: `max(x, 0)` element-wise, in place over an input
+    /// taken by value, caching the active mask.
+    pub fn forward(&mut self, mut x: Tensor) -> Tensor {
+        let mask = self.cached_mask.get_or_insert_with(Vec::new);
+        mask.clear();
+        mask.extend(x.data().iter().map(|&v| v > 0.0));
         x.map_inplace(|v| v.max(0.0));
         x
     }
 
-    /// Caches `x > 0` per element, reusing the previous mask's buffer.
-    fn cache_mask(&mut self, x: &Tensor) {
-        let mask = self.cached_mask.get_or_insert_with(Vec::new);
-        mask.clear();
-        mask.extend(x.data().iter().map(|&v| v > 0.0));
-    }
-
-    /// Backward pass: gradient passes where the input was positive.
+    /// Backward pass, in place over a gradient taken by value: the
+    /// gradient passes where the input was positive.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::MissingCache`] before `forward` or
     /// [`NnError::BadInput`] if the gradient size differs from the cached
     /// input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let mask = self.mask_for(grad_out)?;
-        // A select per element in one pass: a branch on the
-        // data-dependent mask mispredicts.
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Ok(Tensor::from_vec(grad_out.shape().to_vec(), data)?)
-    }
-
-    /// [`Relu::backward`] in place over a gradient taken by value.
-    pub(crate) fn backward_owned(&mut self, mut grad_out: Tensor) -> Result<Tensor, NnError> {
-        let mask = self.mask_for(&grad_out)?;
-        for (g, &m) in grad_out.data_mut().iter_mut().zip(mask) {
-            *g = if m { *g } else { 0.0 };
-        }
-        Ok(grad_out)
-    }
-
-    /// The cached mask, checked against the gradient's size.
-    fn mask_for(&self, grad_out: &Tensor) -> Result<&[bool], NnError> {
+    pub fn backward(&mut self, mut grad_out: Tensor) -> Result<Tensor, NnError> {
         let mask = self
             .cached_mask
             .as_deref()
@@ -75,7 +43,12 @@ impl Relu {
                 got: grad_out.shape().to_vec(),
             });
         }
-        Ok(mask)
+        // A select per element: a branch on the data-dependent mask
+        // mispredicts.
+        for (g, &m) in grad_out.data_mut().iter_mut().zip(mask) {
+            *g = if m { *g } else { 0.0 };
+        }
+        Ok(grad_out)
     }
 }
 
@@ -168,8 +141,8 @@ mod tests {
                     let x = Tensor::from_fn(&shape, |i| SPECIALS[i % SPECIALS.len()]);
                     let g = Tensor::from_fn(&shape, |i| SPECIALS[(i + shift) % SPECIALS.len()]);
                     let mut relu = Relu::new();
-                    relu.forward(&x);
-                    let got = relu.backward(&g).unwrap();
+                    relu.forward(x);
+                    let got = relu.backward(g.clone()).unwrap();
                     assert_eq!(got.shape(), g.shape());
                     assert_eq!(
                         bits(&got),
@@ -185,12 +158,12 @@ mod tests {
     fn nan_and_zero_inputs_are_inactive() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![4], vec![f32::NAN, -f32::NAN, 0.0, -0.0]).unwrap();
-        let y = relu.forward(&x);
+        let y = relu.forward(x);
         assert_eq!(relu.cached_mask.as_deref(), Some(&[false; 4][..]));
         // NaN maps to +0.0; a zero input stays a zero.
         assert_eq!(bits(&y)[..2], [0.0f32.to_bits(); 2]);
         assert!(y.data().iter().all(|&v| v == 0.0));
-        let g = relu.backward(&Tensor::full(&[4], f32::NAN)).unwrap();
+        let g = relu.backward(Tensor::full(&[4], f32::NAN)).unwrap();
         assert_eq!(bits(&g), [0.0f32.to_bits(); 4]);
     }
 
@@ -198,10 +171,9 @@ mod tests {
     fn relu_clamps_and_masks() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![4], vec![-1.0, 0.0, 2.0, -3.0]).unwrap();
-        let y = relu.forward(&x);
+        let y = relu.forward(x);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
-        let g = Tensor::ones(&[4]);
-        let gin = relu.backward(&g).unwrap();
+        let gin = relu.backward(Tensor::ones(&[4])).unwrap();
         assert_eq!(gin.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
@@ -219,7 +191,7 @@ mod tests {
     #[test]
     fn misuse_errors() {
         let mut relu = Relu::new();
-        assert!(relu.backward(&Tensor::ones(&[1])).is_err());
+        assert!(relu.backward(Tensor::ones(&[1])).is_err());
         let mut fl = Flatten::new();
         assert!(fl.backward(&Tensor::ones(&[1, 1])).is_err());
     }

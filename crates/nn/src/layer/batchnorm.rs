@@ -189,24 +189,15 @@ impl BatchNorm2d {
         self.grad_beta.fill(0.0);
     }
 
-    /// Forward pass.
+    /// Forward pass over an input taken by value. In training mode x̂ is
+    /// written over it; in eval mode it is cached unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] if `x` is not `[N, C, H, W]` with the
     /// layer's channel count, or, in training mode, if it holds no value
     /// per channel (`N·H·W = 0`), whose batch mean would be `0/0`.
-    pub fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
-        self.forward_owned(x.clone(), training)
-    }
-
-    /// [`BatchNorm2d::forward`] taking the input by value. In training
-    /// mode x̂ is written over it; in eval mode it is cached unchanged.
-    pub(crate) fn forward_owned(
-        &mut self,
-        mut x: Tensor,
-        training: bool,
-    ) -> Result<Tensor, NnError> {
+    pub fn forward(&mut self, mut x: Tensor, training: bool) -> Result<Tensor, NnError> {
         if x.ndim() != 4 || x.dim(1) != self.channels() {
             return Err(NnError::BadInput {
                 layer: "BatchNorm2d",
@@ -304,33 +295,23 @@ impl BatchNorm2d {
         Ok(out)
     }
 
-    /// Backward pass.
+    /// Backward pass over a gradient taken by value, which the input
+    /// gradient is written over.
     ///
     /// After a training-mode forward the full batch-statistic coupling is
     /// differentiated; after an eval-mode forward the layer is the fixed
     /// affine map `γ·(x − μ̂)/σ̂ + β`, so the input gradient is simply
     /// `γ·σ̂⁻¹·g` — the case used when scoring a frozen, pre-trained
-    /// network (paper Eq. 3–4).
+    /// network (paper Eq. 3–4). [`Grads::InputOnly`] skips the γ/β
+    /// gradients, which after an eval-mode forward leaves the per-channel
+    /// sums uncomputed; under [`Grads::Full`] their x̂ is recomputed from
+    /// the cached input, the same expression the forward rounds.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::MissingCache`] if called before `forward`, or
     /// [`NnError::BadInput`] on shape mismatch.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_owned(grad_out.clone(), Grads::Full)
-    }
-
-    /// [`BatchNorm2d::backward`] over a gradient taken by value, which
-    /// the input gradient is written over, with the γ/β gradients
-    /// skipped under [`Grads::InputOnly`]. After an eval-mode forward
-    /// that leaves only `γσ̂⁻¹·g`, so the per-channel sums are not
-    /// computed at all; under [`Grads::Full`] their x̂ is recomputed from
-    /// the cached input, the same expression the forward rounds.
-    pub(crate) fn backward_owned(
-        &mut self,
-        mut grad_out: Tensor,
-        grads: Grads,
-    ) -> Result<Tensor, NnError> {
+    pub fn backward(&mut self, mut grad_out: Tensor, grads: Grads) -> Result<Tensor, NnError> {
         let cached = self.cached_map.as_ref().ok_or(NnError::MissingCache {
             layer: "BatchNorm2d",
         })?;
@@ -675,7 +656,7 @@ mod tests {
                         .unwrap();
                         bn.grad_gamma_mut().fill(0.5);
                         let mut reference = bn.clone();
-                        let y = bn.forward(&x, training).unwrap();
+                        let y = bn.forward(x.clone(), training).unwrap();
                         let (y_ref, xhat_ref) = indexed_forward(&mut reference, &x, training);
                         assert_eq!(bits(y.data()), bits(y_ref.data()), "{what}: output");
                         assert_eq!(bits(&xhat(&bn)), bits(xhat_ref.data()), "{what}: x-hat");
@@ -685,7 +666,7 @@ mod tests {
                         );
                         assert_eq!(bits64(bn.running_mean()), bits64(reference.running_mean()));
                         assert_eq!(bits64(bn.running_var()), bits64(reference.running_var()));
-                        let gi = bn.backward_owned(g.clone(), grads).unwrap();
+                        let gi = bn.backward(g.clone(), grads).unwrap();
                         let gi_ref = indexed_backward(&mut reference, &xhat_ref, &g, grads);
                         assert_eq!(bits(gi.data()), bits(gi_ref.data()), "{what}: input grad");
                         assert_eq!(
@@ -727,39 +708,29 @@ mod tests {
         .unwrap();
         bn.grad_gamma_mut().fill(0.25);
         let mut reference = bn.clone();
-        let y = bn.forward(&x, false).unwrap();
+        let y = bn.forward(x.clone(), false).unwrap();
         let (y_ref, xhat_ref) = indexed_forward(&mut reference, &x, false);
         assert_eq!(bits(y.data()), bits(y_ref.data()), "output");
-        // Once through the borrowed backward, once by value.
-        let mut owned = bn.clone();
-        let gi = bn.backward(&g).unwrap();
-        let gi_owned = owned.backward_owned(g.clone(), Grads::Full).unwrap();
+        let gi = bn.backward(g.clone(), Grads::Full).unwrap();
         let gi_ref = indexed_backward(&mut reference, &xhat_ref, &g, Grads::Full);
-        for (what, got) in [("borrowed", &bn), ("owned", &owned)] {
-            assert_eq!(
-                bits(got.grad_gamma().data()),
-                bits(reference.grad_gamma().data()),
-                "{what}: gamma grad"
-            );
-            assert_eq!(
-                bits(got.grad_beta.data()),
-                bits(reference.grad_beta.data()),
-                "{what}: beta grad"
-            );
-        }
-        assert_eq!(bits(gi.data()), bits(gi_ref.data()), "input grad");
         assert_eq!(
-            bits(gi_owned.data()),
-            bits(gi_ref.data()),
-            "owned input grad"
+            bits(bn.grad_gamma().data()),
+            bits(reference.grad_gamma().data()),
+            "gamma grad"
         );
+        assert_eq!(
+            bits(bn.grad_beta.data()),
+            bits(reference.grad_beta.data()),
+            "beta grad"
+        );
+        assert_eq!(bits(gi.data()), bits(gi_ref.data()), "input grad");
     }
 
     #[test]
     fn training_forward_normalises_batch() {
         let mut bn = BatchNorm2d::new(2).unwrap();
         let x = Tensor::from_fn(&[4, 2, 3, 3], |i| (i % 13) as f32);
-        let y = bn.forward(&x, true).unwrap();
+        let y = bn.forward(x, true).unwrap();
         // Per-channel mean ~0, var ~1.
         for ch in 0..2 {
             let mut vals = Vec::new();
@@ -782,11 +753,11 @@ mod tests {
         let mut bn = BatchNorm2d::new(1).unwrap();
         let x = Tensor::full(&[2, 1, 2, 2], 4.0);
         for _ in 0..200 {
-            bn.forward(&x, true).unwrap();
+            bn.forward(x.clone(), true).unwrap();
         }
         // Constant input: batch var 0, running mean -> 4. Eval normalises
         // a 4.0 input to ~0.
-        let y = bn.forward(&x, false).unwrap();
+        let y = bn.forward(x, false).unwrap();
         assert!(
             y.data().iter().all(|&v| v.abs() < 1e-2),
             "{:?}",
@@ -802,14 +773,13 @@ mod tests {
         let mut x = Tensor::from_fn(&[2, 2, 2, 2], |i| ((i * 7 % 11) as f32) * 0.3 - 1.0);
         // Loss = weighted sum of outputs to make per-element grads distinct.
         let wts = Tensor::from_fn(&[2, 2, 2, 2], |i| ((i % 5) as f32) - 2.0);
-        let y = bn.forward(&x, true).unwrap();
-        let _ = y;
-        let gin = bn.backward(&wts).unwrap();
+        bn.forward(x.clone(), true).unwrap();
+        let gin = bn.backward(wts.clone(), Grads::Full).unwrap();
         let eps = 1e-3f32;
         for idx in [0usize, 3, 9, 15] {
             let orig = x.data()[idx];
             let loss = |bn: &mut BatchNorm2d, x: &Tensor| -> f64 {
-                let y = bn.forward(x, true).unwrap();
+                let y = bn.forward(x.clone(), true).unwrap();
                 y.data()
                     .iter()
                     .zip(wts.data())
@@ -837,11 +807,11 @@ mod tests {
         // Shape running stats away from the defaults.
         let x = Tensor::from_fn(&[4, 1, 2, 2], |i| (i as f32) * 0.5 - 2.0);
         for _ in 0..100 {
-            bn.forward(&x, true).unwrap();
+            bn.forward(x.clone(), true).unwrap();
         }
-        bn.forward(&x, false).unwrap();
+        bn.forward(x, false).unwrap();
         let g = Tensor::ones(&[4, 1, 2, 2]);
-        let gin = bn.backward(&g).unwrap();
+        let gin = bn.backward(g, Grads::Full).unwrap();
         // In eval mode dL/dx = gamma / sqrt(running_var + eps) uniformly.
         let v = gin.data()[0];
         assert!(gin.data().iter().all(|&a| (a - v).abs() < 1e-6));
@@ -867,8 +837,10 @@ mod tests {
     #[test]
     fn rejects_bad_shapes() {
         let mut bn = BatchNorm2d::new(3).unwrap();
-        assert!(bn.forward(&Tensor::ones(&[1, 2, 2, 2]), true).is_err());
-        assert!(bn.backward(&Tensor::ones(&[1, 3, 2, 2])).is_err());
+        assert!(bn.forward(Tensor::ones(&[1, 2, 2, 2]), true).is_err());
+        assert!(bn
+            .backward(Tensor::ones(&[1, 3, 2, 2]), Grads::Full)
+            .is_err());
         assert!(BatchNorm2d::new(0).is_err());
     }
 
@@ -877,10 +849,10 @@ mod tests {
         let mut bn = BatchNorm2d::new(3).unwrap();
         for shape in [[2, 3, 0, 4], [0, 3, 4, 4]] {
             let x = Tensor::zeros(&shape);
-            assert!(bn.forward(&x, true).is_err(), "{shape:?}");
+            assert!(bn.forward(x.clone(), true).is_err(), "{shape:?}");
             assert_eq!(bn.running_mean(), &[0.0; 3], "{shape:?}: statistics kept");
-            assert_eq!(bn.forward(&x, false).unwrap().shape(), x.shape());
-            let g = bn.backward_owned(x.clone(), Grads::InputOnly).unwrap();
+            assert_eq!(bn.forward(x.clone(), false).unwrap().shape(), x.shape());
+            let g = bn.backward(x.clone(), Grads::InputOnly).unwrap();
             assert_eq!(g.shape(), x.shape());
         }
     }

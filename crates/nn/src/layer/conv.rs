@@ -220,19 +220,14 @@ impl Conv2d {
         }
     }
 
-    /// Forward pass over an NCHW batch.
+    /// Forward pass over an NCHW batch, taken by value: it moves into
+    /// the cache the weight gradient lowers.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] for non-4-D inputs or channel
     /// mismatches, and propagates geometry errors.
-    pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_owned(x.clone())
-    }
-
-    /// [`Conv2d::forward`] taking the input by value: it moves into the
-    /// cache the weight gradient lowers.
-    pub(crate) fn forward_owned(&mut self, x: Tensor) -> Result<Tensor, NnError> {
+    pub fn forward(&mut self, x: Tensor) -> Result<Tensor, NnError> {
         if x.ndim() != 4 || x.dim(1) != self.in_channels() {
             return Err(NnError::BadInput {
                 layer: "Conv2d",
@@ -251,35 +246,7 @@ impl Conv2d {
             x.dim(3),
         )?;
         let mut out = Tensor::zeros(&[n, self.out_channels(), geom.out_h, geom.out_w]);
-        let per_in = geom.in_channels * geom.in_h * geom.in_w;
-        let per_sample = self.out_channels() * geom.out_h * geom.out_w;
-        // Samples are independent: each task owns one sample's output
-        // slice, and the per-sample arithmetic is identical to the
-        // serial loop, so any thread count produces bit-identical
-        // results.
-        let mut slots: Vec<Option<Result<(), NnError>>> = (0..n).map(|_| None).collect();
-        {
-            let geom = &geom;
-            let (xs, weight) = (x.data(), self.weight.data());
-            let tasks: Vec<cap_par::ScopedTask<'_>> = out.data_mut()[..n * per_sample]
-                .chunks_mut(per_sample)
-                .zip(slots.iter_mut())
-                .enumerate()
-                .map(|(s, (chunk, slot))| {
-                    Box::new(move || {
-                        let sample = &xs[s * per_in..(s + 1) * per_in];
-                        *slot =
-                            Some(conv_forward(sample, weight, geom, chunk).map_err(NnError::from));
-                    }) as cap_par::ScopedTask<'_>
-                })
-                .collect();
-            cap_par::run_tasks(tasks);
-        }
-        for slot in slots {
-            slot.ok_or(NnError::TaskNotRun {
-                layer: "Conv2d::forward",
-            })??;
-        }
+        conv_forward(x.data(), self.weight.data(), &geom, out.data_mut())?;
         if let Some(b) = &self.bias {
             let (oh, ow) = (geom.out_h, geom.out_w);
             let plane = oh * ow;
@@ -302,46 +269,19 @@ impl Conv2d {
         Ok(out)
     }
 
-    /// Backward pass: accumulates weight/bias gradients and returns the
-    /// gradient w.r.t. the input.
+    /// Backward pass over the output gradient, taken by value: returns
+    /// the gradient w.r.t. the input and, under [`Grads::Full`], adds
+    /// the batch's weight/bias gradients to the accumulators;
+    /// [`Grads::InputOnly`] neither reads nor writes them. The input
+    /// gradient is bit-identical in both modes. A recording layer keeps
+    /// `grad_out` as [`Conv2d::recorded_output_grad`] without a copy.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::MissingCache`] if called before `forward`, or
     /// [`NnError::BadInput`] if `grad_out` does not match the cached
     /// forward geometry.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_ref(grad_out, Grads::Full)
-    }
-
-    /// Backward pass that returns the gradient w.r.t. the input and
-    /// neither reads nor writes the weight/bias gradients. The input
-    /// gradient (and the recorded output gradient) is bit-identical to
-    /// [`Conv2d::backward`]'s.
-    ///
-    /// # Errors
-    ///
-    /// As [`Conv2d::backward`].
-    pub fn backward_input_only(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_ref(grad_out, Grads::InputOnly)
-    }
-
-    /// The borrowed backward: copies the gradient only to record it.
-    fn backward_ref(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Tensor, NnError> {
-        let grad_in = self.gradients(grad_out, grads)?;
-        if self.record_activations {
-            self.recorded_output_grad = Some(grad_out.clone());
-        }
-        Ok(grad_in)
-    }
-
-    /// The backward taking the output gradient by value: a recording
-    /// layer keeps it as [`Conv2d::recorded_output_grad`] without a copy.
-    pub(crate) fn backward_owned(
-        &mut self,
-        grad_out: Tensor,
-        grads: Grads,
-    ) -> Result<Tensor, NnError> {
+    pub fn backward(&mut self, grad_out: Tensor, grads: Grads) -> Result<Tensor, NnError> {
         let grad_in = self.gradients(&grad_out, grads)?;
         if self.record_activations {
             self.recorded_output_grad = Some(grad_out);
@@ -547,16 +487,17 @@ mod tests {
     fn forward_shape_and_bias() {
         let mut conv = Conv2d::new(3, 8, 3, 1, 1, true, &mut rng()).unwrap();
         let x = Tensor::ones(&[2, 3, 6, 6]);
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward(x).unwrap();
         assert_eq!(y.shape(), &[2, 8, 6, 6]);
     }
 
     #[test]
     fn rejects_bad_input() {
         let mut conv = Conv2d::new(3, 8, 3, 1, 1, false, &mut rng()).unwrap();
-        assert!(conv.forward(&Tensor::ones(&[2, 4, 6, 6])).is_err());
-        assert!(conv.forward(&Tensor::ones(&[2, 3, 6])).is_err());
-        assert!(conv.backward(&Tensor::ones(&[2, 8, 6, 6])).is_err()); // no forward yet
+        assert!(conv.forward(Tensor::ones(&[2, 4, 6, 6])).is_err());
+        assert!(conv.forward(Tensor::ones(&[2, 3, 6])).is_err());
+        let g = Tensor::ones(&[2, 8, 6, 6]);
+        assert!(conv.backward(g, Grads::Full).is_err()); // no forward yet
     }
 
     #[test]
@@ -564,19 +505,19 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, true, &mut rng()).unwrap();
         let x = cap_tensor::randn(&[1, 2, 4, 4], 0.0, 1.0, &mut rng());
         // Loss = sum(output); dL/dout = ones.
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward(x.clone()).unwrap();
         let g = Tensor::ones(y.shape());
         conv.zero_grad();
-        conv.backward(&g).unwrap();
+        conv.backward(g, Grads::Full).unwrap();
         let analytic = conv.grad_weight().clone();
 
         let eps = 1e-3f32;
         for idx in [0usize, 5, 17, 30] {
             let orig = conv.weight().data()[idx];
             conv.weight_mut().data_mut()[idx] = orig + eps;
-            let y1 = cap_tensor::sum_all(&conv.forward(&x).unwrap());
+            let y1 = cap_tensor::sum_all(&conv.forward(x.clone()).unwrap());
             conv.weight_mut().data_mut()[idx] = orig - eps;
-            let y2 = cap_tensor::sum_all(&conv.forward(&x).unwrap());
+            let y2 = cap_tensor::sum_all(&conv.forward(x.clone()).unwrap());
             conv.weight_mut().data_mut()[idx] = orig;
             let fd = ((y1 - y2) / (2.0 * f64::from(eps))) as f32;
             let an = analytic.data()[idx];
@@ -591,17 +532,17 @@ mod tests {
     fn backward_input_gradient_matches_finite_difference() {
         let mut conv = Conv2d::new(2, 3, 3, 2, 1, false, &mut rng()).unwrap();
         let mut x = cap_tensor::randn(&[1, 2, 5, 5], 0.0, 1.0, &mut rng());
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward(x.clone()).unwrap();
         let g = Tensor::ones(y.shape());
-        let gin = conv.backward(&g).unwrap();
+        let gin = conv.backward(g, Grads::Full).unwrap();
 
         let eps = 1e-3f32;
         for idx in [0usize, 7, 23, 49] {
             let orig = x.data()[idx];
             x.data_mut()[idx] = orig + eps;
-            let y1 = cap_tensor::sum_all(&conv.forward(&x).unwrap());
+            let y1 = cap_tensor::sum_all(&conv.forward(x.clone()).unwrap());
             x.data_mut()[idx] = orig - eps;
-            let y2 = cap_tensor::sum_all(&conv.forward(&x).unwrap());
+            let y2 = cap_tensor::sum_all(&conv.forward(x.clone()).unwrap());
             x.data_mut()[idx] = orig;
             let fd = ((y1 - y2) / (2.0 * f64::from(eps))) as f32;
             let an = gin.data()[idx];
@@ -618,10 +559,10 @@ mod tests {
         for stride in [1, 2] {
             let mut conv = Conv2d::new(3, 5, 3, stride, 1, false, &mut rng()).unwrap();
             let x = cap_tensor::randn(&[4, 3, 6, 6], 0.0, 1.0, &mut rng());
-            let y = conv.forward(&x).unwrap();
+            let y = conv.forward(x.clone()).unwrap();
             let g = Tensor::from_fn(y.shape(), |i| ((i as f32) * 0.37).sin());
             conv.zero_grad();
-            conv.backward(&g).unwrap();
+            conv.backward(g.clone(), Grads::Full).unwrap();
             let geom = conv.cached_geom.unwrap();
             let per_out = geom.out_channels * geom.col_cols();
             let mut want = Tensor::zeros(&[geom.out_channels, geom.col_rows()]);
@@ -647,10 +588,9 @@ mod tests {
     fn recording_captures_output_and_grad() {
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, false, &mut rng()).unwrap();
         conv.set_record_activations(true);
-        let x = Tensor::ones(&[1, 1, 4, 4]);
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward(Tensor::ones(&[1, 1, 4, 4])).unwrap();
         let g = Tensor::full(y.shape(), 0.5);
-        conv.backward(&g).unwrap();
+        conv.backward(g.clone(), Grads::Full).unwrap();
         assert_eq!(conv.recorded_output().unwrap(), &y);
         assert_eq!(conv.recorded_output_grad().unwrap(), &g);
         conv.set_record_activations(false);
@@ -691,10 +631,10 @@ mod tests {
     fn pruned_conv_matches_sliced_dense_output() {
         let mut conv = Conv2d::new(2, 4, 3, 1, 1, true, &mut rng()).unwrap();
         let x = cap_tensor::randn(&[1, 2, 5, 5], 0.0, 1.0, &mut rng());
-        let full = conv.forward(&x).unwrap();
+        let full = conv.forward(x.clone()).unwrap();
         let keep = [0usize, 2];
         conv.retain_output_channels(&keep).unwrap();
-        let pruned = conv.forward(&x).unwrap();
+        let pruned = conv.forward(x).unwrap();
         for (new_f, &old_f) in keep.iter().enumerate() {
             for h in 0..5 {
                 for w in 0..5 {

@@ -100,18 +100,13 @@ impl Linear {
         self.grad_bias.fill(0.0);
     }
 
-    /// Forward pass over `[N, in]`.
+    /// Forward pass over `[N, in]`, taken by value: it moves into the
+    /// cache the weight gradient reads.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] on shape mismatch.
-    pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_owned(x.clone())
-    }
-
-    /// [`Linear::forward`] taking the input by value: it moves into the
-    /// cache the weight gradient reads.
-    pub(crate) fn forward_owned(&mut self, x: Tensor) -> Result<Tensor, NnError> {
+    pub fn forward(&mut self, x: Tensor) -> Result<Tensor, NnError> {
         if x.ndim() != 2 || x.dim(1) != self.in_features() {
             return Err(NnError::BadInput {
                 layer: "Linear",
@@ -131,21 +126,14 @@ impl Linear {
         Ok(y)
     }
 
-    /// Backward pass: accumulates gradients and returns `dL/dx`.
+    /// Backward pass: returns `dL/dx` and, under [`Grads::Full`],
+    /// accumulates the weight and bias gradients.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::MissingCache`] before `forward`, or
     /// [`NnError::BadInput`] on shape mismatch.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_pass(grad_out, Grads::Full)
-    }
-
-    pub(crate) fn backward_pass(
-        &mut self,
-        grad_out: &Tensor,
-        grads: Grads,
-    ) -> Result<Tensor, NnError> {
+    pub fn backward(&mut self, grad_out: Tensor, grads: Grads) -> Result<Tensor, NnError> {
         let x = self
             .cached_input
             .as_ref()
@@ -162,7 +150,7 @@ impl Linear {
         }
         // dW = gᵀ x ; db = column sums of g ; dx = g W.
         if grads == Grads::Full {
-            let gw = matmul_transpose_a(grad_out, x)?;
+            let gw = matmul_transpose_a(&grad_out, x)?;
             self.grad_weight.axpy(1.0, &gw)?;
             let (n, out) = (grad_out.dim(0), grad_out.dim(1));
             for s in 0..n {
@@ -171,7 +159,7 @@ impl Linear {
                 }
             }
         }
-        Ok(matmul(grad_out, &self.weight)?)
+        Ok(matmul(&grad_out, &self.weight)?)
     }
 
     /// Keeps only the listed input features (used when the preceding
@@ -228,7 +216,7 @@ mod tests {
             .data_mut()
             .copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         let x = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]).unwrap();
-        let y = lin.forward(&x).unwrap();
+        let y = lin.forward(x).unwrap();
         assert_eq!(y.data(), &[3.0, 7.0]);
     }
 
@@ -236,18 +224,17 @@ mod tests {
     fn backward_gradients_match_finite_difference() {
         let mut lin = Linear::new(3, 2, &mut rng()).unwrap();
         let x = cap_tensor::randn(&[4, 3], 0.0, 1.0, &mut rng());
-        let y = lin.forward(&x).unwrap();
-        let g = Tensor::ones(y.shape());
+        let y = lin.forward(x.clone()).unwrap();
         lin.zero_grad();
-        let gin = lin.backward(&g).unwrap();
+        let gin = lin.backward(Tensor::ones(y.shape()), Grads::Full).unwrap();
 
         let eps = 1e-3f32;
         for idx in [0usize, 2, 5] {
             let orig = lin.weight().data()[idx];
             lin.weight_mut().data_mut()[idx] = orig + eps;
-            let l1 = cap_tensor::sum_all(&lin.forward(&x).unwrap());
+            let l1 = cap_tensor::sum_all(&lin.forward(x.clone()).unwrap());
             lin.weight_mut().data_mut()[idx] = orig - eps;
-            let l2 = cap_tensor::sum_all(&lin.forward(&x).unwrap());
+            let l2 = cap_tensor::sum_all(&lin.forward(x.clone()).unwrap());
             lin.weight_mut().data_mut()[idx] = orig;
             let fd = ((l1 - l2) / (2.0 * f64::from(eps))) as f32;
             let an = lin.grad_weight.data()[idx];
@@ -274,8 +261,8 @@ mod tests {
     #[test]
     fn shape_validation() {
         let mut lin = Linear::new(3, 2, &mut rng()).unwrap();
-        assert!(lin.forward(&Tensor::ones(&[1, 4])).is_err());
-        assert!(lin.backward(&Tensor::ones(&[1, 2])).is_err());
+        assert!(lin.forward(Tensor::ones(&[1, 4])).is_err());
+        assert!(lin.backward(Tensor::ones(&[1, 2]), Grads::Full).is_err());
         assert!(Linear::new(0, 2, &mut rng()).is_err());
     }
 }

@@ -26,7 +26,7 @@ use cap_tensor::Tensor;
 /// Which gradients a backward pass produces. Every pass returns the
 /// input gradient, bit-identical in both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Grads {
+pub enum Grads {
     /// Input gradient plus accumulated parameter gradients (training).
     Full,
     /// Input gradient only: parameter gradients are neither read nor
@@ -98,73 +98,57 @@ impl Layer {
         }
     }
 
-    /// Forward pass.
+    /// Forward pass over a borrowed input: a copy of it takes the
+    /// by-value pass [`Network::forward`](crate::Network::forward) runs.
     ///
     /// # Errors
     ///
     /// Propagates the underlying layer's shape errors.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
+        self.forward_owned(x.clone(), training)
+    }
+
+    /// The forward pass [`Network`](crate::Network) runs: the input is
+    /// taken by value, so a layer that caches it or works in place
+    /// needs no copy.
+    pub(crate) fn forward_owned(&mut self, x: Tensor, training: bool) -> Result<Tensor, NnError> {
         let _span = cap_obs::SpanGuard::enter(self.span_name(false));
         match self {
             Layer::Conv(l) => l.forward(x),
             Layer::BatchNorm(l) => l.forward(x, training),
             Layer::Relu(l) => Ok(l.forward(x)),
-            Layer::MaxPool(l) => l.forward(x),
-            Layer::GlobalAvgPool(l) => l.forward(x),
-            Layer::Flatten(l) => l.forward(x),
+            Layer::MaxPool(l) => l.forward(&x),
+            Layer::GlobalAvgPool(l) => l.forward(&x),
+            Layer::Flatten(l) => l.forward(&x),
             Layer::Linear(l) => l.forward(x),
             Layer::Residual(l) => l.forward(x, training),
         }
     }
 
-    /// [`Layer::forward`] taking the input by value, so a layer that
-    /// caches it or works in place needs no copy. Same bits.
-    pub(crate) fn forward_owned(&mut self, x: Tensor, training: bool) -> Result<Tensor, NnError> {
-        let _span = cap_obs::SpanGuard::enter(self.span_name(false));
-        match self {
-            Layer::Conv(l) => l.forward_owned(x),
-            Layer::BatchNorm(l) => l.forward_owned(x, training),
-            Layer::Relu(l) => Ok(l.forward_owned(x)),
-            Layer::MaxPool(l) => l.forward(&x),
-            Layer::GlobalAvgPool(l) => l.forward(&x),
-            Layer::Flatten(l) => l.forward(&x),
-            Layer::Linear(l) => l.forward_owned(x),
-            Layer::Residual(l) => l.forward_owned(x, training),
-        }
-    }
-
-    /// Backward pass.
+    /// Backward pass over a borrowed gradient, producing every gradient
+    /// ([`Grads::Full`]): a copy of it takes the by-value pass
+    /// [`Network::backward`](crate::Network::backward) runs.
     ///
     /// # Errors
     ///
     /// Propagates the underlying layer's cache/shape errors.
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
-        let _span = cap_obs::SpanGuard::enter(self.span_name(true));
-        match self {
-            Layer::Conv(l) => l.backward(grad),
-            Layer::BatchNorm(l) => l.backward(grad),
-            Layer::Relu(l) => l.backward(grad),
-            Layer::MaxPool(l) => l.backward(grad),
-            Layer::GlobalAvgPool(l) => l.backward(grad),
-            Layer::Flatten(l) => l.backward(grad),
-            Layer::Linear(l) => l.backward(grad),
-            Layer::Residual(l) => l.backward(grad),
-        }
+        self.backward_owned(grad.clone(), Grads::Full)
     }
 
-    /// The backward over a gradient taken by value, producing the
-    /// gradients `grads` names. Same bits as [`Layer::backward`].
+    /// The backward pass [`Network`](crate::Network) runs, over a
+    /// gradient taken by value, producing the gradients `grads` names.
     pub(crate) fn backward_owned(&mut self, grad: Tensor, grads: Grads) -> Result<Tensor, NnError> {
         let _span = cap_obs::SpanGuard::enter(self.span_name(true));
         match self {
-            Layer::Conv(l) => l.backward_owned(grad, grads),
-            Layer::BatchNorm(l) => l.backward_owned(grad, grads),
-            Layer::Relu(l) => l.backward_owned(grad),
+            Layer::Conv(l) => l.backward(grad, grads),
+            Layer::BatchNorm(l) => l.backward(grad, grads),
+            Layer::Relu(l) => l.backward(grad),
             Layer::MaxPool(l) => l.backward(&grad),
             Layer::GlobalAvgPool(l) => l.backward(&grad),
             Layer::Flatten(l) => l.backward(&grad),
-            Layer::Linear(l) => l.backward_pass(&grad, grads),
-            Layer::Residual(l) => l.backward_owned(grad, grads),
+            Layer::Linear(l) => l.backward(grad, grads),
+            Layer::Residual(l) => l.backward(grad, grads),
         }
     }
 

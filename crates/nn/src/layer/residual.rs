@@ -145,66 +145,52 @@ impl ResidualBlock {
         Ok(())
     }
 
-    /// Forward pass.
+    /// Forward pass over an input taken by value. It is copied once, for
+    /// the shortcut; the main path's output takes the shortcut's sum in
+    /// place.
     ///
     /// # Errors
     ///
     /// Propagates layer errors on shape mismatch.
-    pub fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
-        self.forward_owned(x.clone(), training)
-    }
-
-    /// [`ResidualBlock::forward`] taking the input by value. It is
-    /// copied once, for the shortcut; the main path's output takes the
-    /// shortcut's sum in place.
-    pub(crate) fn forward_owned(&mut self, x: Tensor, training: bool) -> Result<Tensor, NnError> {
+    pub fn forward(&mut self, x: Tensor, training: bool) -> Result<Tensor, NnError> {
         let shortcut_in = x.clone();
-        let mut h = self.conv1.forward_owned(x)?;
-        h = self.bn1.forward_owned(h, training)?;
-        h = self.relu1.forward_owned(h);
-        h = self.conv2.forward_owned(h)?;
-        h = self.bn2.forward_owned(h, training)?;
+        let mut h = self.conv1.forward(x)?;
+        h = self.bn1.forward(h, training)?;
+        h = self.relu1.forward(h);
+        h = self.conv2.forward(h)?;
+        h = self.bn2.forward(h, training)?;
         let s = match &mut self.shortcut {
             Some((conv, bn)) => {
-                let t = conv.forward_owned(shortcut_in)?;
-                bn.forward_owned(t, training)?
+                let t = conv.forward(shortcut_in)?;
+                bn.forward(t, training)?
             }
             None => shortcut_in,
         };
         h.add_in_place(&s)?;
-        Ok(self.relu_out.forward_owned(h))
+        Ok(self.relu_out.forward(h))
     }
 
-    /// Backward pass.
+    /// Backward pass over a gradient taken by value, producing the
+    /// gradients `grads` names. The gradient is copied once, for the
+    /// shortcut path, whose gradient the main path's then takes in place.
     ///
     /// # Errors
     ///
     /// Propagates layer errors; fails if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        self.backward_owned(grad_out.clone(), Grads::Full)
-    }
-
-    /// The backward over a gradient taken by value. The gradient is
-    /// copied once, for the shortcut path, whose gradient the main
-    /// path's then takes in place.
-    pub(crate) fn backward_owned(
-        &mut self,
-        grad_out: Tensor,
-        grads: Grads,
-    ) -> Result<Tensor, NnError> {
-        let g = self.relu_out.backward_owned(grad_out)?;
+    pub fn backward(&mut self, grad_out: Tensor, grads: Grads) -> Result<Tensor, NnError> {
+        let g = self.relu_out.backward(grad_out)?;
         let shortcut_g = g.clone();
         // Main path.
-        let mut gm = self.bn2.backward_owned(g, grads)?;
-        gm = self.conv2.backward_owned(gm, grads)?;
-        gm = self.relu1.backward_owned(gm)?;
-        gm = self.bn1.backward_owned(gm, grads)?;
-        gm = self.conv1.backward_owned(gm, grads)?;
+        let mut gm = self.bn2.backward(g, grads)?;
+        gm = self.conv2.backward(gm, grads)?;
+        gm = self.relu1.backward(gm)?;
+        gm = self.bn1.backward(gm, grads)?;
+        gm = self.conv1.backward(gm, grads)?;
         // Shortcut path.
         let gs = match &mut self.shortcut {
             Some((conv, bn)) => {
-                let t = bn.backward_owned(shortcut_g, grads)?;
-                conv.backward_owned(t, grads)?
+                let t = bn.backward(shortcut_g, grads)?;
+                conv.backward(t, grads)?
             }
             None => shortcut_g,
         };
@@ -309,7 +295,7 @@ mod tests {
     fn identity_block_preserves_shape() {
         let mut block = ResidualBlock::new(8, 8, 1, &mut rng()).unwrap();
         let x = cap_tensor::randn(&[2, 8, 6, 6], 0.0, 1.0, &mut rng());
-        let y = block.forward(&x, true).unwrap();
+        let y = block.forward(x.clone(), true).unwrap();
         assert_eq!(y.shape(), x.shape());
     }
 
@@ -317,7 +303,7 @@ mod tests {
     fn strided_block_downsamples_with_projection() {
         let mut block = ResidualBlock::new(8, 16, 2, &mut rng()).unwrap();
         let x = cap_tensor::randn(&[1, 8, 8, 8], 0.0, 1.0, &mut rng());
-        let y = block.forward(&x, true).unwrap();
+        let y = block.forward(x, true).unwrap();
         assert_eq!(y.shape(), &[1, 16, 4, 4]);
     }
 
@@ -325,9 +311,9 @@ mod tests {
     fn backward_produces_input_shaped_gradient() {
         let mut block = ResidualBlock::new(4, 8, 2, &mut rng()).unwrap();
         let x = cap_tensor::randn(&[2, 4, 6, 6], 0.0, 1.0, &mut rng());
-        let y = block.forward(&x, true).unwrap();
+        let y = block.forward(x.clone(), true).unwrap();
         let g = Tensor::ones(y.shape());
-        let gin = block.backward(&g).unwrap();
+        let gin = block.backward(g, Grads::Full).unwrap();
         assert_eq!(gin.shape(), x.shape());
         // Gradient must be non-trivial.
         assert!(gin.l2_norm() > 0.0);
@@ -341,7 +327,7 @@ mod tests {
         assert_eq!(block.conv2().in_channels(), 3);
         assert_eq!(block.out_channels(), 8);
         let x = cap_tensor::randn(&[1, 8, 6, 6], 0.0, 1.0, &mut rng());
-        let y = block.forward(&x, true).unwrap();
+        let y = block.forward(x, true).unwrap();
         assert_eq!(y.shape(), &[1, 8, 6, 6]);
     }
 
@@ -353,9 +339,9 @@ mod tests {
         block.conv1_mut().weight_mut().fill(0.0);
         block.conv2_mut().weight_mut().fill(0.0);
         let x = cap_tensor::randn(&[1, 4, 5, 5], 0.0, 1.0, &mut rng());
-        let y = block.forward(&x, true).unwrap();
+        let y = block.forward(x, true).unwrap();
         let g = Tensor::ones(y.shape());
-        let gin = block.backward(&g).unwrap();
+        let gin = block.backward(g, Grads::Full).unwrap();
         assert!(gin.l2_norm() > 0.0);
     }
 }

@@ -1,20 +1,6 @@
 use crate::NnError;
 
-/// Below this many samples the metric loops stay serial; the work is a
-/// handful of integer compares per element, so parallel dispatch only
-/// pays off on large prediction sets.
-const PARALLEL_THRESHOLD: usize = 1 << 15;
-
-/// Splits `0..len` into `groups` near-equal contiguous ranges.
-fn group_range(len: usize, groups: usize, g: usize) -> (usize, usize) {
-    let per = len.div_ceil(groups);
-    ((g * per).min(len), ((g + 1) * per).min(len))
-}
-
 /// Fraction of predictions equal to the labels.
-///
-/// Large inputs count in parallel; the partials are integers summed in
-/// group order, so the result is exactly the serial count.
 ///
 /// # Errors
 ///
@@ -30,25 +16,11 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> Result<f64, NnError>
             ),
         });
     }
-    let groups = cap_par::effective_parallelism();
-    let correct: usize = if predictions.len() >= PARALLEL_THRESHOLD && groups > 1 {
-        cap_par::parallel_map(groups, |g| {
-            let (lo, hi) = group_range(predictions.len(), groups, g);
-            predictions[lo..hi]
-                .iter()
-                .zip(&labels[lo..hi])
-                .filter(|(p, l)| p == l)
-                .count()
-        })
-        .into_iter()
-        .sum()
-    } else {
-        predictions
-            .iter()
-            .zip(labels.iter())
-            .filter(|(p, l)| p == l)
-            .count()
-    };
+    let correct = predictions
+        .iter()
+        .zip(labels.iter())
+        .filter(|(p, l)| p == l)
+        .count();
     Ok(correct as f64 / labels.len() as f64)
 }
 
@@ -76,25 +48,15 @@ impl ConfusionMatrix {
                 reason: "prediction/label length mismatch".to_string(),
             });
         }
-        let groups = cap_par::effective_parallelism();
-        if predictions.len() >= PARALLEL_THRESHOLD && groups > 1 && classes > 0 {
-            // Each group tallies a private counts matrix; integer
-            // matrices add exactly, so the merged result matches the
-            // serial tally for any grouping.
-            let partials = cap_par::parallel_map(groups, |g| {
-                let (lo, hi) = group_range(predictions.len(), groups, g);
-                tally(&predictions[lo..hi], &labels[lo..hi], classes)
-            });
-            let mut counts = vec![0usize; classes * classes];
-            for partial in partials {
-                let partial = partial?;
-                for (total, p) in counts.iter_mut().zip(partial.iter()) {
-                    *total += p;
-                }
+        let mut counts = vec![0usize; classes * classes];
+        for (&p, &l) in predictions.iter().zip(labels.iter()) {
+            if p >= classes || l >= classes {
+                return Err(NnError::BadLabels {
+                    reason: format!("entry ({l}, {p}) out of range for {classes} classes"),
+                });
             }
-            return Ok(ConfusionMatrix { classes, counts });
+            counts[l * classes + p] += 1;
         }
-        let counts = tally(predictions, labels, classes)?;
         Ok(ConfusionMatrix { classes, counts })
     }
 
@@ -120,20 +82,6 @@ impl ConfusionMatrix {
     }
 }
 
-/// Serial confusion-count core shared by the serial and parallel paths.
-fn tally(predictions: &[usize], labels: &[usize], classes: usize) -> Result<Vec<usize>, NnError> {
-    let mut counts = vec![0usize; classes * classes];
-    for (&p, &l) in predictions.iter().zip(labels.iter()) {
-        if p >= classes || l >= classes {
-            return Err(NnError::BadLabels {
-                reason: format!("entry ({l}, {p}) out of range for {classes} classes"),
-            });
-        }
-        counts[l * classes + p] += 1;
-    }
-    Ok(counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,26 +91,6 @@ mod tests {
         assert_eq!(accuracy(&[0, 1, 2], &[0, 1, 1]).unwrap(), 2.0 / 3.0);
         assert!(accuracy(&[0], &[0, 1]).is_err());
         assert!(accuracy(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn parallel_metrics_match_serial_on_large_inputs() {
-        let n = PARALLEL_THRESHOLD + 123;
-        let preds: Vec<usize> = (0..n).map(|i| i % 7).collect();
-        let labels: Vec<usize> = (0..n).map(|i| (i / 3) % 7).collect();
-        let prior = cap_par::threads();
-        cap_par::set_threads(4);
-        let acc_par = accuracy(&preds, &labels).unwrap();
-        let cm_par = ConfusionMatrix::from_predictions(&preds, &labels, 7).unwrap();
-        let mut bad = labels.clone();
-        bad[n - 1] = 99;
-        assert!(ConfusionMatrix::from_predictions(&preds, &bad, 7).is_err());
-        cap_par::set_threads(1);
-        let acc_ser = accuracy(&preds, &labels).unwrap();
-        let cm_ser = ConfusionMatrix::from_predictions(&preds, &labels, 7).unwrap();
-        cap_par::set_threads(prior);
-        assert_eq!(acc_par, acc_ser);
-        assert_eq!(cm_par, cm_ser);
     }
 
     #[test]

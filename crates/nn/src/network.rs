@@ -281,9 +281,10 @@ mod tests {
             let kind = layer.kind();
             assert!(missing(layer.backward(&Tensor::ones(shape))), "{kind}");
         }
-        net.visit_convs_mut(&mut |c| assert!(missing(c.backward(&Tensor::ones(&[1])))));
+        let ones = || Tensor::ones(&[1]);
+        net.visit_convs_mut(&mut |c| assert!(missing(c.backward(ones(), Grads::Full))));
         if let Some(block) = net.layers_mut()[4].as_residual_mut() {
-            block.visit_bns_mut(&mut |b| assert!(missing(b.backward(&Tensor::ones(&[1])))));
+            block.visit_bns_mut(&mut |b| assert!(missing(b.backward(ones(), Grads::Full))));
         }
 
         let mut replica = net.clone();

@@ -1,4 +1,4 @@
-use crate::{CrossEntropyLoss, Network, NnError, Reduction, RegularizerConfig, Sgd};
+use crate::{accuracy, CrossEntropyLoss, Network, NnError, Reduction, RegularizerConfig, Sgd};
 use cap_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -330,7 +330,9 @@ fn poison_first_gradient(net: &mut Network) {
     });
 }
 
-/// Evaluates top-1 accuracy of `net` on `(images, labels)` in eval mode.
+/// Evaluates top-1 accuracy of `net` on `(images, labels)` in eval mode:
+/// the predictions of the loop [`predict_all`] runs, scored by
+/// [`accuracy`].
 ///
 /// # Errors
 ///
@@ -348,42 +350,12 @@ pub fn evaluate(
         });
     }
     let _span = cap_obs::span!("nn.evaluate");
-    let bs = batch_size.max(1);
-    let num_batches = labels.len().div_ceil(bs);
-    let groups = cap_par::effective_parallelism().min(num_batches);
-    if groups <= 1 {
-        return Ok(
-            evaluate_batches(net, images, labels, bs, 0, num_batches)? as f64 / labels.len() as f64,
-        );
-    }
-    // Inference is pure, so each task evaluates a contiguous run of
-    // batches on its own clone of the network (predict mutates layer
-    // caches), cloned without the caller's caches. Per-sample
-    // predictions are independent of the grouping and the counts are
-    // integers, so the accuracy is exactly the serial result for any
-    // thread count.
-    let batches_per_group = num_batches.div_ceil(groups);
-    net.clear_caches();
-    let net_ref = &*net;
-    let partials = cap_par::parallel_map(groups, |g| {
-        let start = g * batches_per_group;
-        let end = ((g + 1) * batches_per_group).min(num_batches);
-        let mut replica = net_ref.clone();
-        evaluate_batches(&mut replica, images, labels, bs, start, end)
-    });
-    let mut correct = 0usize;
-    for partial in partials {
-        correct += partial?;
-    }
-    Ok(correct as f64 / labels.len() as f64)
+    accuracy(&predict_sharded(net, images, batch_size)?, labels)
 }
 
-/// Predicts a class for every sample, in sample order.
-///
-/// Shards batches across threads exactly like [`evaluate`] (contiguous
-/// batch runs on cloned replicas), so the prediction vector is
-/// identical at any thread count. Callers that need per-class accuracy
-/// feed the result to [`crate::metrics::ConfusionMatrix`].
+/// Predicts a class for every sample, in sample order, identically at
+/// any thread count. Callers that need per-class accuracy feed the
+/// result to [`crate::metrics::ConfusionMatrix`].
 ///
 /// # Errors
 ///
@@ -400,6 +372,20 @@ pub fn predict_all(
         });
     }
     let _span = cap_obs::span!("nn.predict_all");
+    predict_sharded(net, images, batch_size)
+}
+
+/// The prediction loop [`evaluate`] and [`predict_all`] share, over a
+/// checked NCHW batch. Inference is pure, so each task predicts a
+/// contiguous run of batches on its own clone of the network (predict
+/// mutates layer caches), cloned without the caller's caches.
+/// Per-sample predictions are independent of the grouping, so the
+/// vector is exactly the serial one for any thread count.
+fn predict_sharded(
+    net: &mut Network,
+    images: &Tensor,
+    batch_size: usize,
+) -> Result<Vec<usize>, NnError> {
     let n = images.dim(0);
     let bs = batch_size.max(1);
     let num_batches = n.div_ceil(bs);
@@ -423,8 +409,9 @@ pub fn predict_all(
     Ok(preds)
 }
 
-/// Predicts batches `start .. end`, returning predictions in sample
-/// order for the covered range.
+/// Predicts batches `start .. end` (batch `i` covers samples
+/// `i*bs .. min((i+1)*bs, n)`), returning predictions in sample order
+/// for the covered range.
 fn predict_batches(
     net: &mut Network,
     images: &Tensor,
@@ -442,32 +429,6 @@ fn predict_batches(
         preds.extend(net.predict(&x)?);
     }
     Ok(preds)
-}
-
-/// Counts correct predictions over batches `start .. end` (batch `i`
-/// covers samples `i*bs .. min((i+1)*bs, len)`).
-fn evaluate_batches(
-    net: &mut Network,
-    images: &Tensor,
-    labels: &[usize],
-    bs: usize,
-    start: usize,
-    end: usize,
-) -> Result<usize, NnError> {
-    let mut correct = 0usize;
-    for bi in start..end {
-        let lo = bi * bs;
-        let hi = ((bi + 1) * bs).min(labels.len());
-        let chunk: Vec<usize> = (lo..hi).collect();
-        let x = gather_batch(images, &chunk)?;
-        let preds = net.predict(&x)?;
-        correct += chunk
-            .iter()
-            .zip(preds.iter())
-            .filter(|(&i, &p)| labels[i] == p)
-            .count();
-    }
-    Ok(correct)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! `CAP_THREADS` setting. These tests run the same computation under
 //! `set_threads(1)` and `set_threads(4)` and compare raw bits.
 
-use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu, ResidualBlock};
+use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Grads, Linear, Relu, ResidualBlock};
 use cap_nn::{
     check_gradients, evaluate, fit, CrossEntropyLoss, Network, Reduction, RegularizerConfig,
     TrainConfig,
@@ -109,15 +109,15 @@ fn conv_forward_backward_bit_identical_across_thread_counts() {
             cap_par::set_threads(t);
             let mut conv =
                 Conv2d::new(case.in_c, case.out_c, 3, case.stride, 1, true, &mut rng(11)).unwrap();
-            let y = conv.forward(&x).unwrap();
+            let y = conv.forward(x.clone()).unwrap();
             let g = Tensor::from_fn(y.shape(), |i| ((i as f32) * 0.013).sin());
             conv.zero_grad();
-            let gin = conv.backward(&g).unwrap();
+            let gin = conv.backward(g.clone(), Grads::Full).unwrap();
             let gw = conv.grad_weight().clone();
             // The input-only pass returns the same input gradient and
             // leaves the (sentinel-filled) weight gradient alone.
             conv.grad_weight_mut().fill(SENTINEL);
-            let gin_only = conv.backward_input_only(&g).unwrap();
+            let gin_only = conv.backward(g, Grads::InputOnly).unwrap();
             assert_bits_eq(
                 &gin_only,
                 &gin,
@@ -295,8 +295,8 @@ fn batchnorm_forward_backward_bit_identical_across_thread_counts() {
             .iter_mut()
             .enumerate()
             .for_each(|(i, v)| *v = 0.5 + 0.25 * i as f32);
-        let y = bn.forward(&x, true).unwrap();
-        let gin = bn.backward(&g).unwrap();
+        let y = bn.forward(x.clone(), true).unwrap();
+        let gin = bn.backward(g.clone(), Grads::Full).unwrap();
         runs.push((y, gin, bn.grad_gamma().clone(), bn.running_mean().to_vec()));
     }
     cap_par::set_threads(prior);

@@ -27,9 +27,9 @@ proptest! {
         let y = cap_tensor::randn(&[1, in_c, hw, hw], 0.0, 1.0, &mut rng(seed + 2));
         let mut combo = x.map(|v| v * s);
         combo.axpy(1.0, &y).unwrap();
-        let lhs = conv.forward(&combo).unwrap();
-        let cx = conv.forward(&x).unwrap();
-        let cy = conv.forward(&y).unwrap();
+        let lhs = conv.forward(combo).unwrap();
+        let cx = conv.forward(x).unwrap();
+        let cy = conv.forward(y).unwrap();
         for ((l, a), b) in lhs.data().iter().zip(cx.data()).zip(cy.data()) {
             prop_assert!((l - (s * a + b)).abs() < 1e-3, "{l} vs {}", s * a + b);
         }
@@ -40,8 +40,8 @@ proptest! {
         let n = values.len();
         let x = Tensor::from_vec(vec![n], values).unwrap();
         let mut relu = Relu::new();
-        let once = relu.forward(&x);
-        let twice = relu.forward(&once);
+        let once = relu.forward(x);
+        let twice = relu.forward(once.clone());
         prop_assert_eq!(once, twice);
     }
 
@@ -104,8 +104,8 @@ proptest! {
         let xs = x.map(|v| v * scale);
         let mut bn1 = BatchNorm2d::new(2).unwrap();
         let mut bn2 = BatchNorm2d::new(2).unwrap();
-        let a = bn1.forward(&x, true).unwrap();
-        let b = bn2.forward(&xs, true).unwrap();
+        let a = bn1.forward(x, true).unwrap();
+        let b = bn2.forward(xs, true).unwrap();
         for (p, q) in a.data().iter().zip(b.data()) {
             prop_assert!((p - q).abs() < 1e-3, "{p} vs {q}");
         }
@@ -138,8 +138,8 @@ proptest! {
                 x_kept.set2(r, j, x.at2(r, f));
             }
         }
-        let dense_out = dense.forward(&x_masked).unwrap();
-        let pruned_out = pruned.forward(&x_kept).unwrap();
+        let dense_out = dense.forward(x_masked).unwrap();
+        let pruned_out = pruned.forward(x_kept).unwrap();
         for (a, b) in dense_out.data().iter().zip(pruned_out.data()) {
             prop_assert!((a - b).abs() < 1e-4);
         }

@@ -75,7 +75,7 @@ impl Server {
     }
 
     /// Like [`Server::start`], but resilient to a taken address: an
-    /// `EADDRINUSE` bind is retried [`BIND_ATTEMPTS`] times with capped
+    /// `EADDRINUSE` bind is retried `BIND_ATTEMPTS` times with capped
     /// exponential backoff, and if the address is *still* in use the
     /// server degrades to disabled — a warning on stderr and
     /// `Ok(None)` — instead of failing the run. Telemetry is an
@@ -619,6 +619,9 @@ mod tests {
 
     #[test]
     fn api_series_queries_are_validated() {
+        // The byte-stability check below reads the global recorder ring
+        // twice; the lock keeps other tests from appending in between.
+        let _guard = crate::test_lock();
         // Parameter validation is independent of recorder state.
         assert!(series_json("").is_err(), "name is required");
         assert!(series_json("name=").is_err());

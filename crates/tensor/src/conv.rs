@@ -380,17 +380,19 @@ fn slices_mismatch(lens: &[usize]) -> TensorError {
     }
 }
 
-/// One sample of a convolution's forward pass: writes `W · im2col(x)`
-/// into `out`.
+/// The forward pass of a convolution for a run of samples: writes
+/// `W · im2col(x)` into each sample's slice of `out`.
 ///
-/// `x` is the sample `[in_channels, in_h, in_w]`, `weight` the filters
-/// `[out_channels, in_channels, k, k]`, and `out` the sample's
-/// `[out_channels, out_h, out_w]` output, which is overwritten. A
-/// stride-1 conv whose per-sample GEMM would take the direct path runs
-/// a direct kernel over shifted windows of the zero-padded sample; any
-/// other conv lowers with [`im2col`] into a per-thread buffer and runs
-/// the GEMM straight into `out`. Both paths give the same bits: each
-/// output element sums the same products in the same order.
+/// `x` holds the samples `[count, in_channels, in_h, in_w]`, `weight`
+/// the filters `[out_channels, in_channels, k, k]`, and `out` their
+/// `[count, out_channels, out_h, out_w]` outputs, which are
+/// overwritten. Each sample is one task on the pool. A stride-1 conv
+/// whose per-sample GEMM would take the direct path runs a direct
+/// kernel over shifted windows of the zero-padded sample; any other
+/// conv lowers the sample with [`im2col`] into a per-thread buffer and
+/// runs the GEMM straight into its output. Both paths give the same
+/// bits: each output element sums the same products in the same order,
+/// whatever the thread count.
 ///
 /// # Errors
 ///
@@ -402,17 +404,38 @@ pub fn conv_forward(
     geom: &Conv2dGeometry,
     out: &mut [f32],
 ) -> Result<(), TensorError> {
-    let (k_dim, n_dim) = (geom.col_rows(), geom.col_cols());
-    if x.len() != geom.in_channels * geom.in_h * geom.in_w
-        || weight.len() != geom.out_channels * k_dim
-        || out.len() != geom.out_channels * n_dim
+    let per_in = geom.in_channels * geom.in_h * geom.in_w;
+    let per_out = geom.out_channels * geom.col_cols();
+    let n = out.len() / per_out;
+    if out.len() != n * per_out
+        || weight.len() != geom.out_channels * geom.col_rows()
+        || x.len() != n * per_in
     {
         return Err(slices_mismatch(&[x.len(), weight.len(), out.len()]));
     }
-    if runs_direct(geom) {
-        forward_direct(x, weight, geom, out);
-        return Ok(());
-    }
+    let direct = runs_direct(geom);
+    let tasks: Vec<cap_par::ScopedTask<'_>> = out
+        .chunks_mut(per_out)
+        .enumerate()
+        .map(|(s, out)| {
+            let x = &x[s * per_in..(s + 1) * per_in];
+            Box::new(move || {
+                if direct {
+                    forward_direct(x, weight, geom, out);
+                } else {
+                    forward_lowered(x, weight, geom, out);
+                }
+            }) as cap_par::ScopedTask<'_>
+        })
+        .collect();
+    cap_par::run_tasks(tasks);
+    Ok(())
+}
+
+/// The lowered forward of one sample: `im2col` into a per-thread
+/// buffer, then the GEMM straight into `out`.
+fn forward_lowered(x: &[f32], weight: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
+    let (k_dim, n_dim) = (geom.col_rows(), geom.col_cols());
     let mut cols = LOWERED_COLS.take();
     cols.clear();
     cols.resize(k_dim * n_dim, 0.0);
@@ -433,7 +456,6 @@ pub fn conv_forward(
         );
     }
     LOWERED_COLS.set(cols);
-    Ok(())
 }
 
 /// The input gradient of a convolution for a run of samples: writes

@@ -4,7 +4,7 @@ use crate::{Tensor, TensorError};
 /// Multiplies two matrices: `a` of shape `[m, k]` times `b` of shape
 /// `[k, n]`, producing `[m, n]`.
 ///
-/// Backed by the cache-blocked, register-blocked GEMM in [`crate::gemm`];
+/// Backed by the cache-blocked, register-blocked GEMM in `crate::gemm`;
 /// large products are distributed across the `cap-par` pool in
 /// deterministic row blocks, so the result is bitwise identical for any
 /// `CAP_THREADS` setting.

@@ -182,12 +182,22 @@ fn forward_matches_im2col_and_matmul_bit_for_bit() {
             let weight = gated(c.out_c * g.col_rows(), 0.71);
             let per_in = c.in_c * c.side * c.side;
             let per_out = c.out_c * g.col_cols();
-            for s in 0..c.batch {
-                // A stale, NaN-filled output slice must be overwritten.
+            let want: Vec<Tensor> = (0..c.batch)
+                .map(|s| lowered_forward(c, &x, &weight, s))
+                .collect();
+            // Stale, NaN-filled outputs must be overwritten, by one call
+            // per sample and by one call over the whole batch.
+            for (s, want) in want.iter().enumerate() {
                 let mut got = vec![f32::NAN; per_out];
                 conv_forward(&x.data()[s * per_in..][..per_in], &weight, &g, &mut got).unwrap();
                 let what = format!("{} forward, sample {s}, {}", c.what, mode.name());
-                assert_bits(&got, lowered_forward(c, &x, &weight, s).data(), &what);
+                assert_bits(&got, want.data(), &what);
+            }
+            let mut got = vec![f32::NAN; c.batch * per_out];
+            conv_forward(x.data(), &weight, &g, &mut got).unwrap();
+            for (s, (got, want)) in got.chunks(per_out).zip(&want).enumerate() {
+                let what = format!("{} batch forward, sample {s}, {}", c.what, mode.name());
+                assert_bits(got, want.data(), &what);
             }
         }
     });
@@ -268,6 +278,12 @@ fn entry_points_reject_slices_that_disagree_with_the_geometry() {
     assert!(conv_forward(&[0.0; 31], &w, &g, &mut out).is_err());
     assert!(conv_forward(&[0.0; 32], &w[1..], &g, &mut out).is_err());
     assert!(conv_forward(&[0.0; 32], &w, &g, &mut out[1..]).is_err());
+    // A batch of 2: the input must hold as many samples as the output.
+    let mut out = vec![0.0; 2 * 48];
+    assert!(conv_forward(&[0.0; 2 * 32 - 1], &w, &g, &mut out).is_err());
+    assert!(conv_forward(&[0.0; 3 * 32], &w, &g, &mut out).is_err());
+    assert!(conv_forward(&[0.0; 2 * 32], &w, &g, &mut out[1..]).is_err());
+    assert!(conv_forward(&[0.0; 2 * 32], &w, &g, &mut out).is_ok());
     let mut gin = vec![0.0; 2 * 32];
     assert!(conv_input_grad(&[0.0; 2 * 48], &w, &g, &mut gin[1..]).is_err());
     assert!(conv_input_grad(&[0.0; 2 * 48 - 1], &w, &g, &mut gin).is_err());

@@ -22,7 +22,7 @@ fn nn_conv_matches_toeplitz_reference() {
         let mut conv =
             Conv2d::new(in_c, out_c, k, stride, pad, false, &mut rng).expect("valid conv");
         let x = cap_tensor::randn(&[1, in_c, hw, hw], 0.0, 1.0, &mut rng);
-        let via_layer = conv.forward(&x).expect("forward");
+        let via_layer = conv.forward(x.clone()).expect("forward");
         let geom = Conv2dGeometry::new(in_c, out_c, k, stride, pad, hw, hw).expect("geometry");
         let via_matrix = conv2d_via_toeplitz(&x, conv.weight(), &geom).expect("toeplitz conv");
         assert_eq!(via_layer.shape(), via_matrix.shape());
