@@ -19,12 +19,12 @@
 //! (see [`kernel_regressions`]).
 //!
 //! The observability section then measures span/counter overhead with
-//! telemetry disabled, enabled, and with the flight recorder on, plus
-//! `/metrics` scrape latency while a smoke training loop runs. Its
-//! `profiler` object prices the disabled span path per smoke epoch;
-//! the profile in every run directory is folded from enabled spans,
-//! so that path is all it costs when telemetry is off. Kernel timings
-//! always run first, before any telemetry is switched on.
+//! telemetry disabled and enabled, plus `/metrics` scrape latency while
+//! a smoke training loop runs. Its `profiler` object prices the
+//! disabled span path per smoke epoch; the profile in every run
+//! directory is folded from enabled spans, so that path is all it costs
+//! when telemetry is off. Kernel timings always run first, before any
+//! telemetry is switched on.
 
 use cap_data::{DatasetSpec, SyntheticDataset};
 use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
@@ -402,11 +402,11 @@ impl ObsSummary {
 }
 
 /// Times the telemetry layer itself: the disabled fast path the hot
-/// loops always pay, the enabled path, and the enabled path with the
-/// flight recorder on; the series-store append (buffered and fsync'd)
-/// plus the recorder-vs-epoch overhead model; then `/metrics` scrape
-/// latency while a smoke training loop runs. Toggles global obs state,
-/// so it must run after every kernel measurement.
+/// loops always pay and the enabled path; the series-store append
+/// (buffered and fsync'd) plus the recorder-vs-epoch overhead model;
+/// then `/metrics` scrape latency while a smoke training loop runs.
+/// Toggles global obs state, so it must run after every kernel
+/// measurement.
 fn run_obs_benches(opts: &Options) -> ObsSummary {
     let budget = Duration::from_millis(if opts.smoke { 30 } else { 200 });
     let max_iters = 2_000_000;
@@ -455,12 +455,6 @@ fn run_obs_benches(opts: &Options) -> ObsSummary {
     });
     bench("counter_add", "enabled", &mut || {
         cap_obs::counter_add("bench.obs.counter", 1);
-    });
-
-    cap_obs::flight::enable();
-    bench("span", "enabled+flight", &mut || {
-        let _s = cap_obs::span!("bench.obs.span");
-        black_box(&_s);
     });
 
     // Series-store appends: the cost of one recorder sample, with and
@@ -569,7 +563,6 @@ fn run_obs_benches(opts: &Options) -> ObsSummary {
     let handle_us_count = point("obs.http.handle_us.count");
     let handle_us_mean = point("obs.http.handle_us.mean");
     cap_obs::serve::stop_global();
-    cap_obs::flight::disable();
     cap_obs::disable();
     ObsSummary {
         records,

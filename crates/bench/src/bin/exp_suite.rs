@@ -49,8 +49,7 @@ fn main() -> ExitCode {
         cap_obs::Event::new("suite_done").f64("elapsed_secs", t0.elapsed().as_secs_f64()),
     );
     // With CAP_METRICS_ADDR set this self-scrapes /metrics (validating
-    // the exposition) and honours CAP_FLIGHT_DUMP; CI fails the run on
-    // a broken scrape or dump.
+    // the exposition); CI fails the run on a broken scrape.
     if let Err(e) = cap_bench::finalize_telemetry() {
         eprintln!("exp_suite: telemetry finalisation failed: {e}");
         return ExitCode::FAILURE;

@@ -7,8 +7,8 @@
 //!
 //! Both variants route through [`cap_obs::init_telemetry`], so
 //! `CAP_TRACE` (sink selection) and `CAP_METRICS_ADDR` (live `/metrics`
-//! HTTP server + flight recorder) behave identically across all
-//! experiment binaries and `capctl`.
+//! HTTP server) behave identically across all experiment binaries and
+//! `capctl`.
 
 /// Initialises the cap-obs layer for a CLI binary.
 ///
@@ -21,8 +21,8 @@
 ///    appearing exactly where the old `eprintln!`-based logging went.
 ///
 /// Independently, `CAP_METRICS_ADDR=<host>:<port>` starts the live
-/// telemetry server (`/metrics`, `/healthz`, `/report`, `/trace`) and
-/// turns the flight recorder on.
+/// telemetry server (`/metrics`, `/healthz`, `/report`, `/api/series`,
+/// `/dash`, `/prof`).
 ///
 /// Exits with status 2 on a malformed spec or an unbindable address — a
 /// typo'd trace destination silently discarding telemetry is worse than
@@ -66,16 +66,15 @@ fn init(default_pretty: bool) {
 /// server is up, self-scrapes `/metrics` once (validating the
 /// exposition grammar), then hands off to
 /// [`cap_obs::finalize_process`] — the shared shutdown path all
-/// binaries use — for the `CAP_FLIGHT_DUMP` dump, recorder/server
-/// shutdown, and sink flush.
+/// binaries use — for recorder/server shutdown and sink flush.
 ///
 /// Returns an error instead of exiting so callers can decide whether a
 /// failed final scrape should fail the run (CI does).
 ///
 /// # Errors
 ///
-/// Returns a description of the failed scrape, invalid exposition body,
-/// or unwritable dump path.
+/// Returns a description of the failed scrape or invalid exposition
+/// body.
 pub fn finalize_telemetry() -> Result<(), String> {
     let mut result = Ok(());
     if let Some(addr) = cap_obs::serve::global_addr() {
@@ -89,5 +88,6 @@ pub fn finalize_telemetry() -> Result<(), String> {
                 );
             });
     }
-    result.and(cap_obs::finalize_process())
+    cap_obs::finalize_process();
+    result
 }

@@ -615,15 +615,22 @@ impl ClassAwarePruner {
             }
         }
 
+        // The final net is generation `final_gen`: every recorded
+        // iteration, less the one a rollback undid.
+        let final_gen = match stop_reason {
+            StopReason::AccuracyUnrecoverable => iterations.len().saturating_sub(1),
+            _ => iterations.len(),
+        };
         if let Some(dir) = persist {
-            let final_gen = match stop_reason {
-                StopReason::AccuracyUnrecoverable => iterations.len().saturating_sub(1),
-                _ => iterations.len(),
-            };
             dir.append_journal(&stop_line(stop_reason, final_gen as u64))
                 .map_err(persist_err)?;
         }
-        let final_accuracy = evaluate(net, test.images(), test.labels(), cfg.eval_batch)?;
+        // That net was measured already, by the iteration that made it
+        // or by the baseline (journal floats round-trip bit-exactly).
+        let final_accuracy = match final_gen.checked_sub(1) {
+            Some(i) => iterations[i].accuracy_after_finetune,
+            None => baseline_accuracy,
+        };
         let final_cost = analyze_network(net, in_c, in_h, in_w)?;
         let sites_final = find_prunable_sites(net);
         let scores_after = self
@@ -729,7 +736,6 @@ impl<'a> RunHistory<'a> {
                 },
             ],
             Some(dir.root().join("alerts.jsonl")),
-            Some(dir.root().join("flight_alert.json")),
         );
         RunHistory { dir, recording }
     }
@@ -1394,13 +1400,13 @@ mod tests {
         cap_obs::disable();
         let outcome = outcome.unwrap();
         assert_eq!(outcome.iterations.len(), 2);
-        let under_iteration = "span.test.persisted_run/core.prune.run/core.prune.iteration/";
+        let under_run = "span.test.persisted_run/core.prune.run/";
         let spans: Vec<(String, u64)> = cap_obs::registry()
             .snapshot()
             .into_iter()
             .filter_map(|(name, metric)| match metric {
-                cap_obs::Metric::Histogram(h) if name.starts_with(under_iteration) => {
-                    Some((name, h.count()))
+                cap_obs::Metric::Histogram(h) if name.starts_with(under_run) => {
+                    Some((name[under_run.len()..].to_string(), h.count()))
                 }
                 _ => None,
             })
@@ -1409,7 +1415,10 @@ mod tests {
         let count = |leaf: &str| -> u64 {
             spans
                 .iter()
-                .filter(|(path, _)| path.rsplit('/').next() == Some(leaf))
+                .filter(|(path, _)| {
+                    path.starts_with("core.prune.iteration/")
+                        && path.rsplit('/').next() == Some(leaf)
+                })
                 .map(|(_, n)| n)
                 .sum()
         };
@@ -1417,6 +1426,121 @@ mod tests {
         // `predict_all` gives the accuracy and the per-class recall.
         assert_eq!(count("nn.evaluate"), 2, "{spans:?}");
         assert_eq!(count("nn.predict_all"), 2, "{spans:?}");
+        // The final accuracy comes from those records: no prediction
+        // pass runs after the loop.
+        for leaf in ["nn.evaluate", "nn.predict_all"] {
+            assert!(
+                !spans.iter().any(|(path, _)| path == leaf),
+                "{leaf} directly under core.prune.run: {spans:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `final_accuracy` is read from the records, so it must equal
+    /// `evaluate` on the final net however the loop ends.
+    #[test]
+    fn final_accuracy_matches_evaluating_the_final_net() {
+        let _guard = cap_obs::test_lock();
+        let data = tiny_data();
+        let mut trained = tiny_net();
+        fit(
+            &mut trained,
+            data.train().images(),
+            data.train().labels(),
+            &TrainConfig {
+                epochs: 6,
+                batch_size: 20,
+                lr: 0.02,
+                ..TrainConfig::default()
+            },
+        )
+        .unwrap();
+        let eval_batch = quick_config().eval_batch;
+        let check = |net: &mut Network, outcome: &PruneOutcome| {
+            let measured =
+                evaluate(net, data.test().images(), data.test().labels(), eval_batch).unwrap();
+            assert_eq!(
+                outcome.final_accuracy.to_bits(),
+                measured.to_bits(),
+                "{:?} after {} iterations",
+                outcome.stop_reason,
+                outcome.iterations.len()
+            );
+        };
+        let run = |config: &PruneConfig| {
+            let mut net = trained.clone();
+            let pruner = ClassAwarePruner::new(config.clone()).unwrap();
+            let outcome = pruner.run(&mut net, data.train(), data.test()).unwrap();
+            check(&mut net, &outcome);
+            outcome
+        };
+
+        let free = PruneConfig {
+            strategy: PruneStrategy::Percentage { fraction: 0.3 },
+            finetune: TrainConfig {
+                epochs: 1,
+                batch_size: 120,
+                lr: 1e-6,
+                ..TrainConfig::default()
+            },
+            max_iterations: 4,
+            ..quick_config()
+        };
+        let kept = run(&free);
+        assert_eq!(kept.stop_reason, StopReason::MaxIterations);
+
+        let nothing = run(&PruneConfig {
+            strategy: PruneStrategy::Threshold { threshold: 0.0 },
+            ..quick_config()
+        });
+        assert_eq!(nothing.stop_reason, StopReason::NoPrunableFilters);
+        assert!(nothing.iterations.is_empty());
+
+        // A drop limit that the iterations before `k` meet and iteration
+        // `k + 1` breaks. The limit only decides when to stop, so the run
+        // follows `kept` until it rolls back.
+        let drops: Vec<f64> = kept
+            .iterations
+            .iter()
+            .map(|r| kept.baseline_accuracy - r.accuracy_after_finetune)
+            .collect();
+        let worst = |k: usize| drops[..k].iter().copied().fold(0.0, f64::max);
+        let k = (1..drops.len())
+            .find(|&k| drops[k] > worst(k))
+            .expect("no iteration after the first drops further");
+        let strict = PruneConfig {
+            accuracy_drop_limit: worst(k),
+            ..free
+        };
+        let pruner = ClassAwarePruner::new(strict).unwrap();
+        let root = std::env::temp_dir().join(format!("cap_final_acc_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut net = trained.clone();
+        let rolled = pruner
+            .run_with_dir(
+                &mut net,
+                data.train(),
+                data.test(),
+                &RunDir::create(root.join("run")).unwrap(),
+            )
+            .unwrap();
+        assert_eq!(rolled.stop_reason, StopReason::AccuracyUnrecoverable);
+        assert_eq!(rolled.iterations.len(), k + 1);
+        check(&mut net, &rolled);
+
+        // Killed right after journaling iteration `k + 1`: resume finds
+        // the rollback in the journal and skips the loop.
+        crash_copy(&root.join("run"), &root.join("killed"), k + 1);
+        let (mut net, resumed) = pruner
+            .resume(
+                data.train(),
+                data.test(),
+                &RunDir::open(root.join("killed")).unwrap(),
+            )
+            .unwrap();
+        assert_eq!(resumed.stop_reason, StopReason::AccuracyUnrecoverable);
+        check(&mut net, &resumed);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -22,10 +22,12 @@
 //!   uninterrupted run's.
 //! - **Supervisor death** — the queue and the run dirs are the truth,
 //!   not this process's memory. [`reconcile`] (run at every startup)
-//!   resolves stale `running` entries: a run dir holding `DONE.json`
-//!   is done (a completed spec is never executed twice); a live orphan
-//!   worker from the previous supervisor is SIGKILLed before its spec
-//!   is requeued (two writers on one run dir would corrupt it).
+//!   first SIGKILLs every live `capfleet worker` of the fleet dir: each
+//!   is an orphan of the previous supervisor, whatever the queue or its
+//!   heartbeat say (two writers on one run dir would corrupt it). It
+//!   then resolves stale `running` entries: a run dir holding
+//!   `DONE.json` is done (a completed spec is never executed twice);
+//!   any other is requeued.
 //!
 //! ## Federation
 //!
@@ -43,7 +45,7 @@ use crate::queue::{Queue, SpecState};
 use crate::worker::{DONE_FILE, HEARTBEAT_FILE, METRICS_ADDR_FILE};
 use cap_obs::dash::{FleetSummary, FleetWorkerRow};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -109,28 +111,81 @@ fn backoff_ms(cfg: &FleetConfig, attempt: u64) -> u64 {
         .min(cfg.backoff_cap_ms)
 }
 
-/// Whether `pid` is a live `capfleet` process (guards against pid
-/// reuse before we SIGKILL an orphan).
-fn is_live_capfleet(pid: u32) -> bool {
-    match std::fs::read(format!("/proc/{pid}/cmdline")) {
-        Ok(cmdline) => String::from_utf8_lossy(&cmdline).contains("capfleet"),
-        Err(_) => false,
-    }
+/// The path a supervisor passes its workers as `--fleet-dir`, so a
+/// worker's command line names its fleet exactly.
+fn canonical(fleet_dir: &Path) -> PathBuf {
+    std::fs::canonicalize(fleet_dir).unwrap_or_else(|_| fleet_dir.to_path_buf())
 }
 
-fn kill_pid(pid: u32) {
-    let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+/// Whether `pid` is a live `capfleet worker --fleet-dir <fleet_dir>`
+/// (its `/proc/<pid>/cmdline`; a zombie's is empty).
+fn is_worker_of(pid: u32, fleet_dir: &str) -> bool {
+    let Ok(cmdline) = std::fs::read(format!("/proc/{pid}/cmdline")) else {
+        return false;
+    };
+    let args: Vec<_> = cmdline
+        .split(|&b| b == 0)
+        .map(String::from_utf8_lossy)
+        .collect();
+    args.len() > 3
+        && Path::new(args[0].as_ref()).file_name() == Some(std::ffi::OsStr::new("capfleet"))
+        && args[1] == "worker"
+        && args
+            .windows(2)
+            .any(|w| w[0] == "--fleet-dir" && w[1] == fleet_dir)
 }
 
-/// Resolves stale `running` entries against run-dir truth (see module
-/// docs). Also promotes any entry whose run dir already holds
-/// `DONE.json` — completed work is never redone, whatever state the
-/// dying supervisor managed to record.
+/// SIGKILLs every live worker of `fleet_dir` and waits for them to die.
+/// [`reconcile`] runs it before touching the queue; tests run it so no
+/// worker outlives them.
 ///
 /// # Errors
 ///
-/// Propagates queue-append failures.
+/// Names the workers still alive 5 s after SIGKILL.
+pub fn kill_workers(fleet_dir: &Path) -> Result<(), String> {
+    let dir = canonical(fleet_dir);
+    let dir = dir.to_string_lossy();
+    let Ok(procs) = std::fs::read_dir("/proc") else {
+        return Ok(());
+    };
+    let orphans: Vec<u32> = procs
+        .filter_map(|e| e.ok()?.file_name().to_str()?.parse().ok())
+        .filter(|&pid| is_worker_of(pid, &dir))
+        .collect();
+    for pid in &orphans {
+        eprintln!("capfleet: killing orphan worker pid {pid} of {dir}");
+        let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+    }
+    let deadline = cap_obs::clock::now() + Duration::from_secs(5);
+    loop {
+        let alive: Vec<u32> = orphans
+            .iter()
+            .copied()
+            .filter(|&pid| is_worker_of(pid, &dir))
+            .collect();
+        if alive.is_empty() {
+            return Ok(());
+        }
+        if cap_obs::clock::now() >= deadline {
+            return Err(format!(
+                "orphan worker(s) {alive:?} of {dir} survived SIGKILL"
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Kills the previous supervisor's orphan workers, then resolves stale
+/// `running` entries against run-dir truth (see module docs). Also
+/// promotes any entry whose run dir already holds `DONE.json` —
+/// completed work is never redone, whatever state the dying supervisor
+/// managed to record.
+///
+/// # Errors
+///
+/// Propagates [`kill_workers`] and queue-append failures.
 pub fn reconcile(queue: &mut Queue, fleet_dir: &Path) -> Result<(), String> {
+    kill_workers(fleet_dir)?;
     let snapshot: Vec<(String, SpecState, u64)> = queue
         .entries()
         .iter()
@@ -149,22 +204,8 @@ pub fn reconcile(queue: &mut Queue, fleet_dir: &Path) -> Result<(), String> {
         if state != SpecState::Running {
             continue;
         }
-        // A stale running entry: the previous supervisor died. Its
-        // worker may still be alive — kill it before requeueing, two
-        // writers on one run dir would corrupt the journal.
-        if let Some((_, pid)) = cap_nn::heartbeat::read(&run_dir.join(HEARTBEAT_FILE)) {
-            if is_live_capfleet(pid) {
-                eprintln!("capfleet: reconcile: killing orphan worker pid {pid} for {id}");
-                kill_pid(pid);
-                let deadline = cap_obs::clock::now() + Duration::from_secs(5);
-                while is_live_capfleet(pid) && cap_obs::clock::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                if is_live_capfleet(pid) {
-                    return Err(format!("orphan worker pid {pid} for {id} survived SIGKILL"));
-                }
-            }
-        }
+        // A stale running entry: the previous supervisor died, and its
+        // worker is dead too.
         eprintln!("capfleet: reconcile: requeueing interrupted spec {id}");
         queue.mark(&id, SpecState::Pending, attempts)?;
     }
@@ -205,6 +246,7 @@ pub fn run_fleet(fleet_dir: &Path, cfg: &FleetConfig) -> Result<FleetReport, Str
     let mut queue = Queue::load(fleet_dir)?;
     reconcile(&mut queue, fleet_dir)?;
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let worker_fleet_dir = canonical(fleet_dir);
     let server = if cfg.metrics_addr.is_empty() {
         None
     } else {
@@ -285,8 +327,7 @@ pub fn run_fleet(fleet_dir: &Path, cfg: &FleetConfig) -> Result<FleetReport, Str
                 Ok(None) => {
                     // Still running: advance the heartbeat watch.
                     let run_dir = crate::worker::run_dir_path(fleet_dir, &slot.spec_id);
-                    if let Some((beat, _)) = cap_nn::heartbeat::read(&run_dir.join(HEARTBEAT_FILE))
-                    {
+                    if let Some(beat) = cap_nn::heartbeat::read(&run_dir.join(HEARTBEAT_FILE)) {
                         if beat != slot.beat {
                             slot.beat = beat;
                             slot.beat_at = cap_obs::clock::now();
@@ -336,7 +377,7 @@ pub fn run_fleet(fleet_dir: &Path, cfg: &FleetConfig) -> Result<FleetReport, Str
             let mut cmd = Command::new(&exe);
             cmd.arg("worker")
                 .arg("--fleet-dir")
-                .arg(fleet_dir)
+                .arg(&worker_fleet_dir)
                 .arg("--spec")
                 .arg(&spec.id)
                 .env_remove("CAP_METRICS_ADDR")

@@ -12,7 +12,9 @@
 //!   checkpoints are **bit-identical** to an uninterrupted reference
 //!   fleet's;
 //! - retries/backoff are observable in the federated `/metrics` and
-//!   the `/fleet` dashboard renders.
+//!   the `/fleet` dashboard renders;
+//! - a worker the queue and its heartbeat no longer name is still
+//!   killed by reconciliation, and no worker outlives these tests.
 
 use cap_fleet::queue::{Queue, SpecState};
 use cap_fleet::spec::Spec;
@@ -22,6 +24,18 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_capfleet");
+
+/// SIGKILLs every worker of its fleet dirs still alive when dropped, so
+/// a failing test leaves no orphan holding the test harness's stderr.
+struct Reaper(Vec<PathBuf>);
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        for dir in &self.0 {
+            let _ = cap_fleet::supervisor::kill_workers(dir);
+        }
+    }
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cap_fleet_chaos_{tag}_{}", std::process::id()));
@@ -105,6 +119,7 @@ fn done_json(dir: &Path, id: &str) -> cap_obs::json::Json {
 fn fleet_survives_chaos_and_supervisor_sigkill_with_bit_identical_reruns() {
     let chaos_dir = tmp_dir("sweep");
     let ref_dir = tmp_dir("reference");
+    let _reaper = Reaper(vec![chaos_dir.clone(), ref_dir.clone()]);
     let specs = chaos_specs();
     init_fleet(&chaos_dir, &specs);
 
@@ -266,4 +281,57 @@ fn fleet_survives_chaos_and_supervisor_sigkill_with_bit_identical_reruns() {
 
     let _ = std::fs::remove_dir_all(&chaos_dir);
     let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+/// A supervisor killed between spawning a worker and recording it (or
+/// before the worker's first heartbeat) leaves a worker that neither
+/// the queue nor a heartbeat names. Reconciliation must still kill it.
+#[test]
+fn reconcile_kills_a_worker_neither_queue_nor_heartbeat_names() {
+    let dir = tmp_dir("orphan");
+    let _reaper = Reaper(vec![dir.clone()]);
+    init_fleet(&dir, &[Spec::demo("o1-wedge", 47)]);
+    let mut worker = Command::new(BIN)
+        .arg("worker")
+        .arg("--fleet-dir")
+        .arg(std::fs::canonicalize(&dir).unwrap())
+        .args(["--spec", "o1-wedge"])
+        .env("CAP_FAULT", "wedge_after_iter=1")
+        .env_remove("CAP_METRICS_ADDR")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let run_dir = dir.join("runs").join("o1-wedge");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !std::fs::read_to_string(run_dir.join("journal.jsonl"))
+        .unwrap_or_default()
+        .contains("\"type\":\"iter\"")
+    {
+        assert!(
+            Instant::now() < deadline,
+            "no iteration journaled within 120s"
+        );
+        assert!(
+            worker.try_wait().unwrap().is_none(),
+            "worker exited instead of wedging"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    std::fs::remove_file(run_dir.join("heartbeat")).unwrap();
+    let mut queue = Queue::load(&dir).unwrap();
+    assert_eq!(queue.get("o1-wedge").unwrap().state, SpecState::Pending);
+
+    cap_fleet::supervisor::reconcile(&mut queue, &dir).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = worker.try_wait().unwrap() {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "reconcile left the worker alive");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(!status.success(), "the wedged worker was killed: {status}");
+    assert_eq!(queue.get("o1-wedge").unwrap().state, SpecState::Pending);
+    let _ = std::fs::remove_dir_all(&dir);
 }

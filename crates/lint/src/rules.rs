@@ -89,7 +89,7 @@ impl RuleId {
         match self {
             RuleId::R001 => {
                 "spawn threads only through the cap-par pool (crates/par); ad-hoc \
-                 threads bypass CAP_THREADS determinism, the watchdog, and panic recovery"
+                 threads bypass CAP_THREADS determinism and panic recovery"
             }
             RuleId::R002 => {
                 "route durable writes through cap_obs::fsx::atomic_write (tmp+rename+fsync); \

@@ -13,10 +13,7 @@
 //! Unarmed, [`beat`] is one relaxed atomic load — ordinary (non-fleet)
 //! runs pay nothing.
 //!
-//! The file content is a single line, `"<count> <pid>\n"`: the counter
-//! carries liveness, the pid lets a reconciling supervisor check
-//! whether the writer is still alive after the *supervisor* itself was
-//! killed and restarted.
+//! The file content is a single line, `"<count>\n"`.
 //!
 //! [`RunDir::append_journal`]: crate::rundir::RunDir::append_journal
 //! [`RunDir::save_generation`]: crate::rundir::RunDir::save_generation
@@ -66,7 +63,7 @@ pub fn beat() {
         slot.clone()
     };
     let Some(path) = target else { return };
-    let line = format!("{count} {}\n", std::process::id());
+    let line = format!("{count}\n");
     // Liveness is best-effort by nature: a failed beat must not fail
     // the run it is reporting on.
     if let Err(e) = cap_obs::fsx::atomic_write(&path, line.as_bytes()) {
@@ -74,15 +71,10 @@ pub fn beat() {
     }
 }
 
-/// Reads a heartbeat file: `(count, pid)`. Returns `None` when the
-/// file is missing or malformed (a supervisor treats both as "no beat
-/// yet").
-pub fn read(path: &Path) -> Option<(u64, u32)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut parts = text.split_whitespace();
-    let count = parts.next()?.parse().ok()?;
-    let pid = parts.next()?.parse().ok()?;
-    Some((count, pid))
+/// Reads a heartbeat file's count. Returns `None` when the file is
+/// missing or malformed (a supervisor treats both as "no beat yet").
+pub fn read(path: &Path) -> Option<u64> {
+    std::fs::read_to_string(path).ok()?.trim().parse().ok()
 }
 
 #[cfg(test)]
@@ -98,15 +90,14 @@ mod tests {
         beat();
         assert!(!path.exists(), "unarmed beat must not write");
         arm(&path);
-        let (c1, pid) = read(&path).expect("arming writes an initial beat");
-        assert_eq!(pid, std::process::id());
+        let c1 = read(&path).expect("arming writes an initial beat");
         beat();
         beat();
-        let (c2, _) = read(&path).unwrap();
+        let c2 = read(&path).unwrap();
         assert!(c2 >= c1 + 2, "counter must advance: {c1} -> {c2}");
         disarm();
         beat();
-        let (c3, _) = read(&path).unwrap();
+        let c3 = read(&path).unwrap();
         assert_eq!(c3, c2, "disarmed beats must not write");
         let _ = std::fs::remove_file(&path);
     }

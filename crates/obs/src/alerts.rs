@@ -5,8 +5,7 @@
 //! rule trips it fires exactly once per installation (latched — a
 //! breached threshold at a 4 Hz cadence must not spam 4 alerts a
 //! second): an `alert` event is emitted, `obs.alerts_total` is bumped,
-//! the flight recorder is dumped next to the run history, and one JSON
-//! line is appended durably to `alerts.jsonl`.
+//! and one JSON line is appended durably to `alerts.jsonl`.
 //!
 //! Rule semantics (DESIGN.md §12):
 //!
@@ -191,12 +190,11 @@ impl Rule {
     }
 }
 
-/// The installed rule set plus its output paths.
+/// The installed rule set plus its output path.
 struct Engine {
     rules: Vec<Rule>,
     states: Vec<RuleState>,
     alerts_path: Option<PathBuf>,
-    flight_dump: Option<PathBuf>,
     fired: Vec<Alert>,
 }
 
@@ -207,15 +205,13 @@ fn engine_slot() -> &'static Mutex<Option<Engine>> {
 
 /// Installs `rules` as the process-global alert set, replacing any
 /// previous installation (and its latched state). Fired alerts append
-/// to `alerts_path` (JSONL) and dump the flight recorder to
-/// `flight_dump` when given.
-pub fn install(rules: Vec<Rule>, alerts_path: Option<PathBuf>, flight_dump: Option<PathBuf>) {
+/// to `alerts_path` (JSONL) when given.
+pub fn install(rules: Vec<Rule>, alerts_path: Option<PathBuf>) {
     let states = rules.iter().map(|_| RuleState::default()).collect();
     *engine_slot().lock().unwrap() = Some(Engine {
         states,
         rules,
         alerts_path,
-        flight_dump,
         fired: Vec::new(),
     });
 }
@@ -285,9 +281,6 @@ pub fn evaluate_sample(sample: &Sample) {
                 let _ = f.append_durable(alert_line(alert).as_bytes());
             }
         }
-    }
-    if let Some(path) = &engine.flight_dump {
-        let _ = crate::flight::dump_to_file(&path.display().to_string());
     }
     engine.fired.extend(new_alerts);
 }
@@ -406,7 +399,6 @@ mod tests {
                 max_drop: 0.1,
             })],
             Some(path.clone()),
-            None,
         );
         evaluate_sample(&sample(0, 0.0, &[("acc", 0.9)]));
         evaluate_sample(&sample(1, 0.5, &[("acc", 0.5)]));

@@ -64,7 +64,6 @@ pub mod clock;
 pub mod dash;
 pub mod expo;
 pub mod flame;
-pub mod flight;
 pub mod fsx;
 pub mod json;
 pub mod metrics;
@@ -143,21 +142,6 @@ pub fn uptime_secs() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Microseconds between observability start and `t` (0.0 before
-/// [`enable`] or for instants predating it). Used to place flight
-/// recorder records on the same clock as [`Event::t`].
-pub(crate) fn instant_offset_us(t: Instant) -> f64 {
-    START
-        .get()
-        .map(|s| {
-            t.checked_duration_since(*s)
-                .unwrap_or_default()
-                .as_secs_f64()
-                * 1e6
-        })
-        .unwrap_or(0.0)
-}
-
 /// The process-global metrics registry.
 pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
@@ -197,9 +181,6 @@ pub fn flush() {
 pub fn emit(event: Event) {
     if !enabled() {
         return;
-    }
-    if flight::enabled() {
-        flight::record_instant(event.kind, event.t);
     }
     if let Some(sink) = sink_slot().lock().unwrap().as_ref() {
         sink.emit(&event);
@@ -265,13 +246,11 @@ pub fn report() -> String {
     out
 }
 
-/// Clears the registry, the flight recorder rings, and removes the
-/// sink. Leaves the enable flags untouched; meant for test isolation
-/// together with [`test_lock`].
+/// Clears the registry and removes the sink. Leaves the enable flags
+/// untouched; meant for test isolation together with [`test_lock`].
 pub fn reset() {
     registry().reset();
     clear_sink();
-    flight::clear();
     set_detail(false);
 }
 
@@ -347,7 +326,7 @@ pub struct Telemetry {
 ///    when given, else from `CAP_TRACE`;
 /// 2. when `CAP_METRICS_ADDR` is set (e.g. `127.0.0.1:9184`), starts
 ///    the process-global [`serve`] server there — which also enables
-///    instrumentation and the [`flight`] recorder.
+///    instrumentation.
 ///
 /// # Errors
 ///
@@ -371,34 +350,13 @@ pub fn init_telemetry(cli_trace: Option<&str>) -> Result<Telemetry, String> {
 /// through by `capctl` and `cap-bench`'s `finalize_telemetry` so every
 /// binary tears telemetry down the same way:
 ///
-/// 1. honours `CAP_FLIGHT_DUMP=<path>` by writing the flight-recorder
-///    chrome trace there (emitting a `flight_dump` event either way);
-/// 2. stops the sampling [`recorder`] (final fsync'd sample);
-/// 3. stops the global [`serve`] server;
-/// 4. flushes the event sink.
-///
-/// # Errors
-///
-/// Returns the flight-dump failure, after still running the remaining
-/// shutdown steps.
-pub fn finalize_process() -> Result<(), String> {
-    let mut result = Ok(());
-    if flight::enabled() {
-        if let Ok(path) = std::env::var("CAP_FLIGHT_DUMP") {
-            if !path.is_empty() {
-                let dump = flight::dump_to_file(&path);
-                emit(match &dump {
-                    Ok(()) => Event::new("flight_dump").str("path", path),
-                    Err(e) => Event::new("flight_dump").str("error", e.clone()),
-                });
-                result = dump;
-            }
-        }
-    }
+/// 1. stops the sampling [`recorder`] (final fsync'd sample);
+/// 2. stops the global [`serve`] server;
+/// 3. flushes the event sink.
+pub fn finalize_process() {
     recorder::stop_global();
     serve::stop_global();
     flush();
-    result
 }
 
 #[cfg(test)]

@@ -1,14 +1,13 @@
 //! A minimal `std::net` HTTP/1.1 server exposing live telemetry.
 //!
 //! Zero-dependency like the rest of the crate: one accept-loop thread
-//! (`cap-obs-serve`), connections handled inline, seven read-only routes:
+//! (`cap-obs-serve`), connections handled inline, six read-only routes:
 //!
 //! | Route | Content | Format |
 //! |---|---|---|
 //! | `/metrics` | the [`crate::Registry`] | Prometheus text exposition ([`crate::expo`]) |
 //! | `/healthz` | liveness | `ok` |
 //! | `/report` | uptime + metrics + span tree | JSON (hand-rolled writer) |
-//! | `/trace` | the flight recorder | chrome://tracing trace-event JSON |
 //! | `/api/series` | recorded history ([`crate::recorder`]) | JSON (`?name=<series>&from=<seq>&to=<seq>&downsample=<n>`) |
 //! | `/dash` | run-history dashboard ([`crate::dash`]) | self-contained HTML |
 //! | `/prof` | live span-tree flamegraph ([`crate::span_stacks`] + [`crate::flame`]) | SVG |
@@ -214,7 +213,6 @@ fn route_counter(path: &str) -> &'static str {
         "/metrics" => "obs.http.requests.metrics",
         "/healthz" => "obs.http.requests.healthz",
         "/report" => "obs.http.requests.report",
-        "/trace" => "obs.http.requests.trace",
         "/api/series" => "obs.http.requests.api_series",
         "/dash" => "obs.http.requests.dash",
         "/prof" => "obs.http.requests.prof",
@@ -305,11 +303,6 @@ fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
         ),
         "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
         "/report" => ("200 OK", "application/json; charset=utf-8", report_json()),
-        "/trace" => (
-            "200 OK",
-            "application/json; charset=utf-8",
-            crate::flight::export_chrome_trace(),
-        ),
         "/api/series" => match series_json(query) {
             Ok(body) => ("200 OK", "application/json; charset=utf-8", body),
             Err(e) => (
@@ -333,7 +326,7 @@ fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
                 "404 Not Found",
                 "text/plain; charset=utf-8",
                 format!(
-                    "routes: /metrics /healthz /report /trace /api/series /dash /prof{}\n",
+                    "routes: /metrics /healthz /report /api/series /dash /prof{}\n",
                     dynamic_route_names()
                 ),
             )
@@ -470,8 +463,7 @@ fn global_slot() -> &'static Mutex<Option<Server>> {
 }
 
 /// Starts the process-global server (used by `CAP_METRICS_ADDR` /
-/// `--serve-metrics`) and enables the flight recorder so `/trace` has
-/// something to show. Replaces any previous global server.
+/// `--serve-metrics`). Replaces any previous global server.
 ///
 /// # Errors
 ///
@@ -493,7 +485,6 @@ pub fn start_global_resilient(addr: &str) -> Result<Option<SocketAddr>, String> 
 }
 
 fn install_global(server: Server) -> SocketAddr {
-    crate::flight::enable();
     let bound = server.addr();
     let mut slot = global_slot().lock().unwrap();
     if let Some(old) = slot.take() {

@@ -51,9 +51,6 @@ impl Drop for SpanGuard {
             path
         });
         crate::registry().histogram_record(&format!("span.{path}"), elapsed_ns);
-        if crate::flight::enabled() {
-            crate::flight::record_span(&path, crate::instant_offset_us(start), elapsed_ns / 1e3);
-        }
         if crate::detail() {
             crate::emit(
                 crate::Event::new("span")

@@ -42,7 +42,7 @@
 //! without continuation stealing and avoids oversubscription when e.g.
 //! a per-sample-parallel convolution calls the row-parallel matmul.
 //!
-//! # Telemetry & watchdog
+//! # Telemetry
 //!
 //! When `cap-obs` instrumentation is enabled, the pool publishes live
 //! metrics: per-worker busy-time and task-count gauges
@@ -50,16 +50,7 @@
 //! queue-depth and batch counters (`par.queue_depth`,
 //! `par.batches_total`, `par.tasks_submitted_total`,
 //! `par.caller_tasks_total`), and the pool size (`par.threads`) — all
-//! scrapeable from the `/metrics` endpoint of `cap_obs::serve`. A
-//! watchdog flags batches that exceed a configurable deadline
-//! (`CAP_PAR_DEADLINE_MS` or [`set_batch_deadline_ms`]): it emits a
-//! `par_stall` event, bumps `par.watchdog_fired_total`, and dumps the
-//! flight recorder to `CAP_FLIGHT_DUMP` (default
-//! `cap-flight-stall.trace.json`) so the stall has an openable
-//! timeline. The watchdog only *observes* — it never cancels or
-//! reorders tasks — so the determinism contract below is unaffected,
-//! and with no deadline configured the cost is one atomic load per
-//! batch.
+//! scrapeable from the `/metrics` endpoint of `cap_obs::serve`.
 //!
 //! # Example
 //!
@@ -76,9 +67,9 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A unit of work borrowed from the submitting scope. [`Pool::run`]
 /// guarantees the task does not outlive the call, which is what makes
@@ -99,11 +90,6 @@ thread_local! {
 
 /// Target thread count; 0 means "not yet resolved from the environment".
 static CURRENT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Batch watchdog deadline in ms; 0 = not yet resolved from the
-/// environment, [`DEADLINE_NONE`] = no deadline.
-static DEADLINE_MS: AtomicU64 = AtomicU64::new(0);
-const DEADLINE_NONE: u64 = u64::MAX;
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
@@ -138,36 +124,6 @@ pub fn threads() -> usize {
 /// calling thread.
 pub fn set_threads(n: usize) {
     CURRENT_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The watchdog deadline for one parallel batch, resolved once from
-/// `CAP_PAR_DEADLINE_MS` (unset, unparseable or `0` disables it), or
-/// the last [`set_batch_deadline_ms`] override.
-pub fn batch_deadline_ms() -> Option<u64> {
-    match DEADLINE_MS.load(Ordering::Relaxed) {
-        0 => {
-            let ms = std::env::var("CAP_PAR_DEADLINE_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .filter(|&ms| ms > 0 && ms < DEADLINE_NONE)
-                .unwrap_or(DEADLINE_NONE);
-            DEADLINE_MS.store(ms, Ordering::Relaxed);
-            (ms != DEADLINE_NONE).then_some(ms)
-        }
-        DEADLINE_NONE => None,
-        ms => Some(ms),
-    }
-}
-
-/// Overrides the watchdog deadline at runtime; `None` disables it.
-pub fn set_batch_deadline_ms(ms: Option<u64>) {
-    DEADLINE_MS.store(
-        match ms {
-            Some(ms) if ms > 0 && ms < DEADLINE_NONE => ms,
-            _ => DEADLINE_NONE,
-        },
-        Ordering::Relaxed,
-    );
 }
 
 /// Whether the current thread is already inside a parallel region (a
@@ -233,21 +189,6 @@ impl Latch {
         while st.remaining > 0 {
             st = self.cv.wait(st).unwrap();
         }
-    }
-
-    /// Waits until the batch completes or `deadline` passes; returns
-    /// whether the batch completed in time.
-    fn wait_until(&self, deadline: Instant) -> bool {
-        let mut st = self.state.lock().unwrap();
-        while st.remaining > 0 {
-            let now = cap_obs::clock::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _timeout) = self.cv.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-        }
-        true
     }
 
     fn take_panic(&self) -> Option<PanicPayload> {
@@ -367,8 +308,6 @@ impl Pool {
             cap_obs::counter_add("par.batches_total", 1);
             cap_obs::counter_add("par.tasks_submitted_total", count as u64);
         }
-        let deadline_ms = batch_deadline_ms();
-        let batch_start = deadline_ms.map(|_| cap_obs::clock::now());
         // Participate: drain jobs until this batch is complete. The FIFO
         // may interleave jobs of concurrent batches; helping them is
         // harmless and keeps every runnable task moving.
@@ -384,16 +323,7 @@ impl Pool {
                     cap_obs::counter_add("par.caller_tasks_total", 1);
                 }
                 None => {
-                    match (deadline_ms, batch_start) {
-                        (Some(ms), Some(started)) => {
-                            let deadline = Duration::from_millis(ms);
-                            if !latch.wait_until(started + deadline) {
-                                fire_watchdog(count, deadline, started.elapsed());
-                                latch.wait();
-                            }
-                        }
-                        _ => latch.wait(),
-                    }
+                    latch.wait();
                     break;
                 }
             }
@@ -453,30 +383,6 @@ fn worker_loop(shared: &Shared, index: usize) {
             None => return,
         }
     }
-}
-
-/// Handles a batch blowing its watchdog deadline: counts it, emits a
-/// `par_stall` event, and dumps the flight recorder (when it is on) so
-/// the stall leaves an openable timeline. Purely observational — the
-/// batch keeps running and the caller goes back to waiting.
-fn fire_watchdog(batch_tasks: usize, deadline: Duration, waited: Duration) {
-    cap_obs::counter_add("par.watchdog_fired_total", 1);
-    let mut event = cap_obs::Event::new("par_stall")
-        .u64("tasks", batch_tasks as u64)
-        .f64("deadline_secs", deadline.as_secs_f64())
-        .f64("waited_secs", waited.as_secs_f64());
-    if cap_obs::flight::enabled() {
-        let path = std::env::var("CAP_FLIGHT_DUMP")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .unwrap_or_else(|| "cap-flight-stall.trace.json".to_string());
-        match cap_obs::flight::dump_to_file(&path) {
-            Ok(()) => event = event.str("flight_dump", path),
-            Err(e) => event = event.str("flight_dump_error", e),
-        }
-    }
-    cap_obs::emit(event);
-    cap_obs::flush();
 }
 
 /// Runs a batch of scoped tasks on the global pool (inline when the

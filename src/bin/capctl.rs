@@ -35,8 +35,8 @@
 //!
 //! Live telemetry: `--serve-metrics <addr>` (or `CAP_METRICS_ADDR`)
 //! starts the cap-obs HTTP server exposing `/metrics`, `/healthz`,
-//! `/report`, `/trace`, `/api/series`, `/dash` and `/prof` for the
-//! duration of the command.
+//! `/report`, `/api/series`, `/dash` and `/prof` for the duration of
+//! the command.
 //!
 //! # Exit codes
 //!
@@ -677,9 +677,7 @@ fn run() -> Result<(), CtlError> {
 
 fn main() -> ExitCode {
     let result = run();
-    if let Err(e) = cap_obs::finalize_process() {
-        eprintln!("capctl: telemetry finalize: {e}");
-    }
+    cap_obs::finalize_process();
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

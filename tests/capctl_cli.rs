@@ -114,3 +114,47 @@ fn bad_trace_spec_exits_7() {
     let out = capctl(&["--trace", "nonsense-spec", "info", "x.capn"]);
     assert_eq!(out.status.code(), Some(7));
 }
+
+/// An alert that fires in a real run dir: an injected NaN gradient,
+/// skipped by the fault policy, trips the `numeric-faults` rule. The
+/// alert is one durable line in `alerts.jsonl` and nothing else.
+#[test]
+fn injected_nan_writes_the_numeric_faults_alert() {
+    let dir = scratch("nan");
+    let run = dir.join("nan_run");
+    let out = Command::new(env!("CARGO_BIN_EXE_capctl"))
+        .args(["prune", "--run-dir", run.to_str().unwrap()])
+        .args(["--iters", "2", "--fault-policy", "skip:8"])
+        .env("CAP_FAULT", "nan_grad_at=step:3")
+        .env("CAP_RECORD_MS", "20")
+        .env_remove("CAP_METRICS_ADDR")
+        .env_remove("CAP_TRACE")
+        .output()
+        .expect("spawn capctl");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr was: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let alerts = std::fs::read_to_string(run.join("alerts.jsonl")).expect("alerts.jsonl");
+    let rules: Vec<String> = alerts
+        .lines()
+        .map(|line| {
+            let alert = cap_obs::json::parse(line).expect("alert line is JSON");
+            assert_eq!(
+                alert.get("type").and_then(|t| t.as_str()),
+                Some("alert"),
+                "{line}"
+            );
+            alert
+                .get("rule")
+                .and_then(|r| r.as_str())
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    assert!(rules.iter().any(|r| r == "numeric-faults"), "{alerts}");
+    assert!(!run.join("flight_alert.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,12 +1,11 @@
 //! End-to-end telemetry: a smoke training run under a live `/metrics`
 //! server must (a) stay bit-identical across thread counts — telemetry
 //! only observes, never steers — and (b) leave real `cap_par` worker
-//! gauges, valid exposition text, and a non-empty chrome trace behind.
+//! gauges, valid exposition text, and a span-tree flamegraph behind.
 
 use cap_data::{DatasetSpec, SyntheticDataset};
 use cap_nn::layer::{Conv2d, GlobalAvgPool, Linear, Relu};
 use cap_nn::{fit, Network, TrainConfig};
-use cap_obs::json::Json;
 use rand::SeedableRng;
 
 fn toy_net(seed: u64) -> Network {
@@ -76,7 +75,7 @@ fn smoke_training_under_live_server_is_deterministic_and_scrapable() {
     .expect("synthetic data");
 
     // Determinism contract with the full telemetry stack live: server
-    // scraping concurrently, flight recorder on, metrics flowing.
+    // scraping concurrently, metrics flowing.
     let scraper_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let scraper = {
         let stop = std::sync::Arc::clone(&scraper_stop);
@@ -117,32 +116,16 @@ fn smoke_training_under_live_server_is_deterministic_and_scrapable() {
     assert!(body.contains("cap_par_worker_0_tasks_total"), "{body}");
     assert!(body.contains("cap_par_batches_total"), "{body}");
 
-    // The flight recorder captured the run: /trace is a non-empty,
-    // parseable trace-event array with sane ts/dur pairs.
-    let trace = cap_obs::serve::http_get(addr, "/trace").expect("trace scrape");
-    let doc = cap_obs::json::parse(&trace).expect("trace parses");
-    let Json::Arr(events) = doc else {
-        panic!("trace must be an array");
-    };
-    let spans: Vec<&Json> = events
-        .iter()
-        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-        .collect();
-    assert!(!spans.is_empty(), "flight recorder captured no spans");
-    for s in &spans {
-        let ts = s.get("ts").and_then(Json::as_f64).expect("ts");
-        let dur = s.get("dur").and_then(Json::as_f64).expect("dur");
-        assert!(ts >= 0.0 && dur >= 0.0, "bad ts/dur: {s:?}");
-    }
+    // The span tree recorded the live run: /prof renders it, with the
+    // training loop's top frame in it.
+    let prof = cap_obs::serve::http_get(addr, "/prof").expect("prof scrape");
+    assert!(prof.contains("<svg"), "{prof}");
     assert!(
-        spans
-            .iter()
-            .any(|s| s.get("name").and_then(Json::as_str) == Some("nn.fit")),
-        "nn.fit span missing from flight recorder"
+        prof.contains("nn.fit"),
+        "nn.fit span missing from /prof:\n{prof}"
     );
 
     cap_obs::serve::stop_global();
-    cap_obs::flight::disable();
     cap_obs::disable();
     cap_obs::reset();
 }
