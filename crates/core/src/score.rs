@@ -960,6 +960,89 @@ mod tests {
         }
     }
 
+    /// The recorded gradient is dL/da. The layers after each site run one
+    /// by one through `Network::layers_mut()`, so the scoring loss along a
+    /// random direction `d` of the site's activation `a` is computed from
+    /// forwards alone, and its central difference must match
+    /// ⟨recorded_output_grad, d⟩. At the first site that gradient came
+    /// back through the second conv's input-gradient kernels, which this
+    /// checks against forwards rather than against the lowering.
+    #[test]
+    fn recorded_gradient_is_the_loss_derivative_at_each_site() {
+        let data = tiny_data();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut net = tiny_net(&mut rng);
+        let sites = find_prunable_sites(&net);
+        assert_eq!(sites.len(), 2, "a plain net with two sites");
+        let (class, m) = (3, 4);
+        let batch = data.train().sample_class_batch(class, m, &mut rng).unwrap();
+        let labels = vec![class; m];
+        let loss = CrossEntropyLoss::new(Reduction::Sum);
+
+        // The scoring pass's forward, loss and input-only backward.
+        net.set_record_activations(true);
+        let logits = net.forward(&batch, false).unwrap();
+        let at_logits = loss.forward(&logits, &labels).unwrap();
+        net.backward_input_only(&at_logits.grad).unwrap();
+        let recorded: Vec<(usize, Tensor, Tensor)> = sites
+            .iter()
+            .map(|site| {
+                let crate::SiteKind::Sequential { conv_idx } = site.kind else {
+                    panic!("{} is not a plain conv", site.label);
+                };
+                let conv = site.conv(&net).unwrap();
+                let a = conv.recorded_output().unwrap().clone();
+                (conv_idx, a, conv.recorded_output_grad().unwrap().clone())
+            })
+            .collect();
+        net.set_record_activations(false);
+
+        // Small enough that no ReLU input crosses 0 (at 1e-3 one does,
+        // 3% of |g| off), large enough that the loss's rounding stays
+        // near 0.1% of |g|.
+        let eps = 3e-4f32;
+        for (conv_idx, a, g) in &recorded {
+            let mut loss_at = |a: &Tensor| {
+                let mut h = a.clone();
+                for layer in &mut net.layers_mut()[conv_idx + 1..] {
+                    h = layer.forward(&h, false).unwrap();
+                }
+                loss.forward(&h, &labels).unwrap().value
+            };
+            assert_eq!(
+                loss_at(a).to_bits(),
+                at_logits.value.to_bits(),
+                "layer-by-layer forward from layer {conv_idx} differs from the network's"
+            );
+            let g_norm = g.data().iter().map(|&v| f64::from(v).powi(2)).sum::<f64>();
+            let g_norm = g_norm.sqrt();
+            for trial in 0..3 {
+                let d = cap_tensor::randn(a.shape(), 0.0, 1.0, &mut rng);
+                let step = |s: f32| {
+                    let mut t = a.clone();
+                    for (x, &dx) in t.data_mut().iter_mut().zip(d.data()) {
+                        *x += s * dx;
+                    }
+                    t
+                };
+                let central = (loss_at(&step(eps)) - loss_at(&step(-eps))) / (2.0 * f64::from(eps));
+                let inner: f64 = g
+                    .data()
+                    .iter()
+                    .zip(d.data())
+                    .map(|(&gv, &dv)| f64::from(gv) * f64::from(dv))
+                    .sum();
+                // ⟨g, d⟩ has standard deviation |g| over random d; the
+                // central difference stays within 0.25% of |g| of it.
+                assert!(
+                    (central - inner).abs() <= 0.01 * g_norm,
+                    "layer {conv_idx}, direction {trial}: central difference {central} \
+                     against <g, d> = {inner} (|g| = {g_norm})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn config_validation() {
         assert!(ScoreConfig {

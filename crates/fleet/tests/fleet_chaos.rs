@@ -2,7 +2,8 @@
 //! binary:
 //!
 //! - six specs on two workers: two clean, two that SIGABRT
-//!   mid-iteration, one that wedges (heartbeat stall → SIGKILL), one
+//!   mid-iteration, one that wedges (killed by the heartbeat-stall
+//!   detector or, once the supervisor is gone, by reconciliation), one
 //!   that always dies at startup (→ poisoned);
 //! - the supervisor itself is SIGKILLed mid-sweep and `capfleet
 //!   resume` carries the sweep to completion;
@@ -13,6 +14,9 @@
 //!   fleet's;
 //! - retries/backoff are observable in the federated `/metrics` and
 //!   the `/fleet` dashboard renders;
+//! - under a supervisor that stays alive, a wedged worker is SIGKILLed
+//!   once its heartbeat is silent past the stall timeout, the attempt
+//!   is charged as a wedge, and the retry completes;
 //! - a worker the queue and its heartbeat no longer name is still
 //!   killed by reconciliation, and no worker outlives these tests.
 
@@ -281,6 +285,81 @@ fn fleet_survives_chaos_and_supervisor_sigkill_with_bit_identical_reruns() {
 
     let _ = std::fs::remove_dir_all(&chaos_dir);
     let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+/// The stall detector end to end: a spec that wedges after its first
+/// iteration on attempt 1, under a supervisor that is never killed.
+/// The demo spec's heartbeats come tens of milliseconds apart, so only
+/// the wedge can stay silent past the 1.5 s timeout.
+#[test]
+fn stall_detector_kills_a_wedged_worker_and_the_retry_completes() {
+    let dir = tmp_dir("stall");
+    let _reaper = Reaper(vec![dir.clone()]);
+    let mut spec = Spec::demo("s1-wedge", 48);
+    spec.fault = "wedge_after_iter=1".to_string();
+    spec.fault_attempts = 1;
+    init_fleet(&dir, &[spec]);
+    let stderr_path = dir.join("supervisor.stderr");
+    let mut supervisor = Command::new(BIN)
+        .arg("run")
+        .arg("--fleet-dir")
+        .arg(&dir)
+        .args(["--workers", "1", "--poll-ms", "50"])
+        .args(["--stall-timeout-ms", "1500", "--retry-budget", "2"])
+        .args(["--backoff-base-ms", "50", "--backoff-cap-ms", "200"])
+        .env_remove("CAP_FAULT")
+        .env_remove("CAP_METRICS_ADDR")
+        .stdout(Stdio::null())
+        .stderr(std::fs::File::create(&stderr_path).unwrap())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let status = loop {
+        if let Some(status) = supervisor.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = supervisor.kill();
+            panic!(
+                "sweep did not finish within 120s:\n{}",
+                std::fs::read_to_string(&stderr_path).unwrap_or_default()
+            );
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+    assert!(status.success(), "the sweep failed: {status}\n{stderr}");
+
+    // The detector fired on attempt 1, and only there.
+    let kills: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("heartbeat silent"))
+        .collect();
+    assert_eq!(kills.len(), 1, "one stall kill:\n{stderr}");
+    assert!(
+        kills[0].starts_with("capfleet: s1-wedge heartbeat silent ")
+            && kills[0].ends_with("ms > 1500ms — SIGKILL"),
+        "{}",
+        kills[0]
+    );
+    assert!(
+        stderr.contains("capfleet: s1-wedge wedged (heartbeat stall); retrying in"),
+        "the attempt was not charged as a wedge:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("capfleet: s1-wedge done (attempt 2)"),
+        "{stderr}"
+    );
+
+    // The queue charged one failed attempt and recorded one completion.
+    let history = queue_text(&dir);
+    let events = |state: &str| history.matches(&format!("\"state\":\"{state}\"")).count();
+    assert_eq!((events("failed"), events("done")), (1, 1), "{history}");
+    let queue = Queue::load(&dir).unwrap();
+    let entry = queue.get("s1-wedge").unwrap();
+    assert_eq!((entry.state, entry.attempts), (SpecState::Done, 2));
+    assert!(dir.join("runs/s1-wedge/DONE.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A supervisor killed between spawning a worker and recording it (or

@@ -307,7 +307,9 @@ fn col2im_sample(cols: &[f32], row_len: usize, sample: &mut [f32], geom: &Conv2d
 }
 
 /// Lanes of one AVX2 vector: the direct kernels' rows are whole
-/// vectors, so no column runs a scalar tail.
+/// vectors, so no column runs a scalar tail. (The 512-bit twins mask
+/// the upper half of a row's last 16-lane vector when a row is an odd
+/// number of these.)
 const LANES: usize = 8;
 
 /// Whether `geom` runs on the direct kernels: stride 1, padding at most
@@ -685,15 +687,23 @@ struct WindowRows<'a> {
 
 impl WindowRows<'_> {
     /// Stores each sum into `out`, overwriting every element. The AVX2
-    /// kernel fuses each multiply-add as the AVX2 GEMM does; the scalar
-    /// loop multiplies and adds separately, as the scalar GEMM does.
+    /// kernel and its 512-bit twin fuse each multiply-add as the AVX2
+    /// GEMM does; the scalar loop multiplies and adds separately, as the
+    /// scalar GEMM does.
     fn run(&self, out: &mut [f32], sums: &mut Vec<f32>) {
         // The pin reports AVX2 only on x86-64.
         if simd::simd_mode() == SimdMode::Avx2 {
             #[cfg(target_arch = "x86_64")]
             {
-                simd::window_rows_avx2(
-                    self.a, self.a_rs, self.a_cs, self.offs, self.src, out, self.qr,
+                simd::window_rows(
+                    simd::direct_width(),
+                    self.a,
+                    self.a_rs,
+                    self.a_cs,
+                    self.offs,
+                    self.src,
+                    out,
+                    self.qr,
                 );
                 return;
             }
@@ -730,15 +740,24 @@ struct TapRows<'a> {
 
 impl TapRows<'_> {
     /// Stores each sum into `out`, overwriting every element. The AVX2
-    /// kernel keeps the tap sums and the running sum in registers; the
-    /// scalar loop takes the same steps, multiply and add separate.
+    /// kernel and its 512-bit twin keep the tap sums and the running sum
+    /// in registers; the scalar loop takes the same steps, multiply and
+    /// add separate.
     fn run(&self, out: &mut [f32], sums: &mut Vec<f32>) {
         // The pin reports AVX2 only on x86-64.
         if simd::simd_mode() == SimdMode::Avx2 {
             #[cfg(target_arch = "x86_64")]
             {
-                simd::tap_rows_avx2(
-                    self.a, self.a_rs, self.a_cs, self.offs, self.taps, self.src, out, self.qr,
+                simd::tap_rows(
+                    simd::direct_width(),
+                    self.a,
+                    self.a_rs,
+                    self.a_cs,
+                    self.offs,
+                    self.taps,
+                    self.src,
+                    out,
+                    self.qr,
                 );
                 return;
             }

@@ -123,8 +123,13 @@ fn count_kernel(name: &'static str) {
 fn direct(n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], mode: SimdMode) {
     #[cfg(target_arch = "x86_64")]
     if mode == SimdMode::Avx2 && b.col_stride == 1 {
-        count_kernel("tensor.gemm.kernel.direct_avx2_total");
-        simd::direct_rows_avx2(
+        let width = simd::direct_width();
+        count_kernel(match width {
+            simd::Width::Avx2 => "tensor.gemm.kernel.direct_avx2_total",
+            simd::Width::Avx512 => "tensor.gemm.kernel.direct_avx512_total",
+        });
+        simd::direct_rows(
+            width,
             n,
             k,
             a.data,

@@ -152,13 +152,21 @@ pub(crate) fn observe(plan: &Plan) {
 
 /// Human-readable selector verdict for a (row-major) matmul of the
 /// given shape — what `matmul` would run right now, without running
-/// it: `direct(<mode>)` or `packed(<config>, heuristic)`. Exposed for
-/// benches and telemetry (`BENCH_kernels.json`'s `selector` fields,
-/// capbench's `# gemm` lines).
+/// it: `direct(<width>)` or `packed(<config>, heuristic)`, where the
+/// width is `scalar`, `avx2`, or `avx512` where the AVX2 mode's direct
+/// kernels run as their 512-bit twins. Exposed for benches and
+/// telemetry (`BENCH_kernels.json`'s `selector` fields, capbench's
+/// `# gemm` lines).
 pub fn gemm_plan_summary(m: usize, n: usize, k: usize) -> String {
     let mode = crate::simd::simd_mode();
     match plan(m, n, k, true, mode) {
-        Plan::Direct => format!("direct({})", mode.name()),
+        Plan::Direct => {
+            let width = match mode {
+                SimdMode::Scalar => "scalar",
+                SimdMode::Avx2 => crate::simd::direct_width().name(),
+            };
+            format!("direct({width})")
+        }
         Plan::Packed(cfg) => format!("packed({}, heuristic)", cfg.describe()),
     }
 }
@@ -252,6 +260,15 @@ mod tests {
                 gemm_plan_summary(1024, 1024, 1024),
                 "packed(avx2_8x8 mc=128 nc=512 kc=256, heuristic)"
             );
+            // The direct kernels' width is the CPU's, not the shape's.
+            #[cfg(target_arch = "x86_64")]
+            let width = if std::arch::is_x86_feature_detected!("avx512f") {
+                "avx512"
+            } else {
+                "avx2"
+            };
+            #[cfg(target_arch = "x86_64")]
+            assert_eq!(gemm_plan_summary(192, 192, 192), format!("direct({width})"));
         }
         crate::simd::set_simd_mode(SimdMode::Scalar).expect("scalar always runs");
         assert_eq!(

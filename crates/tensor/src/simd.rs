@@ -7,10 +7,14 @@
 //! here is a leaf: the 8×8 register-tile kernel over packed panels,
 //! one direct (unpacked) row kernel for small shapes, and the direct
 //! convolutions' shifted-window kernels (one row kernel for the forward,
-//! one tap-summing kernel for the input gradient). All loads and stores are
-//! unaligned (`loadu`/`storeu`), so callers only have to guarantee
-//! slice bounds, which the safe wrappers assert. Other architectures
-//! run the scalar reference path.
+//! one tap-summing kernel for the input gradient). The three direct
+//! kernels ([`direct_rows`], [`window_rows`], [`tap_rows`]) come at two
+//! [`Width`]s: 256-bit AVX2 and 512-bit AVX-512F twins, which use the
+//! 32 ZMM registers for larger tiles and mask the upper half of a row's
+//! last vector when the row is an odd multiple of 8 columns. All loads
+//! and stores are unaligned (`loadu`/`storeu`, masked at row ends), so
+//! callers only have to guarantee slice bounds, which the safe wrappers
+//! assert. Other architectures run the scalar reference path.
 //!
 //! # Mode pin
 //!
@@ -19,6 +23,9 @@
 //! default) intersected with runtime CPU feature detection, so a run's
 //! kernel choice is deterministic and recorded. [`set_simd_mode`]
 //! exists for benches and tests that A/B both paths in one process.
+//! Under the `Avx2` pin the direct kernels run at [`direct_width`],
+//! also resolved once per process: the 512-bit twins wherever the CPU
+//! has AVX-512F.
 //!
 //! # Determinism
 //!
@@ -26,7 +33,10 @@
 //! (depth) order. All AVX2 kernels use one fused multiply-add per
 //! element per step, so *every* AVX2 kernel produces bit-identical
 //! results for the same operands — changing cache blocking never
-//! changes bits. The scalar kernels use separate multiply and add,
+//! changes bits. The 512-bit twins take the same steps per element
+//! (the same FMAs in the same order, and the same tap additions), so
+//! the vector width is bit-neutral too, like the blocking. The scalar
+//! kernels use separate multiply and add,
 //! which rounds differently from FMA; that is why the ISA pin, not the
 //! selector, is the unit of numerical reproducibility (see DESIGN.md
 //! §13).
@@ -34,6 +44,9 @@
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m512, __mmask16};
 
 /// Maximum microkernel rows across all kernels (8×8 tile).
 pub(crate) const MR_MAX: usize = 8;
@@ -74,6 +87,50 @@ pub fn avx2_available() -> bool {
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
+    }
+}
+
+/// The vector width of the direct kernels ([`direct_rows`],
+/// [`window_rows`], [`tap_rows`]) under the `Avx2` pin. Both widths give
+/// the same bits, so the width is not part of [`SimdMode`] and never
+/// enters a cache key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Width {
+    /// 256-bit YMM kernels (AVX2 + FMA).
+    Avx2,
+    /// Their 512-bit ZMM twins (AVX-512F).
+    Avx512,
+}
+
+impl Width {
+    /// Stable lowercase name (`avx2` / `avx512`), as `gemm_plan_summary`
+    /// prints it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Width::Avx2 => "avx2",
+            Width::Avx512 => "avx512",
+        }
+    }
+}
+
+/// The width the direct kernels run at under the `Avx2` pin, decided
+/// once per process: the 512-bit twins wherever the CPU has AVX-512F on
+/// top of AVX2+FMA.
+pub(crate) fn direct_width() -> Width {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static WIDTH: std::sync::OnceLock<Width> = std::sync::OnceLock::new();
+        *WIDTH.get_or_init(|| {
+            if avx2_available() && std::arch::is_x86_feature_detected!("avx512f") {
+                Width::Avx512
+            } else {
+                Width::Avx2
+            }
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        Width::Avx2
     }
 }
 
@@ -221,15 +278,18 @@ unsafe fn micro_8x8_avx2_impl(kc: usize, pa: *const f32, pb: *const f32, acc: *m
     }
 }
 
-/// Direct (unpacked) AVX2 row kernel for small shapes: computes
+/// Direct (unpacked) row kernel for small shapes: computes
 /// `out[i][j] += Σ_p a[i][p] · b[p][j]` for `rows` output rows, with
 /// `b` row-major contiguous (`col_stride == 1`, leading dimension
 /// `b_rs`). `a` may be strided (transposed views). Each element
-/// accumulates ascending `p` with one FMA per step; the tail columns
-/// (`n % 8`) use scalar FMA so the op sequence per element is uniform.
+/// accumulates ascending `p` with one FMA per step, at either width:
+/// the AVX2 kernel runs the tail columns (`n % 8`) as scalar FMA, its
+/// 512-bit twin as one masked vector (`n % 16`), so the op sequence per
+/// element is the same everywhere.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn direct_rows_avx2(
+pub(crate) fn direct_rows(
+    width: Width,
     n: usize,
     k: usize,
     a: &[f32],
@@ -244,24 +304,25 @@ pub(crate) fn direct_rows_avx2(
     if rows == 0 || n == 0 || k == 0 {
         return;
     }
-    // Bounds for every access the unsafe kernel performs.
+    // Bounds for every access the unsafe kernels perform.
     assert!(a.len() > a_off + (rows - 1) * a_rs + (k - 1) * a_cs);
     assert!(b.len() >= (k - 1) * b_rs + n);
     assert!(out.len() >= rows * n);
-    // SAFETY: AVX2+FMA availability is guaranteed by the mode pin; the
-    // index bounds are asserted just above.
-    unsafe {
-        direct_rows_avx2_impl(
-            rows,
-            n,
-            k,
-            a.as_ptr().add(a_off),
-            a_rs,
-            a_cs,
-            b.as_ptr(),
-            b_rs,
-            out.as_mut_ptr(),
-        )
+    let (a, b, out) = (a[a_off..].as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    match width {
+        // SAFETY: AVX2+FMA availability is guaranteed by the mode pin;
+        // the index bounds are asserted just above.
+        Width::Avx2 => unsafe { direct_rows_avx2_impl(rows, n, k, a, a_rs, a_cs, b, b_rs, out) },
+        Width::Avx512 => {
+            assert_eq!(
+                direct_width(),
+                Width::Avx512,
+                "the 512-bit twins need AVX-512F"
+            );
+            // SAFETY: AVX-512F availability is asserted just above, the
+            // index bounds before it.
+            unsafe { direct_rows_avx512_impl(rows, n, k, a, a_rs, a_cs, b, b_rs, out) }
+        }
     }
 }
 
@@ -334,15 +395,88 @@ unsafe fn direct_rows_avx2_impl(
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: callers must guarantee AVX-512F support and the bounds of
+// `direct_rows_avx2_impl`.
+unsafe fn direct_rows_avx512_impl(
+    rows: usize,
+    n: usize,
+    k: usize,
+    a: *const f32,
+    a_rs: usize,
+    a_cs: usize,
+    b: *const f32,
+    b_rs: usize,
+    out: *mut f32,
+) {
+    use std::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_set1_ps, _mm512_storeu_ps,
+    };
+    // Column blocks of 64 (four ZMM accumulators) stay resident in
+    // registers across the whole depth loop.
+    const JB: usize = 64;
+    // SAFETY: every pointer offset below stays inside the caller-
+    // guaranteed ranges: a[i*a_rs + p*a_cs], b[p*b_rs + j..+16] and
+    // out[i*n + j..+16] with i < rows, p < k, j < n; the last vector's
+    // lanes at or past `n` are masked off, so they are never read or
+    // written.
+    unsafe {
+        for i in 0..rows {
+            let arow = a.add(i * a_rs);
+            let orow = out.add(i * n);
+            let mut j = 0;
+            while j + JB <= n {
+                let mut c0 = _mm512_loadu_ps(orow.add(j));
+                let mut c1 = _mm512_loadu_ps(orow.add(j + 16));
+                let mut c2 = _mm512_loadu_ps(orow.add(j + 32));
+                let mut c3 = _mm512_loadu_ps(orow.add(j + 48));
+                for p in 0..k {
+                    let av = _mm512_set1_ps(*arow.add(p * a_cs));
+                    let brow = b.add(p * b_rs + j);
+                    c0 = _mm512_fmadd_ps(av, _mm512_loadu_ps(brow), c0);
+                    c1 = _mm512_fmadd_ps(av, _mm512_loadu_ps(brow.add(16)), c1);
+                    c2 = _mm512_fmadd_ps(av, _mm512_loadu_ps(brow.add(32)), c2);
+                    c3 = _mm512_fmadd_ps(av, _mm512_loadu_ps(brow.add(48)), c3);
+                }
+                _mm512_storeu_ps(orow.add(j), c0);
+                _mm512_storeu_ps(orow.add(j + 16), c1);
+                _mm512_storeu_ps(orow.add(j + 32), c2);
+                _mm512_storeu_ps(orow.add(j + 48), c3);
+                j += JB;
+            }
+            while j < n {
+                // Lanes j..min(j + 16, n): the whole vector but at the
+                // row's end.
+                let lanes = (n - j).min(16);
+                let m: __mmask16 = (1u32 << lanes).wrapping_sub(1) as __mmask16;
+                let mut c0 = _mm512_maskz_loadu_ps(m, orow.add(j));
+                for p in 0..k {
+                    let av = _mm512_set1_ps(*arow.add(p * a_cs));
+                    c0 = _mm512_fmadd_ps(av, _mm512_maskz_loadu_ps(m, b.add(p * b_rs + j)), c0);
+                }
+                _mm512_mask_storeu_ps(orow.add(j), m, c0);
+                j += 16;
+            }
+        }
+    }
+}
+
 /// Shifted-window row kernel of the direct forward convolution: for
 /// every row `r` of `out` (rows of `qr` columns, `qr` a multiple of 8)
 /// and every column `q`, the sum `Σ_i a[r·a_rs + i·a_cs] · src[offs[i] + q]`,
 /// ascending `i`, starting at `+0` in its own register, one FMA per
-/// step, exactly like [`direct_rows_avx2`] over a B whose row `i` is
+/// step, exactly like [`direct_rows`] over a B whose row `i` is
 /// the window at `offs[i]`. The sum is stored into `out`, overwriting
-/// every element. Columns run in whole 8-lane vectors.
+/// every element. Columns run in whole 8-lane vectors, or at 512 bits
+/// in 16-lane vectors with the upper half of a row's last one masked
+/// off when `qr` is an odd multiple of 8.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn window_rows_avx2(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn window_rows(
+    width: Width,
     a: &[f32],
     a_rs: usize,
     a_cs: usize,
@@ -360,23 +494,25 @@ pub(crate) fn window_rows_avx2(
     if rows == 0 || qr == 0 || k == 0 {
         return;
     }
-    // Bounds for every access the unsafe kernel performs.
+    // Bounds for every access the unsafe kernels perform.
     assert_eq!(out.len(), rows * qr);
     assert!(a.len() > (rows - 1) * a_rs + (k - 1) * a_cs);
     assert!(offs.iter().all(|&o| o + qr <= src.len()));
-    // SAFETY: AVX2+FMA availability is guaranteed by the mode pin; the
-    // index bounds are asserted just above.
-    unsafe {
-        window_rows_avx2_impl(
-            rows,
-            qr,
-            a.as_ptr(),
-            a_rs,
-            a_cs,
-            offs,
-            src.as_ptr(),
-            out.as_mut_ptr(),
-        )
+    let (a, src, out) = (a.as_ptr(), src.as_ptr(), out.as_mut_ptr());
+    match width {
+        // SAFETY: AVX2+FMA availability is guaranteed by the mode pin;
+        // the index bounds are asserted just above.
+        Width::Avx2 => unsafe { window_rows_avx2_impl(rows, qr, a, a_rs, a_cs, offs, src, out) },
+        Width::Avx512 => {
+            assert_eq!(
+                direct_width(),
+                Width::Avx512,
+                "the 512-bit twins need AVX-512F"
+            );
+            // SAFETY: AVX-512F availability is asserted just above, the
+            // index bounds before it.
+            unsafe { rows_avx512_impl::<false>(rows, qr, a, a_rs, a_cs, offs, &[0], src, out) }
+        }
     }
 }
 
@@ -444,12 +580,14 @@ unsafe fn window_rows_avx2_impl(
 /// column `q`, the sum over taps `t` (ascending, starting at `+0`) of
 /// the tap's own sum `Σ_i a[r·a_rs + i·a_cs + t] · src[offs[i] + taps[t] + q]`
 /// (ascending `i`, starting at `+0`, one FMA per step). Each tap's sum
-/// is the one [`window_rows_avx2`] would compute over the windows at
+/// is the one [`window_rows`] would compute over the windows at
 /// `offs[i] + taps[t]`; the running sum adds them in tap order in a
 /// register and is stored once, overwriting every element of `out`.
+/// Columns run as in [`window_rows`] at the same width.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_rows_avx2(
+pub(crate) fn tap_rows(
+    width: Width,
     a: &[f32],
     a_rs: usize,
     a_cs: usize,
@@ -479,20 +617,21 @@ pub(crate) fn tap_rows_avx2(
     let max_off = offs.iter().max().copied().unwrap_or(0);
     let max_tap = taps.iter().max().copied().unwrap_or(0);
     assert!(max_off + max_tap + qr <= src.len());
-    // SAFETY: AVX2+FMA availability is guaranteed by the mode pin; the
-    // index bounds are asserted just above.
-    unsafe {
-        tap_rows_avx2_impl(
-            rows,
-            qr,
-            a.as_ptr(),
-            a_rs,
-            a_cs,
-            offs,
-            taps,
-            src.as_ptr(),
-            out.as_mut_ptr(),
-        )
+    let (a, src, out) = (a.as_ptr(), src.as_ptr(), out.as_mut_ptr());
+    match width {
+        // SAFETY: AVX2+FMA availability is guaranteed by the mode pin;
+        // the index bounds are asserted just above.
+        Width::Avx2 => unsafe { tap_rows_avx2_impl(rows, qr, a, a_rs, a_cs, offs, taps, src, out) },
+        Width::Avx512 => {
+            assert_eq!(
+                direct_width(),
+                Width::Avx512,
+                "the 512-bit twins need AVX-512F"
+            );
+            // SAFETY: AVX-512F availability is asserted just above, the
+            // index bounds before it.
+            unsafe { rows_avx512_impl::<true>(rows, qr, a, a_rs, a_cs, offs, taps, src, out) }
+        }
     }
 }
 
@@ -551,9 +690,10 @@ unsafe fn tap_rows_avx2_impl(
     }
 }
 
-/// Operands of one [`window_tile`] or [`tap_tile`]: `a`, `src` and
-/// `out` point at the tile's first row and first column; the rest is as
-/// in [`tap_rows_avx2`] (the forward's tile has the single tap `0`).
+/// Operands of one tile of [`window_tile`] or [`tap_tile`] (or of
+/// their 512-bit twins): `a`, `src` and `out` point at the tile's first
+/// row and first column; the rest is as in [`tap_rows`] (the forward's
+/// tile has the single tap `0`).
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct Tile<'a> {
@@ -652,6 +792,224 @@ unsafe fn tap_sum<const R: usize, const V: usize>(
     }
 }
 
+// ---------------------------------------------------------------------------
+// AVX-512F twins of the direct convolution kernels (x86-64).
+// ---------------------------------------------------------------------------
+
+/// A row of `qr` columns (a multiple of 8) in 16-lane vectors: their
+/// count, and the lane mask of the last one, whose upper half is off
+/// when `qr` is an odd multiple of 8.
+#[cfg(target_arch = "x86_64")]
+fn zmm_row(qr: usize) -> (usize, __mmask16) {
+    let last = if qr.is_multiple_of(16) {
+        0xFFFF
+    } else {
+        0x00FF
+    };
+    (qr.div_ceil(16), last)
+}
+
+/// Runs the `R × V` instance of `$tile` named by `($rt, $vt)`, which
+/// must be one of the listed shapes.
+#[cfg(target_arch = "x86_64")]
+macro_rules! run_tile {
+    ($tile:ident($t:expr, $last:expr), ($rt:expr, $vt:expr) in $(($r:literal, $v:literal))+) => {
+        match ($rt, $vt) {
+            $(($r, $v) => $tile::<$r, $v>($t, $last),)+
+            (rt, vt) => unreachable!("no {rt}×{vt} tile"),
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: callers must guarantee AVX-512F support and the bounds of
+// `tap_rows_avx2_impl` (of `window_rows_avx2_impl` for the forward,
+// whose `taps` is `[0]`).
+unsafe fn rows_avx512_impl<const DX: bool>(
+    rows: usize,
+    qr: usize,
+    a: *const f32,
+    a_rs: usize,
+    a_cs: usize,
+    offs: &[usize],
+    taps: &[usize],
+    src: *const f32,
+    out: *mut f32,
+) {
+    // The forward's tiles of up to 4 rows × 6 vectors hold 24 FMA
+    // chains; with six window loads and one broadcast they fill 31 of
+    // the 32 ZMM registers. The input gradient's tiles of up to 4 × 3
+    // hold twelve running sums and twelve tap sums; with three window
+    // loads and one broadcast they fill 28, at 0.58 loads per FMA
+    // against the AVX2 2 × 3 tile's 0.83. A row of at most two vectors
+    // (a 4×4 map's 24 columns) takes taller tiles instead, 8 × 2 and
+    // 6 × 2, so the chains stay many.
+    let (nv, last) = zmm_row(qr);
+    let (rmax, vmax) = match (DX, nv <= 2) {
+        (false, true) => (8, 2),
+        (false, false) => (4, 6),
+        (true, true) => (6, 2),
+        (true, false) => (4, 3),
+    };
+    let mut r0 = 0;
+    while r0 < rows {
+        let rt = (rows - r0).min(rmax);
+        let mut v0 = 0;
+        while v0 < nv {
+            let vt = (nv - v0).min(vmax);
+            let mask = if v0 + vt == nv { last } else { 0xFFFF };
+            // SAFETY: rows r0..r0+rt and vectors v0..v0+vt, whose lanes
+            // outside `mask` are never touched, lie inside the caller-
+            // guaranteed ranges.
+            unsafe {
+                let t = Tile {
+                    a: a.add(r0 * a_rs),
+                    a_rs,
+                    a_cs,
+                    offs,
+                    taps,
+                    src: src.add(16 * v0),
+                    out: out.add(r0 * qr + 16 * v0),
+                    qr,
+                };
+                if DX {
+                    run_tile! { tap_tile_zmm(t, mask), (rt, vt) in
+                        (6, 2) (6, 1) (5, 2) (5, 1) (4, 3) (4, 2) (4, 1) (3, 3)
+                        (3, 2) (3, 1) (2, 3) (2, 2) (2, 1) (1, 3) (1, 2) (1, 1)
+                    }
+                } else {
+                    run_tile! { window_tile_zmm(t, mask), (rt, vt) in
+                        (8, 2) (8, 1) (7, 2) (7, 1) (6, 2) (6, 1) (5, 2) (5, 1)
+                        (4, 6) (4, 5) (4, 4) (4, 3) (4, 2) (4, 1) (3, 6) (3, 5)
+                        (3, 4) (3, 3) (3, 2) (3, 1) (2, 6) (2, 5) (2, 4) (2, 3)
+                        (2, 2) (2, 1) (1, 6) (1, 5) (1, 4) (1, 3) (1, 2) (1, 1)
+                    }
+                }
+            }
+            v0 += vt;
+        }
+        r0 += rt;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+// SAFETY: callers must guarantee AVX-512F support and, for the tile's
+// rows 0..R, its V vectors (lanes of the last one outside `last` never
+// touched) and tap `t.taps[0]`, the bounds of `window_rows_avx2_impl`.
+unsafe fn window_tile_zmm<const R: usize, const V: usize>(t: Tile<'_>, last: __mmask16) {
+    use std::arch::x86_64::_mm512_setzero_ps;
+    // SAFETY: the tap sum and the stores stay inside the caller-
+    // guaranteed ranges.
+    unsafe {
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        tap_sum_zmm(&t, 0, last, &mut acc);
+        store_zmm(&t, last, &acc);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+// SAFETY: callers must guarantee AVX-512F support and the bounds of
+// `tap_rows_avx2_impl` for rows 0..R and the V vectors of the tile
+// (lanes of the last one outside `last` never touched).
+unsafe fn tap_tile_zmm<const R: usize, const V: usize>(t: Tile<'_>, last: __mmask16) {
+    use std::arch::x86_64::{_mm512_add_ps, _mm512_setzero_ps};
+    // SAFETY: each tap sum and the stores stay inside the caller-
+    // guaranteed ranges.
+    unsafe {
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for ti in 0..t.taps.len() {
+            let mut sum = [[_mm512_setzero_ps(); V]; R];
+            tap_sum_zmm(&t, ti, last, &mut sum);
+            for (acc_row, sum_row) in acc.iter_mut().zip(&sum) {
+                for (a, &s) in acc_row.iter_mut().zip(sum_row) {
+                    *a = _mm512_add_ps(*a, s);
+                }
+            }
+        }
+        store_zmm(&t, last, &acc);
+    }
+}
+
+/// Stores row `r`, vector `v` of `acc` at `out[r·qr + 16v ..]`, the last
+/// vector of each row under the lane mask `last`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+// SAFETY: callers must guarantee AVX-512F support and writes of
+// out[r*qr + 16v .. +16] for r < R and v < V, lanes of v = V-1 outside
+// `last` excepted.
+unsafe fn store_zmm<const R: usize, const V: usize>(
+    t: &Tile<'_>,
+    last: __mmask16,
+    acc: &[[__m512; V]; R],
+) {
+    use std::arch::x86_64::{_mm512_mask_storeu_ps, _mm512_storeu_ps};
+    // SAFETY: every store is at out[r*qr + 16v ..] with r < R, v < V,
+    // the last vector's masked-off lanes left untouched.
+    unsafe {
+        for (r, row) in acc.iter().enumerate() {
+            let out = t.out.add(r * t.qr);
+            for (v, &x) in row.iter().enumerate() {
+                if v + 1 == V {
+                    _mm512_mask_storeu_ps(out.add(16 * v), last, x);
+                } else {
+                    _mm512_storeu_ps(out.add(16 * v), x);
+                }
+            }
+        }
+    }
+}
+
+/// [`tap_sum`] at 512 bits: adds tap `ti`'s products into `sum`, term by
+/// term in ascending `i`, one FMA per step, with the last vector's
+/// window loaded under the lane mask `last` (its other lanes read as
+/// `+0` and are never stored).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+// SAFETY: callers must guarantee AVX-512F support and reads of
+// a[r*a_rs + i*a_cs + ti] and src[offs[i] + taps[ti] + 16v .. +16] for
+// r < R, v < V and every i, lanes of v = V-1 outside `last` excepted.
+unsafe fn tap_sum_zmm<const R: usize, const V: usize>(
+    t: &Tile<'_>,
+    ti: usize,
+    last: __mmask16,
+    sum: &mut [[__m512; V]; R],
+) {
+    use std::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    // SAFETY: every offset below stays inside the caller-guaranteed
+    // ranges listed above; masked-off lanes are not read.
+    unsafe {
+        let a = t.a.add(ti);
+        let src = t.src.add(t.taps[ti]);
+        for (i, &off) in t.offs.iter().enumerate() {
+            let window = src.add(off);
+            let mut b = [_mm512_setzero_ps(); V];
+            for (v, bv) in b.iter_mut().enumerate() {
+                *bv = if v + 1 == V {
+                    _mm512_maskz_loadu_ps(last, window.add(16 * v))
+                } else {
+                    _mm512_loadu_ps(window.add(16 * v))
+                };
+            }
+            for (r, row) in sum.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a.add(r * t.a_rs + i * t.a_cs));
+                for (c, &bv) in row.iter_mut().zip(&b) {
+                    *c = _mm512_fmadd_ps(av, bv, *c);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,6 +1053,189 @@ mod tests {
             for c in 0..8 {
                 let want: f32 = (0..kc).map(|p| pa[p * 8 + r] * pb[p * 8 + c]).sum::<f32>();
                 assert_eq!(acc[r * 8 + c].to_bits(), want.to_bits(), "8x8 r{r} c{c}");
+            }
+        }
+    }
+
+    /// Whether the 512-bit twins run on this CPU. Where they do not, the
+    /// note goes straight to stderr: libtest captures a passing test's
+    /// `eprintln!`, but not a direct write.
+    #[cfg(target_arch = "x86_64")]
+    fn twins_run_here(test: &str) -> bool {
+        if direct_width() == Width::Avx512 {
+            return true;
+        }
+        use std::io::Write;
+        let _ = writeln!(
+            std::io::stderr(),
+            "note: {test}: this CPU lacks avx512f, so the 512-bit twins were not exercised"
+        );
+        false
+    }
+
+    /// Values in [-1, 1) with full 24-bit mantissas from a fixed LCG, so
+    /// every FMA rounds and any change of operation order shows in the
+    /// bits.
+    #[cfg(target_arch = "x86_64")]
+    fn values(len: usize, seed: usize) -> Vec<f32> {
+        let mut x = (seed as u32).wrapping_mul(2_654_435_761).wrapping_add(1);
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (x >> 8) as f32 / (1u32 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    /// Elements past the end of `out`, which no kernel may write.
+    #[cfg(target_arch = "x86_64")]
+    const TAIL: usize = 24;
+
+    /// Runs `kernel` at both widths on an `out` of `len` elements that is
+    /// the prefix of a larger NaN-filled buffer, after copying `init`
+    /// into it (the GEMM accumulates into `out`; the conv kernels
+    /// overwrite it and get the NaNs). Checks that both widths store
+    /// every element (operands are finite, so no result is NaN), agree
+    /// bit for bit, and leave the tail NaN. Returns the AVX2 output.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_twins_agree(
+        len: usize,
+        init: Option<&[f32]>,
+        what: &dyn Fn() -> String,
+        kernel: impl Fn(Width, &mut [f32]),
+    ) -> Vec<f32> {
+        let [mut ymm, zmm] = [Width::Avx2, Width::Avx512].map(|width| {
+            let mut buf = vec![f32::NAN; len + TAIL];
+            if let Some(init) = init {
+                buf[..len].copy_from_slice(init);
+            }
+            kernel(width, &mut buf[..len]);
+            buf
+        });
+        for (buf, width) in [(&ymm, "AVX2"), (&zmm, "AVX-512")] {
+            if let Some(j) = buf[..len].iter().position(|v| v.is_nan()) {
+                panic!("{}: {width} left element {j} unstored", what());
+            }
+            assert!(
+                buf[len..].iter().all(|v| v.is_nan()),
+                "{}: {width} wrote past the end of `out`",
+                what()
+            );
+        }
+        if let Some(j) = (0..len).find(|&j| ymm[j].to_bits() != zmm[j].to_bits()) {
+            panic!("{}: element {j}: {} vs {}", what(), ymm[j], zmm[j]);
+        }
+        ymm.truncate(len);
+        ymm
+    }
+
+    /// Every forward geometry the twin must reproduce: 1, 9 and 25 terms
+    /// (the im2col rows of a 1×1, 3×3 and 5×5 filter over one channel),
+    /// rows 1–17 (every tall-tile remainder) and row widths 8–296 (whole
+    /// and half-masked last vectors).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn window_rows_twin_matches_avx2_bit_for_bit() {
+        if !twins_run_here("window_rows_twin_matches_avx2_bit_for_bit") {
+            return;
+        }
+        for terms in [1, 9, 25] {
+            // Overlapping windows at any offset, as a padded sample has.
+            let offs: Vec<usize> = (0..terms).map(|i| (i * 7) % 19).collect();
+            for qr in (8..=296).step_by(8) {
+                let src = values(18 + qr, qr);
+                for rows in 1..=17 {
+                    let a = values(rows * terms, rows * 31 + terms);
+                    assert_twins_agree(
+                        rows * qr,
+                        None,
+                        &|| format!("window_rows {rows}×{qr}, {terms} terms"),
+                        |width, out| window_rows(width, &a, terms, 1, &offs, &src, out, qr),
+                    );
+                }
+            }
+        }
+    }
+
+    /// The input gradient's twin over 1, 9 and 25 taps (1×1, 3×3 and 5×5
+    /// filters), three output channels per tap, rows 1–17 and row widths
+    /// 8–296, with the weights laid out as the dX reads them.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn tap_rows_twin_matches_avx2_bit_for_bit() {
+        if !twins_run_here("tap_rows_twin_matches_avx2_bit_for_bit") {
+            return;
+        }
+        let chans = 3;
+        let offs: Vec<usize> = (0..chans).map(|o| o * 11).collect();
+        for n_taps in [1, 9, 25] {
+            let taps: Vec<usize> = (0..n_taps).map(|t| (t * 5) % 13).collect();
+            for qr in (8..=296).step_by(8) {
+                let src = values(22 + 12 + qr, qr + 1);
+                for rows in 1..=17 {
+                    // Row c, term o, tap t: a[(o·rows + c)·taps + t].
+                    let a = values(chans * rows * n_taps, rows * 37 + n_taps);
+                    assert_twins_agree(
+                        rows * qr,
+                        None,
+                        &|| format!("tap_rows {rows}×{qr}, {n_taps} taps"),
+                        |width, out| {
+                            tap_rows(
+                                width,
+                                &a,
+                                n_taps,
+                                rows * n_taps,
+                                &offs,
+                                &taps,
+                                &src,
+                                out,
+                                qr,
+                            )
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// The direct GEMM's twin, accumulating into a prefilled `out`, at
+    /// depths 1, 9 and 25, rows 1–17, widths 1–17 (every masked tail)
+    /// and 24–296, with A row-major and transposed. Both widths must
+    /// also equal the per-element chain of scalar FMAs, so every element
+    /// is proven stored although `out` starts finite.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn direct_rows_twin_matches_avx2_bit_for_bit() {
+        if !twins_run_here("direct_rows_twin_matches_avx2_bit_for_bit") {
+            return;
+        }
+        for k in [1, 9, 25] {
+            for n in (1..=17).chain((24..=296).step_by(8)) {
+                let b_rs = n + 3;
+                let b = values((k - 1) * b_rs + n, n * 7 + k);
+                for rows in 1..=17 {
+                    let init = values(rows * n, rows * 41 + n);
+                    let a = values(rows * k, rows * 43 + k);
+                    for (a_rs, a_cs) in [(k, 1), (1, rows)] {
+                        let got = assert_twins_agree(
+                            rows * n,
+                            Some(&init),
+                            &|| format!("direct_rows {rows}×{n}, k = {k}, A strides {a_rs}/{a_cs}"),
+                            |width, out| direct_rows(width, n, k, &a, 0, a_rs, a_cs, &b, b_rs, out),
+                        );
+                        for (e, v) in got.iter().enumerate() {
+                            let (i, j) = (e / n, e % n);
+                            let want = (0..k).fold(init[e], |acc, p| {
+                                a[i * a_rs + p * a_cs].mul_add(b[p * b_rs + j], acc)
+                            });
+                            assert_eq!(
+                                v.to_bits(),
+                                want.to_bits(),
+                                "direct_rows {rows}×{n} k{k} [{i}][{j}]"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
