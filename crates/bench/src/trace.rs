@@ -21,8 +21,8 @@
 ///    appearing exactly where the old `eprintln!`-based logging went.
 ///
 /// Independently, `CAP_METRICS_ADDR=<host>:<port>` starts the live
-/// telemetry server (`/metrics`, `/healthz`, `/report`, `/api/series`,
-/// `/dash`, `/prof`).
+/// telemetry server (`/metrics`, `/healthz`, `/api/series`, `/dash`,
+/// `/prof`).
 ///
 /// Exits with status 2 on a malformed spec or an unbindable address — a
 /// typo'd trace destination silently discarding telemetry is worse than

@@ -143,11 +143,6 @@ impl PruneOutcome {
         self.final_cost.flops_reduction_vs(&self.baseline_cost)
     }
 
-    /// Accuracy drop (positive when the pruned model is worse).
-    pub fn accuracy_drop(&self) -> f64 {
-        self.baseline_accuracy - self.final_accuracy
-    }
-
     /// Renders the iteration trajectory as CSV (header + one row per
     /// iteration), for downstream plotting.
     ///

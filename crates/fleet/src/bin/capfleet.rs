@@ -4,11 +4,16 @@
 //! capfleet init   --fleet-dir D (--demo N | --suite [--scale S] | --specs FILE)
 //! capfleet run    --fleet-dir D [--workers N] [--retry-budget K]
 //!                 [--backoff-base-ms B] [--backoff-cap-ms C]
-//!                 [--stall-timeout-ms T] [--poll-ms P] [--metrics-addr A]
+//!                 [--stall-timeout-ms T] [--poll-ms P]
 //! capfleet resume --fleet-dir D [same flags as run]
 //! capfleet status --fleet-dir D
 //! capfleet worker --fleet-dir D --spec ID        (internal: one child run)
 //! ```
+//!
+//! With `CAP_METRICS_ADDR` set, `run` and `resume` serve the
+//! supervisor's queue and slot gauges on `/metrics` there and print the
+//! bound address on stderr. Workers serve nothing; each spec's record is
+//! its run dir, read with `capctl tail|dash|flame D/runs/ID`.
 //!
 //! Exit codes: `0` sweep drained with every spec done, `1` sweep
 //! drained but some specs were poisoned, `2` usage, `3` runtime error.
@@ -22,7 +27,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: capfleet <init|run|resume|status|worker> --fleet-dir DIR [flags]
   init    --demo N | --suite [--scale smoke|small|full] | --specs FILE
   run     [--workers N] [--retry-budget K] [--backoff-base-ms B] [--backoff-cap-ms C]
-          [--stall-timeout-ms T] [--poll-ms P] [--metrics-addr ADDR]
+          [--stall-timeout-ms T] [--poll-ms P]
   resume  same flags as run (reconciles a killed supervisor's queue first)
   status  print queue state
   worker  --spec ID (internal)
@@ -85,10 +90,6 @@ fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
         backoff_cap_ms: args.u64_flag("backoff-cap-ms", defaults.backoff_cap_ms)?,
         stall_timeout_ms: args.u64_flag("stall-timeout-ms", defaults.stall_timeout_ms)?,
         poll_ms: args.u64_flag("poll-ms", defaults.poll_ms)?,
-        metrics_addr: args
-            .flag("metrics-addr")
-            .unwrap_or(&defaults.metrics_addr)
-            .to_string(),
     })
 }
 
@@ -143,6 +144,9 @@ fn cmd_init(args: &Args) -> Result<(), String> {
 fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     let fleet_dir = args.fleet_dir()?;
     let cfg = fleet_config(args)?;
+    if let Some(addr) = cap_obs::init_telemetry(None)?.serving {
+        eprintln!("capfleet: supervisor metrics on http://{addr}/metrics");
+    }
     let report = run_fleet(&fleet_dir, &cfg)?;
     println!(
         "{} done, {} poisoned, {} restarts",
@@ -202,6 +206,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    cap_obs::finalize_process();
     match result {
         Ok(code) => code,
         Err(e) => {

@@ -14,13 +14,14 @@
 //!   `queue.jsonl` event log replayed leniently on load, so a torn
 //!   tail or garbage never takes the fleet down.
 //! - [`worker`] — one child process, one spec, one run dir: heartbeat
-//!   armed, own `/metrics` served, crash-safe execution through
-//!   `RunDir` create/resume, `DONE.json` marker on success.
+//!   armed, crash-safe execution through `RunDir` create/resume,
+//!   `DONE.json` marker on success. The run dir is the spec's whole
+//!   record; `capctl tail|dash|flame` read it.
 //! - [`supervisor`] — the loop: fill slots, watch heartbeats, SIGKILL
 //!   wedges, retry with capped exponential backoff, poison after the
 //!   retry budget, reconcile queue state against run-dir truth after
-//!   its own death, and federate every worker's metrics into one
-//!   `/metrics` + `/fleet` surface.
+//!   its own death, and publish queue and slot gauges (served on
+//!   `/metrics` when `CAP_METRICS_ADDR` is set).
 //!
 //! The binary is `capfleet` (`init` / `run` / `resume` / `status` /
 //! `worker`); see `DESIGN.md` §15 for the full protocol.

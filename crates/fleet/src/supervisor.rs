@@ -1,5 +1,4 @@
-//! The supervisor: N worker children, one durable queue, one federated
-//! telemetry surface.
+//! The supervisor: N worker children, one durable queue.
 //!
 //! ## Failure policy
 //!
@@ -29,25 +28,21 @@
 //!   `DONE.json` is done (a completed spec is never executed twice);
 //!   any other is requeued.
 //!
-//! ## Federation
+//! ## Telemetry
 //!
-//! Every worker serves its own ephemeral `/metrics` and publishes the
-//! address into its run dir; each supervisor tick scrapes them and
-//! republishes every sample as `fleet.worker.<slot>.<name>` gauges,
-//! alongside the supervisor's own queue gauges
+//! Each tick publishes the queue gauges
 //! (`fleet.specs_{pending,running,done,poisoned}`), per-slot
-//! `up`/`restarts`/`backoff_ms` gauges and the `fleet.restarts_total`
-//! counter — one scrape shows the whole fleet. The `/fleet` route
-//! (registered dynamically on the supervisor's server) renders the
-//! same view as HTML.
+//! `fleet.worker.<slot>.{up,restarts,backoff_ms}` gauges and the
+//! `fleet.restarts_total` counter. They are live when telemetry is on
+//! (`capfleet run` serves them on `/metrics` when `CAP_METRICS_ADDR` is
+//! set). Workers serve nothing: each one's record is its run dir, read
+//! with `capctl tail|dash|flame <fleet-dir>/runs/<id>`.
 
 use crate::queue::{Queue, SpecState};
-use crate::worker::{DONE_FILE, HEARTBEAT_FILE, METRICS_ADDR_FILE};
-use cap_obs::dash::{FleetSummary, FleetWorkerRow};
+use crate::worker::{DONE_FILE, HEARTBEAT_FILE};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Supervisor tuning knobs (every one has a CLI flag).
@@ -65,8 +60,6 @@ pub struct FleetConfig {
     pub stall_timeout_ms: u64,
     /// Supervisor loop tick.
     pub poll_ms: u64,
-    /// Supervisor telemetry bind address; empty disables the server.
-    pub metrics_addr: String,
 }
 
 impl Default for FleetConfig {
@@ -78,7 +71,6 @@ impl Default for FleetConfig {
             backoff_cap_ms: 5_000,
             stall_timeout_ms: 15_000,
             poll_ms: 200,
-            metrics_addr: "127.0.0.1:0".to_string(),
         }
     }
 }
@@ -212,69 +204,19 @@ pub fn reconcile(queue: &mut Queue, fleet_dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Scrapes one worker's `/metrics` and republishes every sample under
-/// `fleet.worker.<slot>.`. Returns a short status for the dashboard.
-fn federate_slot(slot_idx: usize, run_dir: &Path) -> String {
-    let Ok(addr_text) = std::fs::read_to_string(run_dir.join(METRICS_ADDR_FILE)) else {
-        return "no metrics.addr yet".to_string();
-    };
-    let Ok(addr) = addr_text.trim().parse::<std::net::SocketAddr>() else {
-        return format!("bad metrics.addr {addr_text:?}");
-    };
-    match cap_obs::serve::http_get(addr, "/metrics") {
-        Ok(body) => {
-            let samples = cap_obs::expo::parse_exposition(&body);
-            let n = samples.len();
-            for (name, value) in samples {
-                cap_obs::gauge_set(&format!("fleet.worker.{slot_idx}.{name}"), value);
-            }
-            format!("scrape ok ({n} series)")
-        }
-        Err(e) => format!("scrape failed: {e}"),
-    }
-}
-
 /// Runs the fleet in `fleet_dir` until the queue drains (every spec
 /// `done` or `poisoned`). Always reconciles first, so `run` after a
 /// supervisor SIGKILL behaves like `resume`.
 ///
 /// # Errors
 ///
-/// Returns setup failures (queue, spawn path, telemetry bind errors
-/// other than `EADDRINUSE`) and queue-append failures.
+/// Returns setup failures (queue, spawn path) and queue-append
+/// failures.
 pub fn run_fleet(fleet_dir: &Path, cfg: &FleetConfig) -> Result<FleetReport, String> {
     let mut queue = Queue::load(fleet_dir)?;
     reconcile(&mut queue, fleet_dir)?;
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let worker_fleet_dir = canonical(fleet_dir);
-    let server = if cfg.metrics_addr.is_empty() {
-        None
-    } else {
-        cap_obs::serve::Server::start_resilient(&cfg.metrics_addr)?
-    };
-    let view: Arc<Mutex<(FleetSummary, Vec<FleetWorkerRow>)>> =
-        Arc::new(Mutex::new((FleetSummary::default(), Vec::new())));
-    if let Some(server) = &server {
-        cap_obs::fsx::atomic_write(
-            &fleet_dir.join("supervisor.addr"),
-            server.addr().to_string().as_bytes(),
-        )
-        .map_err(|e| format!("write supervisor.addr: {e}"))?;
-        let route_view = Arc::clone(&view);
-        let title = fleet_dir.display().to_string();
-        cap_obs::serve::register_route("/fleet", move |_query| {
-            let guard = route_view.lock().unwrap_or_else(|p| p.into_inner());
-            (
-                "text/html; charset=utf-8",
-                cap_obs::dash::render_fleet(&guard.0, &guard.1, &title),
-            )
-        });
-        eprintln!(
-            "capfleet: supervisor metrics on http://{}/metrics (fleet view: /fleet)",
-            server.addr()
-        );
-    }
-    cap_obs::enable();
 
     let mut slots: Vec<Option<Slot>> = (0..cfg.workers.max(1)).map(|_| None).collect();
     let mut slot_restarts = vec![0u64; slots.len()];
@@ -407,13 +349,12 @@ pub fn run_fleet(fleet_dir: &Path, cfg: &FleetConfig) -> Result<FleetReport, Str
             });
         }
 
-        // 3. Publish the federated view.
+        // 3. Publish the queue and slot gauges.
         let (pending, running, done, poisoned) = queue.counts();
         cap_obs::gauge_set("fleet.specs_pending", pending as f64);
         cap_obs::gauge_set("fleet.specs_running", running as f64);
         cap_obs::gauge_set("fleet.specs_done", done as f64);
         cap_obs::gauge_set("fleet.specs_poisoned", poisoned as f64);
-        let mut rows = Vec::with_capacity(slots.len());
         for (i, slot_opt) in slots.iter().enumerate() {
             let up = slot_opt.is_some();
             cap_obs::gauge_set(&format!("fleet.worker.{i}.up"), f64::from(u8::from(up)));
@@ -425,33 +366,6 @@ pub fn run_fleet(fleet_dir: &Path, cfg: &FleetConfig) -> Result<FleetReport, Str
                 &format!("fleet.worker.{i}.backoff_ms"),
                 slot_backoff_ms[i] as f64,
             );
-            let mut row = FleetWorkerRow {
-                slot: i,
-                up,
-                restarts: slot_restarts[i],
-                ..FleetWorkerRow::default()
-            };
-            if let Some(slot) = slot_opt {
-                row.pid = slot.child.id();
-                row.spec = slot.spec_id.clone();
-                row.heartbeat = slot.beat;
-                let run_dir = crate::worker::run_dir_path(fleet_dir, &slot.spec_id);
-                row.detail = federate_slot(i, &run_dir);
-            } else {
-                row.detail = format!("idle (last backoff {}ms)", slot_backoff_ms[i]);
-            }
-            rows.push(row);
-        }
-        {
-            let mut guard = view.lock().unwrap_or_else(|p| p.into_inner());
-            guard.0 = FleetSummary {
-                pending,
-                running,
-                done,
-                poisoned,
-                restarts_total,
-            };
-            guard.1 = rows;
         }
 
         std::thread::sleep(Duration::from_millis(cfg.poll_ms.max(10)));
@@ -460,9 +374,6 @@ pub fn run_fleet(fleet_dir: &Path, cfg: &FleetConfig) -> Result<FleetReport, Str
     let (_, _, done, poisoned) = queue.counts();
     cap_obs::gauge_set("fleet.specs_done", done as f64);
     cap_obs::gauge_set("fleet.specs_poisoned", poisoned as f64);
-    if server.is_some() {
-        cap_obs::serve::unregister_route("/fleet");
-    }
     eprintln!(
         "capfleet: sweep complete — {done} done, {poisoned} poisoned, {restarts_total} restarts"
     );

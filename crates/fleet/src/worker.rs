@@ -3,11 +3,11 @@
 //! A worker is a `capfleet worker --fleet-dir D --spec ID` child. It
 //! owns `D/runs/ID/`, arms the [`cap_nn::heartbeat`] at
 //! `runs/ID/heartbeat` (so the supervisor can tell wedged from slow),
-//! serves its own ephemeral `/metrics` (address published to
-//! `runs/ID/metrics.addr` for the supervisor's federation scrape), and
-//! runs the spec through the crash-safe `RunDir` path: a fresh dir
+//! and runs the spec through the crash-safe `RunDir` path: a fresh dir
 //! starts `run_with_dir`, a dir holding a journal resumes
-//! bit-identically through [`ClassAwarePruner::resume`].
+//! bit-identically through [`ClassAwarePruner::resume`]. The run dir
+//! is the worker's whole record (journal, `series.capts`,
+//! `profile.folded`); `capctl tail|dash|flame` read it.
 //!
 //! Success is *two* signals, both required by the supervisor: exit
 //! status 0 **and** a `DONE.json` marker written atomically with the
@@ -26,8 +26,6 @@ use std::path::Path;
 
 /// Heartbeat file name inside a run dir.
 pub const HEARTBEAT_FILE: &str = "heartbeat";
-/// Worker metrics address file inside a run dir.
-pub const METRICS_ADDR_FILE: &str = "metrics.addr";
 /// Completion marker inside a run dir.
 pub const DONE_FILE: &str = "DONE.json";
 
@@ -140,16 +138,10 @@ pub fn run_worker(fleet_dir: &Path, spec_id: &str) -> Result<(), String> {
     cap_nn::heartbeat::arm(run_dir.join(HEARTBEAT_FILE));
     // A persistently-failing spec exits before doing any work.
     cap_faults::maybe_exit_at_start();
-    // Each worker serves its own ephemeral /metrics; the supervisor
-    // scrapes it through the published address and federates it.
-    let server = cap_obs::serve::Server::start("127.0.0.1:0")
-        .map_err(|e| format!("worker metrics server: {e}"))?;
-    cap_obs::fsx::atomic_write(
-        &run_dir.join(METRICS_ADDR_FILE),
-        server.addr().to_string().as_bytes(),
-    )
-    .map_err(|e| format!("write metrics.addr: {e}"))?;
-    cap_obs::gauge_set("fleet.spec.iters", spec.iters as f64);
+    // Record from here, not from the pruning loop's recorder start, so
+    // the run dir's profile and series cover pre-training and the
+    // baseline pass too.
+    cap_obs::enable();
 
     let (final_accuracy, pruning_ratio) = match spec.kind.as_str() {
         "demo" => run_demo(&spec, &run_dir)?,
@@ -174,7 +166,6 @@ pub fn run_worker(fleet_dir: &Path, spec_id: &str) -> Result<(), String> {
     cap_obs::fsx::atomic_write(&run_dir.join(DONE_FILE), done.as_bytes())
         .map_err(|e| format!("write DONE.json: {e}"))?;
     cap_nn::heartbeat::beat();
-    server.stop();
     Ok(())
 }
 

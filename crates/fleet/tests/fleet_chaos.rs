@@ -12,8 +12,12 @@
 //! - rescheduled runs resume through the journal, so their final
 //!   checkpoints are **bit-identical** to an uninterrupted reference
 //!   fleet's;
-//! - retries/backoff are observable in the federated `/metrics` and
-//!   the `/fleet` dashboard renders;
+//! - restarts are observable in the supervisor's `/metrics`, served
+//!   where `CAP_METRICS_ADDR` asks;
+//! - every completed spec's run dir keeps its record: a seq-contiguous
+//!   `series.capts` that reached every journaled iteration across the
+//!   crashes, the wedge kill and the reschedule;
+//! - no process publishes a server address file;
 //! - under a supervisor that stays alive, a wedged worker is SIGKILLed
 //!   once its heartbeat is silent past the stall timeout, the attempt
 //!   is charged as a wedge, and the retry completes;
@@ -96,6 +100,7 @@ fn fleet_cmd(sub: &str, dir: &Path) -> Command {
         "1000",
     ])
     .env_remove("CAP_FAULT")
+    .env_remove("CAP_METRICS_ADDR")
     .stdout(Stdio::null());
     cmd
 }
@@ -104,12 +109,22 @@ fn queue_text(dir: &Path) -> String {
     std::fs::read_to_string(Queue::path_in(dir)).unwrap_or_default()
 }
 
-fn supervisor_addr(dir: &Path) -> Option<SocketAddr> {
-    std::fs::read_to_string(dir.join("supervisor.addr"))
+/// The address `capfleet run` reports on stderr once `CAP_METRICS_ADDR`
+/// has started its server.
+fn supervisor_addr(stderr_path: &Path) -> Option<SocketAddr> {
+    std::fs::read_to_string(stderr_path)
         .ok()?
-        .trim()
+        .lines()
+        .find_map(|l| l.strip_prefix("capfleet: supervisor metrics on http://"))?
+        .strip_suffix("/metrics")?
         .parse()
         .ok()
+}
+
+/// The value of the unlabelled sample `name` in a `/metrics` body.
+fn sample(body: &str, name: &str) -> Option<f64> {
+    body.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
 }
 
 fn done_json(dir: &Path, id: &str) -> cap_obs::json::Json {
@@ -127,23 +142,26 @@ fn fleet_survives_chaos_and_supervisor_sigkill_with_bit_identical_reruns() {
     let specs = chaos_specs();
     init_fleet(&chaos_dir, &specs);
 
-    // Phase 1: run the chaos sweep, scrape the federated telemetry
+    // Phase 1: run the chaos sweep, scrape the supervisor's /metrics
     // until a restart is visible, then SIGKILL the supervisor.
-    let mut supervisor = fleet_cmd("run", &chaos_dir).spawn().unwrap();
+    let stderr_path = chaos_dir.join("supervisor.stderr");
+    let mut supervisor = fleet_cmd("run", &chaos_dir)
+        .env("CAP_METRICS_ADDR", "127.0.0.1:0")
+        .stderr(std::fs::File::create(&stderr_path).unwrap())
+        .spawn()
+        .unwrap();
     let deadline = Instant::now() + Duration::from_secs(180);
     let mut metrics_with_restart = String::new();
-    let mut fleet_html = String::new();
     loop {
-        assert!(Instant::now() < deadline, "no worker failure within 180s");
-        if let Some(addr) = supervisor_addr(&chaos_dir) {
+        assert!(
+            Instant::now() < deadline,
+            "no worker failure within 180s:\n{}",
+            std::fs::read_to_string(&stderr_path).unwrap_or_default()
+        );
+        if let Some(addr) = supervisor_addr(&stderr_path) {
             if let Ok(body) = cap_obs::serve::http_get(addr, "/metrics") {
-                let restarts = cap_obs::expo::parse_exposition(&body)
-                    .into_iter()
-                    .find(|(name, _)| name == "cap_fleet_restarts_total")
-                    .map_or(0.0, |(_, v)| v);
-                if restarts >= 1.0 {
+                if sample(&body, "cap_fleet_restarts_total").is_some_and(|v| v >= 1.0) {
                     metrics_with_restart = body;
-                    fleet_html = cap_obs::serve::http_get(addr, "/fleet").unwrap_or_default();
                 }
             }
         }
@@ -163,19 +181,15 @@ fn fleet_survives_chaos_and_supervisor_sigkill_with_bit_identical_reruns() {
     supervisor.kill().unwrap(); // SIGKILL: no cleanup, no final queue writes
     supervisor.wait().unwrap();
 
-    // The federated surface saw the fleet: restart counter plus
-    // per-worker federated series, and the dashboard rendered.
+    // The supervisor's /metrics saw the fleet: the restart counter and
+    // the per-slot gauges.
     assert!(
-        metrics_with_restart.contains("cap_fleet_restarts_total"),
-        "restart counter missing from supervisor /metrics"
+        sample(&metrics_with_restart, "cap_fleet_restarts_total").is_some_and(|v| v >= 1.0),
+        "restart counter missing from supervisor /metrics:\n{metrics_with_restart}"
     );
     assert!(
-        metrics_with_restart.contains("cap_fleet_worker_0_up"),
-        "per-slot gauges missing from supervisor /metrics"
-    );
-    assert!(
-        fleet_html.contains("queue-stats"),
-        "/fleet dashboard did not render: {fleet_html:?}"
+        sample(&metrics_with_restart, "cap_fleet_worker_0_up").is_some(),
+        "per-slot gauges missing from supervisor /metrics:\n{metrics_with_restart}"
     );
 
     // Phase 2: resume reconciles the torn queue and drains the sweep.
@@ -216,6 +230,48 @@ fn fleet_survives_chaos_and_supervisor_sigkill_with_bit_identical_reruns() {
         let expected = usize::from(spec.id != "p1-poison");
         assert_eq!(done_events, expected, "done events for {}", spec.id);
     }
+
+    // Each completed spec's run dir kept its record through the
+    // SIGABRTs, the wedge SIGKILL and the reschedule: one history,
+    // seq-contiguous across attempts, that reached every iteration
+    // the journal holds.
+    for spec in specs.iter().filter(|s| s.id != "p1-poison") {
+        let run_dir = chaos_dir.join("runs").join(&spec.id);
+        let samples = cap_obs::tsdb::read_samples(&run_dir.join("series.capts"))
+            .unwrap_or_else(|e| panic!("{}: series.capts: {e}", spec.id));
+        assert!(!samples.is_empty(), "{}: empty series.capts", spec.id);
+        assert!(
+            samples.windows(2).all(|w| w[1].seq == w[0].seq + 1),
+            "{}: series.capts seq not contiguous",
+            spec.id
+        );
+        let journaled = std::fs::read_to_string(run_dir.join("journal.jsonl"))
+            .unwrap()
+            .lines()
+            .filter(|l| l.contains("\"type\":\"iter\""))
+            .count();
+        assert!(journaled > 0, "{}: no journaled iteration", spec.id);
+        let reached = samples
+            .iter()
+            .filter_map(|s| s.value("core.prune.iteration"))
+            .fold(0.0, f64::max);
+        assert!(
+            reached >= journaled as f64,
+            "{}: series reached iteration {reached}, journal holds {journaled}",
+            spec.id
+        );
+    }
+
+    // Nothing published a server address: no `*.addr` file in the
+    // fleet dir or in any run dir.
+    let addr_files: Vec<PathBuf> = std::iter::once(chaos_dir.clone())
+        .chain(specs.iter().map(|s| chaos_dir.join("runs").join(&s.id)))
+        .filter_map(|d| std::fs::read_dir(d).ok())
+        .flatten()
+        .filter_map(|e| Some(e.ok()?.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "addr"))
+        .collect();
+    assert!(addr_files.is_empty(), "address files: {addr_files:?}");
 
     // Phase 3: the bit-identical invariant. An uninterrupted reference
     // fleet (same specs, no fault injection) must produce byte-equal

@@ -37,12 +37,6 @@ impl ModelConfig {
         self
     }
 
-    /// Returns the config with a different input channel count.
-    pub fn with_in_channels(mut self, in_channels: usize) -> Self {
-        self.in_channels = in_channels;
-        self
-    }
-
     /// Scales a canonical channel count by the width multiplier,
     /// rounding to at least 2 so pruning always has room to act.
     pub fn scaled(&self, channels: usize) -> usize {

@@ -116,16 +116,6 @@ impl ResidualBlock {
         self.shortcut.as_ref().map(|(c, b)| (c, b))
     }
 
-    /// Mutable access to the batch-norm following `conv1`.
-    pub fn bn1_mut(&mut self) -> &mut BatchNorm2d {
-        &mut self.bn1
-    }
-
-    /// Mutable access to the batch-norm following `conv2`.
-    pub fn bn2_mut(&mut self) -> &mut BatchNorm2d {
-        &mut self.bn2
-    }
-
     /// Output channel count of the block.
     pub fn out_channels(&self) -> usize {
         self.conv2.out_channels()

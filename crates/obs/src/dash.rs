@@ -263,112 +263,6 @@ pub fn render(samples: &[Sample], title: &str) -> String {
     )
 }
 
-/// One worker row on the fleet dashboard ([`render_fleet`]). Filled by
-/// the `capfleet` supervisor from its slot table + federated scrapes.
-#[derive(Debug, Clone, Default)]
-pub struct FleetWorkerRow {
-    /// Worker slot index (stable across restarts of the child process).
-    pub slot: usize,
-    /// Whether a live child currently occupies the slot.
-    pub up: bool,
-    /// Child pid (0 when the slot is idle).
-    pub pid: u32,
-    /// Spec id the slot is executing, or empty when idle.
-    pub spec: String,
-    /// Child restarts charged to this slot so far.
-    pub restarts: u64,
-    /// Last heartbeat counter observed from the worker's run dir.
-    pub heartbeat: u64,
-    /// Free-form status detail (e.g. `"backoff 800ms"`, `"scrape ok"`).
-    pub detail: String,
-}
-
-/// Fleet-level queue summary for [`render_fleet`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FleetSummary {
-    /// Specs waiting for a free worker (includes retry-scheduled).
-    pub pending: u64,
-    /// Specs currently executing on a worker.
-    pub running: u64,
-    /// Specs completed successfully.
-    pub done: u64,
-    /// Specs abandoned after exhausting their retry budget.
-    pub poisoned: u64,
-    /// Worker child restarts across the whole fleet.
-    pub restarts_total: u64,
-}
-
-impl FleetSummary {
-    /// Total specs across all states.
-    pub fn total(&self) -> u64 {
-        self.pending + self.running + self.done + self.poisoned
-    }
-}
-
-/// Renders the `/fleet` aggregation page: queue progress plus one row
-/// per worker slot. Self-contained HTML like [`render`]; deterministic
-/// for a given input so tests can assert on substrings.
-pub fn render_fleet(summary: &FleetSummary, workers: &[FleetWorkerRow], title: &str) -> String {
-    let total = summary.total();
-    let done_frac = if total > 0 {
-        summary.done as f64 / total as f64
-    } else {
-        0.0
-    };
-    let bar_w = 420.0;
-    let mut rows = String::new();
-    for w in workers {
-        let state = if w.up { "up" } else { "down" };
-        rows.push_str(&format!(
-            "<tr><td>{}</td><td class=\"{state}\">{state}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-            w.slot,
-            if w.pid == 0 {
-                "-".to_string()
-            } else {
-                w.pid.to_string()
-            },
-            if w.spec.is_empty() { "-" } else { &w.spec },
-            w.restarts,
-            w.heartbeat,
-            esc(&w.detail)
-        ));
-    }
-    format!(
-        "<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\
-         <title>cap fleet — {title}</title>\
-         <style>\
-         body{{font-family:system-ui,sans-serif;margin:1.5rem;background:#f8fafc;color:#0f172a}}\
-         .panel{{background:#fff;border:1px solid #e2e8f0;border-radius:8px;padding:.75rem 1rem;\
-         margin-bottom:1rem}}\
-         h1{{font-size:1.2rem}}h3{{margin:.1rem 0 .4rem;font-size:.85rem;font-weight:600}}\
-         table{{border-collapse:collapse;font-size:.8rem}}\
-         td,th{{border:1px solid #e2e8f0;padding:.25rem .6rem;text-align:left}}\
-         .up{{color:#16a34a}}.down{{color:#dc2626}}\
-         .stats,.meta{{color:#64748b;font-size:.75rem;margin:.3rem 0 0}}\
-         </style></head><body>\
-         <h1>capfleet — {}</h1>\
-         <div class=\"panel\"><h3>queue</h3>\
-         <svg viewBox=\"0 0 {bar_w} 18\" width=\"{bar_w}\" height=\"18\">\
-         <rect x=\"0\" y=\"0\" width=\"{bar_w}\" height=\"18\" fill=\"#e2e8f0\"/>\
-         <rect x=\"0\" y=\"0\" width=\"{:.1}\" height=\"18\" fill=\"#16a34a\"/>\
-         </svg>\
-         <p class=\"stats\" id=\"queue-stats\">{} done / {total} total · {} pending · \
-         {} running · {} poisoned · {} restarts</p></div>\
-         <div class=\"panel\"><h3>workers</h3>\
-         <table><tr><th>slot</th><th>state</th><th>pid</th><th>spec</th>\
-         <th>restarts</th><th>heartbeat</th><th>detail</th></tr>\n{rows}</table></div>\
-         </body></html>\n",
-        esc(title),
-        done_frac * bar_w,
-        summary.done,
-        summary.pending,
-        summary.running,
-        summary.poisoned,
-        summary.restarts_total,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,49 +273,6 @@ mod tests {
             t,
             points: vals.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
         }
-    }
-
-    #[test]
-    fn renders_fleet_summary_and_worker_rows() {
-        let summary = FleetSummary {
-            pending: 2,
-            running: 1,
-            done: 3,
-            poisoned: 1,
-            restarts_total: 4,
-        };
-        let workers = vec![
-            FleetWorkerRow {
-                slot: 0,
-                up: true,
-                pid: 1234,
-                spec: "vgg16-c10-p10".to_string(),
-                restarts: 1,
-                heartbeat: 42,
-                detail: "scrape ok".to_string(),
-            },
-            FleetWorkerRow {
-                slot: 1,
-                up: false,
-                detail: "backoff <800ms>".to_string(),
-                ..FleetWorkerRow::default()
-            },
-        ];
-        let html = render_fleet(&summary, &workers, "smoke <sweep>");
-        assert!(html.starts_with("<!doctype html>"));
-        assert!(html.contains("smoke &lt;sweep&gt;"), "title escaped");
-        assert!(html.contains("3 done / 7 total"));
-        assert!(html.contains("2 pending"));
-        assert!(html.contains("1 poisoned"));
-        assert!(html.contains("4 restarts"));
-        assert!(html.contains("vgg16-c10-p10"));
-        assert!(html.contains("backoff &lt;800ms&gt;"), "detail escaped");
-        assert!(html.contains("class=\"up\""));
-        assert!(html.contains("class=\"down\""));
-        // Idle slot renders placeholders, not empties.
-        assert!(html.contains("<td>-</td>"));
-        // Deterministic render.
-        assert_eq!(html, render_fleet(&summary, &workers, "smoke <sweep>"));
     }
 
     #[test]

@@ -164,37 +164,6 @@ pub fn validate(body: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses one exposition body back into `(name, value)` samples — the
-/// inverse of [`render`], used by the fleet supervisor to federate a
-/// worker's `/metrics` scrape into its own registry.
-///
-/// Deliberately lenient: comment lines, blank lines, malformed lines,
-/// and non-finite values are skipped rather than reported, because a
-/// scrape races the worker's writes and a half-useful scrape beats
-/// none. Labelled samples (summary quantiles) are skipped too — the
-/// plain `_sum`/`_count` rows carry the federable signal.
-pub fn parse_exposition(body: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in body.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((name, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        if name.contains('{') || name.contains(' ') {
-            continue;
-        }
-        let Ok(v) = value.parse::<f64>() else {
-            continue;
-        };
-        if v.is_finite() {
-            out.push((name.to_string(), v));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,30 +212,6 @@ mod tests {
         assert!(body.contains("cap_mmm_mid_sum 30.000000\n"));
         assert!(body.contains("cap_mmm_mid_count 2\n"));
         assert!(body.contains("cap_mmm_mid{quantile=\"0.5\"}"));
-    }
-
-    #[test]
-    fn parse_round_trips_render_and_tolerates_garbage() {
-        let r = Registry::new();
-        r.counter_add("fleet.demo.count", 3);
-        r.gauge_set("fleet.demo.gauge", 1.25);
-        r.histogram_record("fleet.demo.hist", 2.0);
-        let parsed = parse_exposition(&render(&r));
-        let get = |name: &str| {
-            parsed
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("missing {name} in {parsed:?}"))
-        };
-        assert_eq!(get("cap_fleet_demo_count"), 3.0);
-        assert!((get("cap_fleet_demo_gauge") - 1.25).abs() < 1e-9);
-        assert_eq!(get("cap_fleet_demo_hist_count"), 1.0);
-        // Labelled quantile rows are skipped, not mangled.
-        assert!(parsed.iter().all(|(n, _)| !n.contains('{')), "{parsed:?}");
-        // Hostile input: garbage lines are dropped, good lines kept.
-        let hostile = "# HELP x y\nok_metric 2\nbroken\nbad NaNish\nnan_metric NaN\n";
-        assert_eq!(parse_exposition(hostile), vec![("ok_metric".into(), 2.0)]);
     }
 
     #[test]

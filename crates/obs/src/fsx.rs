@@ -172,16 +172,6 @@ fn complete_lines_len(file: &mut std::fs::File, len: u64) -> std::io::Result<u64
     Ok(0)
 }
 
-/// [`atomic_write`] with a `String` error for callers in the
-/// `Result<_, String>` style used by the dump paths.
-///
-/// # Errors
-///
-/// Returns `"write <path>: <io error>"`.
-pub fn atomic_write_str(path: &str, bytes: &[u8]) -> Result<(), String> {
-    atomic_write(Path::new(path), bytes).map_err(|e| format!("write {path}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -319,8 +319,8 @@ pub struct Telemetry {
 }
 
 /// One-call telemetry setup shared by every binary in the workspace
-/// (`capctl` and all `cap-bench` bins route through this), so
-/// `CAP_TRACE` and `CAP_METRICS_ADDR` behave identically everywhere:
+/// (`capctl`, `capfleet` and all `cap-bench` bins route through this),
+/// so `CAP_TRACE` and `CAP_METRICS_ADDR` behave identically everywhere:
 ///
 /// 1. installs the event sink from `cli_trace` (a `--trace` argument)
 ///    when given, else from `CAP_TRACE`;
@@ -347,8 +347,9 @@ pub fn init_telemetry(cli_trace: Option<&str>) -> Result<Telemetry, String> {
 }
 
 /// The shared end-of-process counterpart to [`init_telemetry`], routed
-/// through by `capctl` and `cap-bench`'s `finalize_telemetry` so every
-/// binary tears telemetry down the same way:
+/// through by `capctl`, `capfleet` and `cap-bench`'s
+/// `finalize_telemetry` so every binary tears telemetry down the same
+/// way:
 ///
 /// 1. stops the sampling [`recorder`] (final fsync'd sample);
 /// 2. stops the global [`serve`] server;

@@ -1,13 +1,12 @@
 //! A minimal `std::net` HTTP/1.1 server exposing live telemetry.
 //!
 //! Zero-dependency like the rest of the crate: one accept-loop thread
-//! (`cap-obs-serve`), connections handled inline, six read-only routes:
+//! (`cap-obs-serve`), connections handled inline, five read-only routes:
 //!
 //! | Route | Content | Format |
 //! |---|---|---|
 //! | `/metrics` | the [`crate::Registry`] | Prometheus text exposition ([`crate::expo`]) |
 //! | `/healthz` | liveness | `ok` |
-//! | `/report` | uptime + metrics + span tree | JSON (hand-rolled writer) |
 //! | `/api/series` | recorded history ([`crate::recorder`]) | JSON (`?name=<series>&from=<seq>&to=<seq>&downsample=<n>`) |
 //! | `/dash` | run-history dashboard ([`crate::dash`]) | self-contained HTML |
 //! | `/prof` | live span-tree flamegraph ([`crate::span_stacks`] + [`crate::flame`]) | SVG |
@@ -35,7 +34,6 @@
 //! ```
 
 use crate::json;
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -212,7 +210,6 @@ fn route_counter(path: &str) -> &'static str {
     match path.split('?').next().unwrap_or("") {
         "/metrics" => "obs.http.requests.metrics",
         "/healthz" => "obs.http.requests.healthz",
-        "/report" => "obs.http.requests.report",
         "/api/series" => "obs.http.requests.api_series",
         "/dash" => "obs.http.requests.dash",
         "/prof" => "obs.http.requests.prof",
@@ -231,56 +228,6 @@ fn route_handle_histogram(path: &str) -> Option<&'static str> {
         "/prof" => Some("obs.http.handle_us.prof"),
         _ => None,
     }
-}
-
-/// A dynamic route handler: receives the (possibly empty) query string
-/// and returns `(content_type, body)`.
-type DynHandler = Box<dyn Fn(&str) -> (&'static str, String) + Send + Sync>;
-
-fn dynamic_routes() -> &'static Mutex<BTreeMap<&'static str, DynHandler>> {
-    static ROUTES: OnceLock<Mutex<BTreeMap<&'static str, DynHandler>>> = OnceLock::new();
-    ROUTES.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Registers a process-global dynamic GET route served alongside the
-/// built-in ones (e.g. `capfleet`'s `/fleet` aggregation page). The
-/// path must start with `/` and not collide with a built-in route;
-/// re-registering a path replaces its handler. Static paths only — the
-/// route table must stay bounded.
-pub fn register_route(
-    path: &'static str,
-    handler: impl Fn(&str) -> (&'static str, String) + Send + Sync + 'static,
-) {
-    debug_assert!(path.starts_with('/'), "route paths start with '/'");
-    let mut routes = dynamic_routes().lock().unwrap_or_else(|p| p.into_inner());
-    routes.insert(path, Box::new(handler));
-}
-
-/// Removes a dynamic route (no-op when absent).
-pub fn unregister_route(path: &str) {
-    let mut routes = dynamic_routes().lock().unwrap_or_else(|p| p.into_inner());
-    routes.remove(path);
-}
-
-/// Serves `base` from the dynamic route table, if registered. The
-/// handler runs under the table lock; handlers are expected to be
-/// quick renderers (the accept loop is single-threaded anyway).
-fn dynamic_response(base: &str, query: &str) -> Option<(&'static str, &'static str, String)> {
-    let routes = dynamic_routes().lock().unwrap_or_else(|p| p.into_inner());
-    let handler = routes.get(base)?;
-    let (content_type, body) = handler(query);
-    Some(("200 OK", content_type, body))
-}
-
-/// The registered dynamic route paths, space-separated (for the 404
-/// route listing).
-fn dynamic_route_names() -> String {
-    let routes = dynamic_routes().lock().unwrap_or_else(|p| p.into_inner());
-    routes.keys().fold(String::new(), |mut acc, k| {
-        acc.push(' ');
-        acc.push_str(k);
-        acc
-    })
 }
 
 fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
@@ -302,7 +249,6 @@ fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
             crate::expo::render(crate::registry()),
         ),
         "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
-        "/report" => ("200 OK", "application/json; charset=utf-8", report_json()),
         "/api/series" => match series_json(query) {
             Ok(body) => ("200 OK", "application/json; charset=utf-8", body),
             Err(e) => (
@@ -321,16 +267,11 @@ fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
             "image/svg+xml; charset=utf-8",
             crate::flame::render_svg(&crate::span_stacks(), "live profile"),
         ),
-        _ => dynamic_response(base, query).unwrap_or_else(|| {
-            (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                format!(
-                    "routes: /metrics /healthz /report /api/series /dash /prof{}\n",
-                    dynamic_route_names()
-                ),
-            )
-        }),
+        _ => (
+            "404 Not Found",
+            "text/plain; charset=utf-8",
+            "routes: /metrics /healthz /api/series /dash /prof\n".to_string(),
+        ),
     }
 }
 
@@ -409,61 +350,13 @@ fn series_json(query: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// The `/report` body: uptime, every metric (sorted-name order, same
-/// fixed float policy as the text report), and the rendered span tree.
-fn report_json() -> String {
-    use crate::metrics::Metric;
-    let mut out = String::with_capacity(512);
-    out.push_str("{\"uptime_secs\":");
-    json::write_f64(&mut out, (crate::uptime_secs() * 1e6).round() / 1e6);
-    out.push_str(",\"metrics\":[");
-    let mut first = true;
-    for (name, metric) in crate::registry().snapshot() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"name\":");
-        json::write_str(&mut out, &name);
-        match metric {
-            Metric::Counter(c) => {
-                out.push_str(",\"kind\":\"counter\",\"value\":");
-                out.push_str(&c.to_string());
-            }
-            Metric::Gauge(g) => {
-                out.push_str(",\"kind\":\"gauge\",\"value\":");
-                json::write_f64(&mut out, g);
-            }
-            Metric::Histogram(h) => {
-                out.push_str(",\"kind\":\"histogram\",\"count\":");
-                out.push_str(&h.count().to_string());
-                out.push_str(",\"sum\":");
-                json::write_f64(&mut out, h.sum());
-                out.push_str(",\"mean\":");
-                json::write_f64(&mut out, h.mean());
-                out.push_str(",\"p50\":");
-                json::write_f64(&mut out, h.p50());
-                out.push_str(",\"p95\":");
-                json::write_f64(&mut out, h.p95());
-                out.push_str(",\"max\":");
-                json::write_f64(&mut out, h.max());
-            }
-        }
-        out.push('}');
-    }
-    out.push_str("],\"span_report\":");
-    json::write_str(&mut out, &crate::span_report());
-    out.push_str("}\n");
-    out
-}
-
 fn global_slot() -> &'static Mutex<Option<Server>> {
     static GLOBAL: OnceLock<Mutex<Option<Server>>> = OnceLock::new();
     GLOBAL.get_or_init(|| Mutex::new(None))
 }
 
-/// Starts the process-global server (used by `CAP_METRICS_ADDR` /
-/// `--serve-metrics`). Replaces any previous global server.
+/// Starts the process-global server. Replaces any previous global
+/// server.
 ///
 /// # Errors
 ///
@@ -580,28 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_routes_are_served_and_listed() {
-        let _guard = crate::test_lock();
-        register_route("/fleet-test", |query| {
-            ("text/plain; charset=utf-8", format!("q={query}"))
-        });
-        let (status, content_type, body) = route("GET", "/fleet-test?a=1");
-        assert!(status.starts_with("200"), "{status}");
-        assert!(content_type.starts_with("text/plain"));
-        assert_eq!(body, "q=a=1");
-        // The 404 listing advertises registered dynamic routes.
+    fn unknown_routes_and_methods_are_rejected() {
         let (status, _, body) = route("GET", "/nope");
         assert!(status.starts_with("404"));
-        assert!(body.contains("/fleet-test"), "{body}");
-        unregister_route("/fleet-test");
-        let (status, _, _) = route("GET", "/fleet-test");
-        assert!(status.starts_with("404"));
-    }
-
-    #[test]
-    fn unknown_routes_and_methods_are_rejected() {
-        let (status, _, _) = route("GET", "/nope");
-        assert!(status.starts_with("404"));
+        assert_eq!(body, "routes: /metrics /healthz /api/series /dash /prof\n");
         let (status, _, _) = route("POST", "/metrics");
         assert!(status.starts_with("405"));
         let (status, _, _) = route("GET", "/metrics?x=1");
@@ -693,28 +568,6 @@ mod tests {
         assert!(body.starts_with("<svg"), "{body}");
         assert!(body.contains("prof_demo"), "{body}");
         assert!(body.ends_with("</svg>\n"), "{body}");
-        crate::disable();
-        crate::reset();
-    }
-
-    #[test]
-    fn report_json_is_parseable() {
-        let _guard = crate::test_lock();
-        crate::reset();
-        crate::enable();
-        crate::counter_add("demo.count", 2);
-        crate::histogram_record("demo.hist", 4.0);
-        {
-            let _span = crate::SpanGuard::enter("demo_span");
-        }
-        let body = report_json();
-        let parsed = json::parse(body.trim()).unwrap();
-        assert!(parsed.get("uptime_secs").unwrap().as_f64().unwrap() >= 0.0);
-        let json::Json::Arr(metrics) = parsed.get("metrics").unwrap() else {
-            panic!("metrics must be an array");
-        };
-        assert!(metrics.len() >= 3, "{body}");
-        assert!(parsed.get("span_report").unwrap().as_str().is_some());
         crate::disable();
         crate::reset();
     }

@@ -2,8 +2,6 @@
 //! port, drive real HTTP requests against the routes, and validate the
 //! exposition grammar end to end.
 
-use cap_obs::json::Json;
-
 /// Sets up enabled obs, runs `f` against a live server, then tears
 /// every piece of global state back down.
 fn with_server(f: impl FnOnce(std::net::SocketAddr)) {
@@ -53,21 +51,9 @@ fn metrics_route_serves_valid_prometheus_text() {
 }
 
 #[test]
-fn healthz_and_report_routes_respond() {
+fn healthz_route_responds() {
     with_server(|addr| {
         assert_eq!(get(addr, "/healthz"), "ok\n");
-        cap_obs::counter_add("serve_test.reported", 3);
-        let report = get(addr, "/report");
-        let doc = cap_obs::json::parse(&report).expect("report is JSON");
-        assert!(doc.get("uptime_secs").and_then(Json::as_f64).is_some());
-        let metrics = match doc.get("metrics") {
-            Some(Json::Arr(items)) => items,
-            other => panic!("metrics array missing: {other:?}"),
-        };
-        assert!(metrics.iter().any(|m| {
-            m.get("name").and_then(Json::as_str) == Some("serve_test.reported")
-                && m.get("value").and_then(Json::as_u64) == Some(3)
-        }));
     });
 }
 

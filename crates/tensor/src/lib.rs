@@ -43,9 +43,7 @@ pub mod toeplitz;
 pub use conv::{col2im, conv_forward, conv_input_grad, conv_output_size, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use init::{kaiming_normal, randn, uniform};
-pub use matmul::{
-    matmul, matmul_sparse_aware, matmul_transpose_a, matmul_transpose_b, transpose2d,
-};
+pub use matmul::{matmul, matmul_transpose_a, matmul_transpose_b, transpose2d};
 pub use reduce::{argmax_rows, max_all, mean_all, softmax_rows, sum_all};
 pub use select::gemm_plan_summary;
 pub use simd::{avx2_available, set_simd_mode, simd_mode, SimdMode};

@@ -114,49 +114,6 @@ pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError>
     Tensor::from_vec(vec![m, n], out)
 }
 
-/// Multiplies `a · b` with a zero-skip on elements of `a`, for operands
-/// known to be mostly zero — e.g. the doubly-blocked Toeplitz matrices of
-/// [`crate::toeplitz`], whose density is `k²/(in_h·in_w)`.
-///
-/// The dense kernels deliberately dropped this branch (it costs a test
-/// per element on dense data and defeats the register-blocked
-/// microkernel); this entry point keeps the old i-k-j skip loop for
-/// callers whose sparsity makes it a win. Serial by construction.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidShape`] if either operand is not 2-D and
-/// [`TensorError::ShapeMismatch`] if the inner dimensions disagree.
-pub fn matmul_sparse_aware(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let _span = cap_obs::span!("tensor.matmul_sparse");
-    let (m, k) = check2d(a, "matmul_sparse_aware lhs")?;
-    let (kb, n) = check2d(b, "matmul_sparse_aware rhs")?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            left: a.shape().to_vec(),
-            right: b.shape().to_vec(),
-            op: "matmul_sparse_aware",
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    let ad = a.data();
-    let bd = b.data();
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &bd[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
-    }
-    Tensor::from_vec(vec![m, n], out)
-}
-
 /// Transposes a matrix `[m, n]` into `[n, m]`.
 ///
 /// # Errors
@@ -226,24 +183,6 @@ mod tests {
         for (x, y) in fast.data().iter().zip(slow.data()) {
             assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
-    }
-
-    #[test]
-    fn sparse_aware_matches_dense() {
-        let a = Tensor::from_fn(&[9, 14], |i| {
-            if i % 3 == 0 {
-                (i as f32 * 0.2).sin()
-            } else {
-                0.0
-            }
-        });
-        let b = Tensor::from_fn(&[14, 6], |i| (i as f32 * 0.11).cos());
-        let dense = matmul(&a, &b).unwrap();
-        let sparse = matmul_sparse_aware(&a, &b).unwrap();
-        for (x, y) in dense.data().iter().zip(sparse.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-        assert!(matmul_sparse_aware(&a, &Tensor::zeros(&[3, 3])).is_err());
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the backing data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Errors

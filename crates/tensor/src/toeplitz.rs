@@ -102,9 +102,7 @@ pub fn conv2d_via_toeplitz(
     }
     let m = toeplitz_matrix(weight, geom)?;
     let x = input.reshape(&[geom.in_channels * geom.in_h * geom.in_w, 1])?;
-    // The Toeplitz matrix is mostly zeros (density k²/(in_h·in_w)), so
-    // the zero-skipping kernel beats the dense blocked one here.
-    let y = crate::matmul_sparse_aware(&m, &x)?;
+    let y = crate::matmul(&m, &x)?;
     y.reshape(&[1, geom.out_channels, geom.out_h, geom.out_w])
 }
 

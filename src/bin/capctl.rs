@@ -23,8 +23,8 @@
 //!                                     differential flamegraph: B relative to A
 //! ```
 //!
-//! All commands accept `[--trace <spec>] [--serve-metrics <addr>]`
-//! before the subcommand. Tracing: `--trace pretty` narrates events on
+//! All commands accept `[--trace <spec>]` before the subcommand.
+//! Tracing: `--trace pretty` narrates events on
 //! stderr, `--trace jsonl:<path>` writes machine-readable JSON lines
 //! (append `,detail` for per-span events). The `CAP_TRACE` environment
 //! variable accepts the same grammar:
@@ -33,10 +33,9 @@
 //! CAP_TRACE=jsonl:run.jsonl cargo run --bin capctl -- info model.capn
 //! ```
 //!
-//! Live telemetry: `--serve-metrics <addr>` (or `CAP_METRICS_ADDR`)
-//! starts the cap-obs HTTP server exposing `/metrics`, `/healthz`,
-//! `/report`, `/api/series`, `/dash` and `/prof` for the duration of
-//! the command.
+//! Live telemetry: `CAP_METRICS_ADDR=<addr>` starts the cap-obs HTTP
+//! server exposing `/metrics`, `/healthz`, `/api/series`, `/dash` and
+//! `/prof` for the duration of the command.
 //!
 //! # Exit codes
 //!
@@ -142,7 +141,7 @@ impl Error for CtlError {
     }
 }
 
-const USAGE: &str = "usage: capctl [--trace <spec>] [--serve-metrics <addr>] <command>\n\
+const USAGE: &str = "usage: capctl [--trace <spec>] <command>\n\
      commands:\n\
        info <file>\n\
        flops <file> <C> <H> <W>\n\
@@ -201,34 +200,26 @@ fn describe(net: &Network) {
     }
 }
 
-/// Strips `--trace <spec>` and `--serve-metrics <addr>` from the
-/// argument list and initialises the observability layer: the sink from
-/// the spec (or `CAP_TRACE` when absent), the live telemetry server
-/// from the flag (or `CAP_METRICS_ADDR` when absent).
+/// Strips `--trace <spec>` from the argument list and initialises the
+/// observability layer: the sink from the spec (or `CAP_TRACE` when
+/// absent), the live telemetry server from `CAP_METRICS_ADDR`.
 fn init_trace(args: &mut Vec<String>) -> Result<(), CtlError> {
-    let take =
-        |args: &mut Vec<String>, flag: &str, what: &str| -> Result<Option<String>, CtlError> {
-            match args.iter().position(|a| a == flag) {
-                Some(pos) if pos + 1 < args.len() => {
-                    let value = args.remove(pos + 1);
-                    args.remove(pos);
-                    Ok(Some(value))
-                }
-                Some(_) => Err(usage_err(format!("{flag} requires {what}"))),
-                None => Ok(None),
-            }
-        };
-    let spec = take(args, "--trace", "a spec (pretty | jsonl:<path>[,detail])")?;
-    let serve = take(args, "--serve-metrics", "an address (e.g. 127.0.0.1:9184)")?;
+    let spec = match args.iter().position(|a| a == "--trace") {
+        Some(pos) if pos + 1 < args.len() => {
+            let value = args.remove(pos + 1);
+            args.remove(pos);
+            Some(value)
+        }
+        Some(_) => {
+            return Err(usage_err(
+                "--trace requires a spec (pretty | jsonl:<path>[,detail])",
+            ))
+        }
+        None => None,
+    };
     let telemetry = cap_obs::init_telemetry(spec.as_deref())
         .map_err(|reason| CtlError::Telemetry { reason })?;
-    let bound = match serve {
-        Some(addr) => Some(
-            cap_obs::serve::start_global(&addr).map_err(|reason| CtlError::Telemetry { reason })?,
-        ),
-        None => telemetry.serving,
-    };
-    if let Some(addr) = bound {
+    if let Some(addr) = telemetry.serving {
         eprintln!("cap-obs: live telemetry on http://{addr}/metrics");
     }
     Ok(())
