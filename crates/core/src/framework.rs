@@ -492,11 +492,11 @@ impl ClassAwarePruner {
 
         // Durable run history: persisted runs record a sampled time
         // series (`series.capts`), per-class pruning attribution
-        // (`class_attribution.jsonl`), alert rules (`alerts.jsonl`) and
-        // the span profile (`profile.folded`) alongside the journal.
-        // The guard writes the final profile, stops the recorder and
-        // clears the rules however the loop exits.
-        let history = persist.map(|dir| RunHistory::start(dir, baseline_accuracy, cfg));
+        // (`class_attribution.jsonl`) and the span profile
+        // (`profile.folded`) alongside the journal. The guard writes
+        // the final profile and stops the recorder however the loop
+        // exits.
+        let history = persist.map(RunHistory::start);
 
         let mut stop_reason = forced_stop.unwrap_or(StopReason::MaxIterations);
         let last_iteration = if forced_stop.is_some() {
@@ -670,19 +670,11 @@ struct ScorePass {
     secs: f64,
 }
 
-/// Consecutive bit-identical `core.prune.iteration` samples tolerated
-/// before the stall alert fires (~5 min at the default 250 ms cadence).
-const STALL_WINDOW: usize = 1200;
-/// Trailing sample-time window for the numeric-fault rate rule.
-const NAN_WINDOW_SECS: f64 = 3600.0;
-
 /// Run-history side of a persisted pruning run: owns the sampling
-/// recorder writing `<run-dir>/series.capts`, the alert rules feeding
-/// `<run-dir>/alerts.jsonl`, the per-class attribution sidecar, and
-/// `<run-dir>/profile.folded`, the span tree folded into flamegraph
-/// stacks. Dropping it (any exit from the loop, including errors)
-/// writes the final profile, stops the recorder and uninstalls the
-/// rules.
+/// recorder writing `<run-dir>/series.capts`, the per-class attribution
+/// sidecar, and `<run-dir>/profile.folded`, the span tree folded into
+/// flamegraph stacks. Dropping it (any exit from the loop, including
+/// errors) writes the final profile and stops the recorder.
 struct RunHistory<'a> {
     dir: &'a RunDir,
     /// Whether *this* run started the process-global recorder (another
@@ -691,10 +683,10 @@ struct RunHistory<'a> {
 }
 
 impl<'a> RunHistory<'a> {
-    fn start(dir: &'a RunDir, baseline_accuracy: f64, cfg: &PruneConfig) -> RunHistory<'a> {
+    fn start(dir: &'a RunDir) -> RunHistory<'a> {
         let recording = match cap_obs::recorder::start_global(
             &dir.root().join("series.capts"),
-            cap_obs::recorder::interval_from_env(),
+            std::time::Duration::from_millis(cap_obs::recorder::DEFAULT_INTERVAL_MS),
         ) {
             Ok(started) => started,
             Err(e) => {
@@ -704,34 +696,6 @@ impl<'a> RunHistory<'a> {
                 false
             }
         };
-        cap_obs::alerts::install(
-            vec![
-                cap_obs::alerts::Rule {
-                    name: "numeric-faults".to_string(),
-                    kind: cap_obs::alerts::RuleKind::NanRate {
-                        series: "nn.numeric_faults_total".to_string(),
-                        max_increase: 0.0,
-                        window_secs: NAN_WINDOW_SECS,
-                    },
-                },
-                cap_obs::alerts::Rule {
-                    name: "accuracy-drop".to_string(),
-                    kind: cap_obs::alerts::RuleKind::AccuracyDrop {
-                        series: "core.accuracy".to_string(),
-                        baseline: baseline_accuracy,
-                        max_drop: cfg.accuracy_drop_limit,
-                    },
-                },
-                cap_obs::alerts::Rule {
-                    name: "iteration-stall".to_string(),
-                    kind: cap_obs::alerts::RuleKind::Stall {
-                        series: "core.prune.iteration".to_string(),
-                        window: STALL_WINDOW,
-                    },
-                },
-            ],
-            Some(dir.root().join("alerts.jsonl")),
-        );
         RunHistory { dir, recording }
     }
 
@@ -827,7 +791,6 @@ impl Drop for RunHistory<'_> {
         if self.recording {
             cap_obs::recorder::stop_global();
         }
-        cap_obs::alerts::clear();
     }
 }
 
@@ -1568,9 +1531,8 @@ mod tests {
             .run_with_dir(&mut net, data.train(), data.test(), &dir)
             .unwrap();
         assert!(!outcome.iterations.is_empty());
-        // The recorder and rules are torn down when drive() returns.
+        // The recorder is torn down when drive() returns.
         assert!(!cap_obs::recorder::active());
-        assert!(cap_obs::alerts::fired().is_empty());
 
         // series.capts: at least start + one boundary per iteration +
         // stop, seq contiguous from 0, carrying the per-class gauges.
@@ -1600,8 +1562,24 @@ mod tests {
             assert!(j.get("iteration").and_then(Json::as_u64).is_some());
             assert!(j.get("score").and_then(Json::as_f64).is_some());
         }
-        // No alert fired in a healthy run: no alerts.jsonl.
-        assert!(!root.join("alerts.jsonl").exists());
+        // The run dir holds the journal, the checkpoints and the three
+        // history files, and nothing else.
+        let mut entries: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        entries.sort();
+        assert_eq!(
+            entries,
+            [
+                "MANIFEST.json",
+                "ckpt",
+                "class_attribution.jsonl",
+                "journal.jsonl",
+                "profile.folded",
+                "series.capts"
+            ],
+        );
 
         // profile.folded: the span tree, every line a valid folded
         // stack, with fine-tuning under its iteration.

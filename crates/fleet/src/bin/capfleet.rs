@@ -16,7 +16,8 @@
 //! its run dir, read with `capctl tail|dash|flame D/runs/ID`.
 //!
 //! Exit codes: `0` sweep drained with every spec done, `1` sweep
-//! drained but some specs were poisoned, `2` usage, `3` runtime error.
+//! drained but some specs were poisoned, `2` usage (a flag the command
+//! does not take, or no `--fleet-dir`), `3` runtime error.
 
 use cap_fleet::queue::Queue;
 use cap_fleet::spec::Spec;
@@ -33,30 +34,55 @@ const USAGE: &str = "usage: capfleet <init|run|resume|status|worker> --fleet-dir
   worker  --spec ID (internal)
 ";
 
+/// The flags `command` accepts, or `None` for an unknown command.
+fn known_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "init" => &["fleet-dir", "demo", "suite", "scale", "specs"],
+        "run" | "resume" => &[
+            "fleet-dir",
+            "workers",
+            "retry-budget",
+            "backoff-base-ms",
+            "backoff-cap-ms",
+            "stall-timeout-ms",
+            "poll-ms",
+        ],
+        "status" => &["fleet-dir"],
+        "worker" => &["fleet-dir", "spec"],
+        _ => return None,
+    })
+}
+
 struct Args {
-    positional: Vec<String>,
+    fleet_dir: PathBuf,
     flags: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut positional = Vec::new();
+    /// Parses `--name value` pairs, accepting only the `known` flags and
+    /// requiring `--fleet-dir`. Every error is a usage error.
+    fn parse(raw: &[String], known: &[&str]) -> Result<Args, String> {
         let mut flags = Vec::new();
         let mut it = raw.iter();
         while let Some(arg) = it.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                // Boolean flags take no value.
-                if matches!(name, "suite") {
-                    flags.push((name.to_string(), "true".to_string()));
-                    continue;
-                }
-                let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-                flags.push((name.to_string(), value.clone()));
-            } else {
-                positional.push(arg.clone());
+            let name = arg
+                .strip_prefix("--")
+                .filter(|name| known.contains(name))
+                .ok_or_else(|| format!("unexpected argument {arg:?}"))?;
+            // Boolean flags take no value.
+            if matches!(name, "suite") {
+                flags.push((name.to_string(), "true".to_string()));
+                continue;
             }
+            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+            flags.push((name.to_string(), value.clone()));
         }
-        Ok(Args { positional, flags })
+        let fleet_dir = flags
+            .iter()
+            .rev()
+            .find_map(|(n, v)| (n == "fleet-dir").then(|| PathBuf::from(v)))
+            .ok_or_else(|| "--fleet-dir is required".to_string())?;
+        Ok(Args { fleet_dir, flags })
     }
 
     fn flag(&self, name: &str) -> Option<&str> {
@@ -72,12 +98,6 @@ impl Args {
             None => Ok(default),
             Some(v) => v.parse::<u64>().map_err(|e| format!("--{name} {v:?}: {e}")),
         }
-    }
-
-    fn fleet_dir(&self) -> Result<PathBuf, String> {
-        self.flag("fleet-dir")
-            .map(PathBuf::from)
-            .ok_or_else(|| "--fleet-dir is required".to_string())
     }
 }
 
@@ -113,7 +133,6 @@ fn read_specs_file(path: &str) -> Result<Vec<Spec>, String> {
 }
 
 fn cmd_init(args: &Args) -> Result<(), String> {
-    let fleet_dir = args.fleet_dir()?;
     let specs = if let Some(n) = args.flag("demo") {
         let n: u64 = n.parse().map_err(|e| format!("--demo {n:?}: {e}"))?;
         (0..n)
@@ -132,22 +151,21 @@ fn cmd_init(args: &Args) -> Result<(), String> {
         return Err("init needs --demo N, --suite or --specs FILE".to_string());
     };
     let n = specs.len();
-    Queue::create(&fleet_dir, &specs)?;
+    Queue::create(&args.fleet_dir, &specs)?;
     println!(
         "initialised fleet at {} with {n} spec(s); `capfleet run --fleet-dir {}` starts it",
-        fleet_dir.display(),
-        fleet_dir.display()
+        args.fleet_dir.display(),
+        args.fleet_dir.display()
     );
     Ok(())
 }
 
 fn cmd_run(args: &Args) -> Result<ExitCode, String> {
-    let fleet_dir = args.fleet_dir()?;
     let cfg = fleet_config(args)?;
     if let Some(addr) = cap_obs::init_telemetry(None)?.serving {
         eprintln!("capfleet: supervisor metrics on http://{addr}/metrics");
     }
-    let report = run_fleet(&fleet_dir, &cfg)?;
+    let report = run_fleet(&args.fleet_dir, &cfg)?;
     println!(
         "{} done, {} poisoned, {} restarts",
         report.done, report.poisoned, report.restarts
@@ -160,18 +178,16 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_status(args: &Args) -> Result<(), String> {
-    let fleet_dir = args.fleet_dir()?;
-    let queue = Queue::load(&fleet_dir)?;
+    let queue = Queue::load(&args.fleet_dir)?;
     print!("{}", render_status(&queue));
     Ok(())
 }
 
 fn cmd_worker(args: &Args) -> Result<(), String> {
-    let fleet_dir = args.fleet_dir()?;
     let spec_id = args
         .flag("spec")
         .ok_or_else(|| "worker needs --spec ID".to_string())?;
-    cap_fleet::worker::run_worker(&fleet_dir, spec_id)
+    cap_fleet::worker::run_worker(&args.fleet_dir, spec_id)
 }
 
 fn main() -> ExitCode {
@@ -180,31 +196,27 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
-    let args = match Args::parse(&raw[1..]) {
+    let Some(known) = known_flags(&command) else {
+        eprintln!("capfleet: unknown command {command:?}");
+        eprint!("{USAGE}");
+        return ExitCode::from(2);
+    };
+    let args = match Args::parse(&raw[1..], known) {
         Ok(args) => args,
         Err(e) => {
-            eprintln!("capfleet: {e}");
+            eprintln!("capfleet {command}: {e}");
             eprint!("{USAGE}");
             return ExitCode::from(2);
         }
     };
-    if !args.positional.is_empty() {
-        eprintln!("capfleet: unexpected argument {:?}", args.positional[0]);
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
-    }
     let result = match command.as_str() {
         "init" => cmd_init(&args).map(|()| ExitCode::SUCCESS),
         // `run` and `resume` share one path: run_fleet always
         // reconciles, so resuming a SIGKILLed sweep is the same loop.
         "run" | "resume" => cmd_run(&args),
         "status" => cmd_status(&args).map(|()| ExitCode::SUCCESS),
-        "worker" => cmd_worker(&args).map(|()| ExitCode::SUCCESS),
-        other => {
-            eprintln!("capfleet: unknown command {other:?}");
-            eprint!("{USAGE}");
-            return ExitCode::from(2);
-        }
+        // `known_flags` admitted no other command.
+        _ => cmd_worker(&args).map(|()| ExitCode::SUCCESS),
     };
     cap_obs::finalize_process();
     match result {

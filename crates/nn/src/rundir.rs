@@ -333,10 +333,10 @@ impl RunDir {
     }
 
     /// Appends one JSON object line to a named sidecar JSONL file in
-    /// the run directory (e.g. `class_attribution.jsonl`,
-    /// `alerts.jsonl`) and fsyncs it. Sidecars follow the same
-    /// durability discipline as the journal but are not consulted by
-    /// resume, so extra history never blocks replaying a run.
+    /// the run directory (`class_attribution.jsonl`) and fsyncs it.
+    /// Sidecars follow the same durability discipline as the journal
+    /// but are not consulted by resume, so extra history never blocks
+    /// replaying a run.
     ///
     /// # Errors
     ///

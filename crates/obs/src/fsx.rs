@@ -66,7 +66,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// An append-only file handle for durable logs (journals, series,
-/// alert streams).
+/// sidecars, capfleet's queue).
 ///
 /// Complements [`atomic_write`]: where that replaces a whole file
 /// atomically, `AppendFile` grows one incrementally. Every workspace

@@ -10,10 +10,9 @@
 //!
 //! - **Spans** ([`span!`]) are RAII scope timers. They nest via a
 //!   thread-local stack, so per-layer forward/backward time and the
-//!   im2col/matmul kernel time inside it roll up into a call tree
-//!   ([`span_report`]) and into folded self-time stacks for
-//!   flamegraphs ([`span_stacks`]). Disabled spans cost one relaxed
-//!   atomic load.
+//!   im2col/matmul kernel time inside it roll up into a call tree,
+//!   folded into self-time stacks for flamegraphs ([`span_stacks`]).
+//!   Disabled spans cost one relaxed atomic load.
 //! - **Metrics** live in a process-global [`Registry`]: counters,
 //!   gauges, and log-bucketed histograms with p50/p95/max summaries.
 //! - **Events** ([`Event`]) are structured records (epoch finished,
@@ -59,7 +58,6 @@
 //! Span names follow `crate.component.op` (see DESIGN.md §7), e.g.
 //! `tensor.matmul`, `nn.conv2d.forward`, `core.prune.finetune`.
 
-pub mod alerts;
 pub mod clock;
 pub mod dash;
 pub mod expo;
@@ -78,7 +76,7 @@ mod span;
 pub use event::{Event, Value};
 pub use metrics::{Histogram, Metric, Registry};
 pub use sink::Sink;
-pub use span::{span_report, span_stacks, SpanGuard};
+pub use span::{span_stacks, SpanGuard};
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -206,44 +204,6 @@ pub fn histogram_record(name: &str, v: f64) {
     if enabled() {
         registry().histogram_record(name, v);
     }
-}
-
-/// Renders every metric plus the span tree as a human-readable report.
-///
-/// Metrics appear in sorted-name order with one fixed float format
-/// ([`expo::fmt_value`]), so two reports over the same registry state —
-/// and a report vs a `/metrics` scrape — diff cleanly.
-pub fn report() -> String {
-    let mut out = String::new();
-    let spans = span_report();
-    if !spans.is_empty() {
-        out.push_str(&spans);
-    }
-    let mut wrote_header = false;
-    for (name, metric) in registry().snapshot() {
-        if name.starts_with("span.") {
-            continue;
-        }
-        if !wrote_header {
-            out.push_str("metric                                    value\n");
-            wrote_header = true;
-        }
-        match metric {
-            Metric::Counter(c) => out.push_str(&format!("{name:<40} {c}\n")),
-            Metric::Gauge(g) => {
-                out.push_str(&format!("{name:<40} {}\n", expo::fmt_value(g)));
-            }
-            Metric::Histogram(h) => out.push_str(&format!(
-                "{name:<40} n={} mean={} p50={} p95={} max={}\n",
-                h.count(),
-                expo::fmt_value(h.mean()),
-                expo::fmt_value(h.p50()),
-                expo::fmt_value(h.p95()),
-                expo::fmt_value(h.max())
-            )),
-        }
-    }
-    out
 }
 
 /// Clears the registry and removes the sink. Leaves the enable flags
@@ -395,10 +355,16 @@ mod tests {
         counter_add("c", 2);
         gauge_set("g", 3.0);
         histogram_record("h", 4.0);
-        assert_eq!(registry().snapshot().len(), 3);
-        let text = report();
-        assert!(text.contains("c "), "{text}");
-        assert!(text.contains("n=1"), "{text}");
+        let snap = registry().snapshot();
+        assert_eq!(snap.len(), 3);
+        match snap.iter().find(|(n, _)| n == "c").map(|(_, m)| m) {
+            Some(Metric::Counter(2)) => {}
+            other => panic!("bad counter {other:?}"),
+        }
+        match snap.iter().find(|(n, _)| n == "h").map(|(_, m)| m) {
+            Some(Metric::Histogram(h)) => assert_eq!(h.count(), 1),
+            other => panic!("bad histogram {other:?}"),
+        }
         disable();
         reset();
     }
@@ -425,8 +391,7 @@ mod tests {
     }
 
     /// Pins the stable-output contract: metrics render in sorted-name
-    /// order with the fixed float format, in both the text report and
-    /// the Prometheus exposition.
+    /// order with the fixed float format in the Prometheus exposition.
     #[test]
     fn report_and_exposition_are_sorted_with_fixed_floats() {
         let _guard = test_lock();
@@ -437,22 +402,6 @@ mod tests {
         counter_add("alpha.count", 7);
         histogram_record("mid.hist", 3.0);
         gauge_set("beta.gauge", 2.0);
-
-        let text = report();
-        let metric_names: Vec<&str> = text
-            .lines()
-            .skip(1) // header
-            .filter_map(|l| l.split_whitespace().next())
-            .collect();
-        assert_eq!(
-            metric_names,
-            vec!["alpha.count", "beta.gauge", "mid.hist", "zeta.gauge"],
-            "{text}"
-        );
-        assert!(text.contains("beta.gauge"), "{text}");
-        assert!(text.contains("2.000000"), "{text}");
-        assert!(text.contains("zeta.gauge"), "{text}");
-        assert!(text.contains("1.250000"), "{text}");
 
         let body = expo::render(registry());
         expo::validate(&body).unwrap();

@@ -7,8 +7,8 @@
 //! from the store's torn-tail truncation — while boundary samples and
 //! shutdown are fsync'd, so the durable history always includes every
 //! completed pruning iteration. Every ingested sample is also pushed
-//! through the [`crate::alerts`] engine and into a bounded in-memory
-//! ring that backs the `/api/series` and `/dash` routes.
+//! into a bounded in-memory ring that backs the `/api/series` and
+//! `/dash` routes.
 //!
 //! The recorder only *reads* shared state (the registry) and writes a
 //! side file; it never feeds anything back into the computation, so the
@@ -26,7 +26,7 @@ use std::time::Duration;
 /// Samples kept in the in-memory ring for live queries.
 const MEM_CAP: usize = 4096;
 
-/// Default sampling cadence (overridden by `CAP_RECORD_MS`).
+/// The sampling cadence of every run-dir recording.
 pub const DEFAULT_INTERVAL_MS: u64 = 250;
 
 struct Shared {
@@ -45,7 +45,7 @@ fn global_slot() -> &'static Mutex<Option<Recorder>> {
     GLOBAL.get_or_init(|| Mutex::new(None))
 }
 
-/// Takes one sample: snapshot → append → memory ring → alert rules.
+/// Takes one sample: snapshot → append → memory ring.
 fn sample_once(shared: &Shared, durable: bool) -> Result<(), TsdbError> {
     let points = crate::tsdb::snapshot_points();
     let t = crate::uptime_secs();
@@ -53,23 +53,12 @@ fn sample_once(shared: &Shared, durable: bool) -> Result<(), TsdbError> {
         let mut writer = shared.writer.lock().unwrap();
         writer.append(t, points, durable)?
     };
-    crate::alerts::evaluate_sample(&sample);
     let mut mem = shared.mem.lock().unwrap();
     if mem.len() == MEM_CAP {
         mem.pop_front();
     }
     mem.push_back(sample);
     Ok(())
-}
-
-/// The cadence in effect: `CAP_RECORD_MS` or [`DEFAULT_INTERVAL_MS`].
-pub fn interval_from_env() -> Duration {
-    let ms = std::env::var("CAP_RECORD_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(DEFAULT_INTERVAL_MS);
-    Duration::from_millis(ms)
 }
 
 /// Starts the process-global recorder writing to `path`, sampling every

@@ -61,46 +61,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Renders every `span.*` histogram in the registry as an indented
-/// call-tree with count / total / p50 / p95 / max columns.
-///
-/// Returns an empty string when nothing was recorded.
-pub fn span_report() -> String {
-    let snapshot = crate::registry().snapshot();
-    let spans: Vec<(&str, &crate::metrics::Histogram)> = snapshot
-        .iter()
-        .filter_map(|(name, metric)| match metric {
-            Metric::Histogram(h) => name.strip_prefix("span.").map(|p| (p, h)),
-            _ => None,
-        })
-        .collect();
-    if spans.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from(
-        "span                                      count      total      p50      p95      max\n",
-    );
-    // BTreeMap ordering means a path sorts directly after its parent
-    // prefix, so indenting by depth renders the tree.
-    for (path, h) in spans {
-        let depth = path.matches('/').count();
-        let label = format!(
-            "{}{}",
-            "  ".repeat(depth),
-            path.rsplit('/').next().unwrap_or(path)
-        );
-        out.push_str(&format!(
-            "{label:<40} {:>6} {:>10} {:>8} {:>8} {:>8}\n",
-            h.count(),
-            fmt_ns(h.sum()),
-            fmt_ns(h.p50()),
-            fmt_ns(h.p95()),
-            fmt_ns(h.max()),
-        ));
-    }
-    out
-}
-
 /// Folds every `span.*` histogram in the registry into flamegraph
 /// stacks: one `(frame;frame, µs)` pair per span path, weighing the
 /// path's total time minus its direct children's totals (its *self*
@@ -133,18 +93,6 @@ pub fn span_stacks() -> Vec<(String, u64)> {
             (us > 0).then(|| (path.replace('/', ";"), us))
         })
         .collect()
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.0}ns")
-    } else if ns < 1e6 {
-        format!("{:.1}µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.1}ms", ns / 1e6)
-    } else {
-        format!("{:.2}s", ns / 1e9)
-    }
 }
 
 #[cfg(test)]
@@ -208,20 +156,6 @@ mod tests {
             let _span = SpanGuard::enter("ghost");
         }
         assert!(crate::registry().snapshot().is_empty());
-    }
-
-    #[test]
-    fn report_renders_tree() {
-        with_global_obs(|| {
-            {
-                let _a = SpanGuard::enter("fit");
-                let _b = SpanGuard::enter("batch");
-            }
-            let report = span_report();
-            assert!(report.contains("fit"), "{report}");
-            assert!(report.contains("  batch"), "{report}");
-            assert!(report.lines().count() >= 3, "{report}");
-        });
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!                                     run (or resume) a durable pruning run on
 //!                                     the built-in synthetic benchmark
 //! capctl tail <run-dir>               summarise a run's recorded history:
-//!                                     series.capts (verifying seq contiguity),
-//!                                     alerts.jsonl, class_attribution.jsonl
+//!                                     series.capts (verifying seq contiguity)
+//!                                     and class_attribution.jsonl
 //! capctl dash <run-dir> --export <file.html>
 //!                                     render the run's history dashboard to a
 //!                                     self-contained HTML file
@@ -37,6 +37,9 @@
 //! server exposing `/metrics`, `/healthz`, `/api/series`, `/dash` and
 //! `/prof` for the duration of the command.
 //!
+//! A reader that closes stdout early (`capctl tail run | head -1`) ends
+//! the output, not the command: it still exits with its own code.
+//!
 //! # Exit codes
 //!
 //! Each failure class maps to a distinct code so scripts and the CI
@@ -61,6 +64,7 @@ use cap_nn::{checkpoint, fit, FaultPolicy, Network, NnError, RunDir, RunDirError
 use rand::SeedableRng;
 use std::error::Error;
 use std::fmt;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 /// Everything that can fail, with one exit code per class (see the
@@ -141,6 +145,47 @@ impl Error for CtlError {
     }
 }
 
+/// Every command's stdout. A closed pipe drops this and every later
+/// line and still counts as success; any other write error is kept
+/// for [`Out::finish`], which fails the command with the I/O code.
+#[derive(Default)]
+struct Out {
+    closed: bool,
+    error: Option<std::io::Error>,
+}
+
+impl Out {
+    fn write(&mut self, args: fmt::Arguments<'_>) {
+        if self.closed {
+            return;
+        }
+        let mut stdout = std::io::stdout().lock();
+        if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+            self.closed = true;
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    fn finish(self) -> Result<(), CtlError> {
+        match self.error {
+            Some(source) => Err(CtlError::Io {
+                context: "write stdout".to_string(),
+                source,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `println!` through an [`Out`].
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        $out.write(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 const USAGE: &str = "usage: capctl [--trace <spec>] <command>\n\
      commands:\n\
        info <file>\n\
@@ -161,8 +206,9 @@ fn usage_err(detail: impl Into<String>) -> CtlError {
     }
 }
 
-fn describe(net: &Network) {
-    println!(
+fn describe(net: &Network, out: &mut Out) {
+    outln!(
+        out,
         "{} layers, {} parameters",
         net.layers().len(),
         net.num_params()
@@ -196,7 +242,7 @@ fn describe(net: &Network) {
                 }
             ),
         };
-        println!("  [{i:>3}] {detail}  ({} params)", layer.num_params());
+        outln!(out, "  [{i:>3}] {detail}  ({} params)", layer.num_params());
     }
 }
 
@@ -252,12 +298,12 @@ fn prune_demo_net(seed: u64) -> Network {
     net
 }
 
-fn cmd_prune(args: &[String]) -> Result<(), CtlError> {
+fn cmd_prune(args: &[String], out: &mut Out) -> Result<(), CtlError> {
     let mut run_dir: Option<String> = None;
     let mut resume = false;
     let mut iters: usize = 3;
     let mut seed: u64 = 33;
-    let mut out: Option<String> = None;
+    let mut out_file: Option<String> = None;
     let mut csv: Option<String> = None;
     let mut fault_policy = FaultPolicy::Abort;
     let mut it = args.iter();
@@ -280,7 +326,7 @@ fn cmd_prune(args: &[String]) -> Result<(), CtlError> {
                     .parse()
                     .map_err(|e| usage_err(format!("bad --seed: {e}")))?;
             }
-            "--out" => out = Some(value("a file")?),
+            "--out" => out_file = Some(value("a file")?),
             "--csv" => csv = Some(value("a file")?),
             "--fault-policy" => fault_policy = parse_fault_policy(&value("a policy")?)?,
             other => return Err(usage_err(format!("unknown prune flag {other:?}"))),
@@ -353,12 +399,14 @@ fn cmd_prune(args: &[String]) -> Result<(), CtlError> {
         (net, outcome)
     };
 
-    println!(
+    outln!(
+        out,
         "stop: {:?} after {} iterations",
         outcome.stop_reason,
         outcome.iterations.len()
     );
-    println!(
+    outln!(
+        out,
         "accuracy {:.4} -> {:.4}, params {} -> {}, FLOPs {} -> {}",
         outcome.baseline_accuracy,
         outcome.final_accuracy,
@@ -367,7 +415,7 @@ fn cmd_prune(args: &[String]) -> Result<(), CtlError> {
         outcome.baseline_cost.total_flops,
         outcome.final_cost.total_flops
     );
-    if let Some(path) = out {
+    if let Some(path) = out_file {
         let bytes = checkpoint::to_bytes(&net).map_err(|source| CtlError::Checkpoint {
             context: format!("serialise final network for {path}"),
             source,
@@ -378,7 +426,7 @@ fn cmd_prune(args: &[String]) -> Result<(), CtlError> {
                 source,
             }
         })?;
-        println!("final network written to {path}");
+        outln!(out, "final network written to {path}");
     }
     if let Some(path) = csv {
         cap_obs::fsx::atomic_write(
@@ -389,7 +437,7 @@ fn cmd_prune(args: &[String]) -> Result<(), CtlError> {
             context: format!("write {path}"),
             source,
         })?;
-        println!("iteration trajectory written to {path}");
+        outln!(out, "iteration trajectory written to {path}");
     }
     Ok(())
 }
@@ -419,12 +467,17 @@ fn parse_fault_policy(spec: &str) -> Result<FaultPolicy, CtlError> {
 }
 
 /// Prints the last `n` lines of a JSONL sidecar, if it exists.
-fn tail_jsonl(dir: &std::path::Path, name: &str, n: usize) -> Result<usize, CtlError> {
+fn tail_jsonl(
+    dir: &std::path::Path,
+    name: &str,
+    n: usize,
+    out: &mut Out,
+) -> Result<usize, CtlError> {
     let path = dir.join(name);
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            println!("{name}: none");
+            outln!(out, "{name}: none");
             return Ok(0);
         }
         Err(source) => {
@@ -435,27 +488,25 @@ fn tail_jsonl(dir: &std::path::Path, name: &str, n: usize) -> Result<usize, CtlE
         }
     };
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    println!("{name}: {} records", lines.len());
+    outln!(out, "{name}: {} records", lines.len());
     for line in lines.iter().rev().take(n).rev() {
-        println!("  {line}");
+        outln!(out, "  {line}");
     }
     Ok(lines.len())
 }
 
 /// `capctl tail <run-dir>`: summarises the recorded history — sample
 /// count and seq contiguity of `series.capts`, the newest sample's
-/// points, and the tails of `alerts.jsonl` / `class_attribution.jsonl`.
-/// A seq gap (which a correct writer can never produce) is a run-dir
-/// error.
-fn cmd_tail(run_dir: &str) -> Result<(), CtlError> {
+/// points, and the tail of `class_attribution.jsonl`. A seq gap (which
+/// a correct writer can never produce) is a run-dir error.
+fn cmd_tail(run_dir: &str, out: &mut Out) -> Result<(), CtlError> {
     let dir = std::path::Path::new(run_dir);
     let series = dir.join("series.capts");
     // A run that never recorded history (telemetry disabled, or died
     // before the first flush) is a normal state, not an error.
     if !series.exists() {
-        println!("no history recorded ({} has no series.capts)", run_dir);
-        tail_jsonl(dir, "alerts.jsonl", 5)?;
-        tail_jsonl(dir, "class_attribution.jsonl", 5)?;
+        outln!(out, "no history recorded ({} has no series.capts)", run_dir);
+        tail_jsonl(dir, "class_attribution.jsonl", 5, out)?;
         return Ok(());
     }
     let samples = cap_obs::tsdb::read_samples(&series).map_err(|e| CtlError::RunDir {
@@ -476,27 +527,27 @@ fn cmd_tail(run_dir: &str) -> Result<(), CtlError> {
                     });
                 }
             }
-            println!(
+            outln!(
+                out,
                 "series.capts: {} samples, seq {}..{} contiguous",
                 samples.len(),
                 first.seq,
                 last.seq
             );
-            println!("last sample (t={:.3}s):", last.t);
+            outln!(out, "last sample (t={:.3}s):", last.t);
             for (name, value) in &last.points {
-                println!("  {name} = {value}");
+                outln!(out, "  {name} = {value}");
             }
         }
-        _ => println!("series.capts: 0 samples"),
+        _ => outln!(out, "series.capts: 0 samples"),
     }
-    tail_jsonl(dir, "alerts.jsonl", 5)?;
-    tail_jsonl(dir, "class_attribution.jsonl", 5)?;
+    tail_jsonl(dir, "class_attribution.jsonl", 5, out)?;
     Ok(())
 }
 
 /// `capctl dash <run-dir> --export <file.html>`: renders the recorded
 /// history to a self-contained HTML dashboard.
-fn cmd_dash(args: &[String]) -> Result<(), CtlError> {
+fn cmd_dash(args: &[String], out: &mut Out) -> Result<(), CtlError> {
     let mut run_dir: Option<String> = None;
     let mut export: Option<String> = None;
     let mut it = args.iter();
@@ -519,7 +570,10 @@ fn cmd_dash(args: &[String]) -> Result<(), CtlError> {
     let export = export.ok_or_else(|| usage_err("dash requires --export <file.html>"))?;
     let series = std::path::Path::new(&run_dir).join("series.capts");
     if !series.exists() {
-        println!("no history recorded ({run_dir} has no series.capts); nothing to export");
+        outln!(
+            out,
+            "no history recorded ({run_dir} has no series.capts); nothing to export"
+        );
         return Ok(());
     }
     let samples = cap_obs::tsdb::read_samples(&series).map_err(|e| CtlError::RunDir {
@@ -535,7 +589,8 @@ fn cmd_dash(args: &[String]) -> Result<(), CtlError> {
             source,
         },
     )?;
-    println!(
+    outln!(
+        out,
         "dashboard for {} samples written to {export}",
         samples.len()
     );
@@ -559,7 +614,7 @@ fn read_folded(arg: &str) -> Result<Vec<(String, u64)>, CtlError> {
 /// `capctl flame <target> [--export f]` or
 /// `capctl flame --diff <A> <B> [--export f]`: renders a run's span
 /// profile (or the difference between two) as a self-contained SVG.
-fn cmd_flame(args: &[String]) -> Result<(), CtlError> {
+fn cmd_flame(args: &[String], out: &mut Out) -> Result<(), CtlError> {
     let mut diff = false;
     let mut export: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
@@ -606,11 +661,11 @@ fn cmd_flame(args: &[String]) -> Result<(), CtlError> {
             source,
         },
     )?;
-    println!("flamegraph written to {export}");
+    outln!(out, "flamegraph written to {export}");
     Ok(())
 }
 
-fn run() -> Result<(), CtlError> {
+fn run(out: &mut Out) -> Result<(), CtlError> {
     let mut args: Vec<String> = std::env::args().collect();
     init_trace(&mut args)?;
     let _span = cap_obs::span!("capctl.run");
@@ -623,7 +678,7 @@ fn run() -> Result<(), CtlError> {
                 .get(2)
                 .ok_or_else(|| usage_err("info requires a file"))?;
             let net = load_net(path)?;
-            describe(&net);
+            describe(&net, out);
             Ok(())
         }
         Some("flops") => {
@@ -641,33 +696,36 @@ fn run() -> Result<(), CtlError> {
                 context: format!("analyse {path}"),
                 source,
             })?;
-            println!("input [{c}, {h}, {w}]");
-            println!("layer                    | FLOPs        | params");
-            println!("-------------------------+--------------+--------");
+            outln!(out, "input [{c}, {h}, {w}]");
+            outln!(out, "layer                    | FLOPs        | params");
+            outln!(out, "-------------------------+--------------+--------");
             for l in &report.layers {
-                println!("{:<25}| {:>12} | {:>6}", l.label, l.flops, l.params);
+                outln!(out, "{:<25}| {:>12} | {:>6}", l.label, l.flops, l.params);
             }
-            println!(
+            outln!(
+                out,
                 "total: {} FLOPs/sample, {} parameters",
-                report.total_flops, report.total_params
+                report.total_flops,
+                report.total_params
             );
             Ok(())
         }
-        Some("prune") => cmd_prune(&args[2..]),
+        Some("prune") => cmd_prune(&args[2..], out),
         Some("tail") => {
             let dir = args
                 .get(2)
                 .ok_or_else(|| usage_err("tail requires a run dir"))?;
-            cmd_tail(dir)
+            cmd_tail(dir, out)
         }
-        Some("dash") => cmd_dash(&args[2..]),
-        Some("flame") => cmd_flame(&args[2..]),
+        Some("dash") => cmd_dash(&args[2..], out),
+        Some("flame") => cmd_flame(&args[2..], out),
         _ => Err(usage_err("")),
     }
 }
 
 fn main() -> ExitCode {
-    let result = run();
+    let mut out = Out::default();
+    let result = run(&mut out).and(out.finish());
     cap_obs::finalize_process();
     match result {
         Ok(()) => ExitCode::SUCCESS,
