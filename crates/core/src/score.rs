@@ -384,17 +384,42 @@ fn site_class_contributions(
     };
     // A plain loop: the pass already runs one scoring shard per pool
     // thread (see `evaluate_scores_with_attribution`).
-    let maps = filters * plane;
-    let mut hits = vec![0u32; maps];
-    let tau32 = f32_floor(tau);
-    for (a, g) in activations.chunks_exact(maps).zip(grads.chunks_exact(maps)) {
-        for ((h, a), g) in hits.iter_mut().zip(a).zip(g) {
-            *h += u32::from((a * g).abs() > tau32);
-        }
-    }
+    let mut hits = vec![0u32; filters * plane];
+    cap_tensor::run_pass(HitCount {
+        hits: &mut hits,
+        activations,
+        grads,
+        tau: f32_floor(tau),
+    });
     hits.chunks_exact(plane)
         .map(|counts| counts.iter().copied().max().unwrap_or(0) as f64 / m as f64)
         .collect()
+}
+
+/// Eq. 5 over a run of samples: adds `|a·g| > τ` as 0/1 into the hit
+/// count of each (filter, position), one pass over each sample's maps.
+struct HitCount<'a> {
+    /// One count per (filter, position) of one sample's maps.
+    hits: &'a mut [u32],
+    activations: &'a [f32],
+    grads: &'a [f32],
+    tau: f32,
+}
+
+impl cap_tensor::ElementPass for HitCount<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let maps = self.hits.len();
+        let samples = self
+            .activations
+            .chunks_exact(maps)
+            .zip(self.grads.chunks_exact(maps));
+        for (a, g) in samples {
+            for ((h, a), g) in self.hits.iter_mut().zip(a).zip(g) {
+                *h += u32::from((a * g).abs() > self.tau);
+            }
+        }
+    }
 }
 
 /// The largest `f32` not above `tau` (`-∞` below `-f32::MAX`, NaN for
@@ -1039,6 +1064,64 @@ mod tests {
                     "layer {conv_idx}, direction {trial}: central difference {central} \
                      against <g, d> = {inner} (|g| = {g_norm})"
                 );
+            }
+        }
+    }
+
+    /// The Eq. 5 count gives the same hits in the plain build, which the
+    /// `Scalar` pin runs, and in the frame this process is pinned to (the
+    /// wide one under `CAP_SIMD=auto` on an AVX2 host), over NaNs of both
+    /// signs and two payloads, ±0, ±∞, the smallest subnormals and the
+    /// neighbours of ±1. It calls the two directly instead of flipping the
+    /// process-global pin, which this binary's other tests read while
+    /// they compare bits across calls.
+    #[test]
+    fn hit_count_matches_across_frames() {
+        use cap_tensor::ElementPass;
+        const SPECIALS: [u32; 16] = [
+            0x7fc0_0000,
+            0xffc0_0000,
+            0x7fc0_1234,
+            0xffc0_1234,
+            0x0000_0000,
+            0x8000_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x0000_0001,
+            0x8000_0001,
+            0x3f7f_ffff,
+            0x3f80_0000,
+            0x3f80_0001,
+            0xbf7f_ffff,
+            0xbf80_0000,
+            0xbf80_0001,
+        ];
+        let specials = |len: usize, shift: usize| -> Vec<f32> {
+            (0..len)
+                .map(|i| f32::from_bits(SPECIALS[(i * 7 + shift) % SPECIALS.len()]))
+                .collect()
+        };
+        let taus = [f32::NEG_INFINITY, 0.0, f32::from_bits(1), 1.0, f32::NAN];
+        for maps in (1..=17).chain([67]) {
+            for shift in 0..SPECIALS.len() {
+                let (a, g) = (specials(3 * maps, 0), specials(3 * maps, shift));
+                for tau in taus {
+                    let (mut plain, mut pinned) = (vec![0u32; maps], vec![0u32; maps]);
+                    HitCount {
+                        hits: &mut plain,
+                        activations: &a,
+                        grads: &g,
+                        tau,
+                    }
+                    .run();
+                    cap_tensor::run_pass(HitCount {
+                        hits: &mut pinned,
+                        activations: &a,
+                        grads: &g,
+                        tau,
+                    });
+                    assert_eq!(plain, pinned, "{maps} maps, shift {shift}, τ {tau}");
+                }
             }
         }
     }

@@ -17,12 +17,13 @@
 //!
 //! Exit codes: `0` sweep drained with every spec done, `1` sweep
 //! drained but some specs were poisoned, `2` usage (a flag the command
-//! does not take, or no `--fleet-dir`), `3` runtime error.
+//! does not take, a flag it needs missing, or a value that does not
+//! parse), `3` runtime error (say, an unreadable specs file or queue).
 
 use cap_fleet::queue::Queue;
 use cap_fleet::spec::Spec;
 use cap_fleet::supervisor::{render_status, run_fleet, FleetConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: capfleet <init|run|resume|status|worker> --fleet-dir DIR [flags]
@@ -101,6 +102,49 @@ impl Args {
     }
 }
 
+/// A command with every flag checked: each usage mistake surfaces here,
+/// before anything runs.
+enum Command {
+    Init(InitFrom),
+    Run(FleetConfig),
+    Status,
+    Worker(String),
+}
+
+/// Where `init` takes its specs from.
+enum InitFrom {
+    Demo(u64),
+    Suite(String),
+    Specs(String),
+}
+
+impl Command {
+    /// Checks the flags of `command`, which `known_flags` admitted.
+    fn parse(command: &str, args: &Args) -> Result<Command, String> {
+        if let Some(scale) = args.flag("scale") {
+            cap_bench::ExperimentScale::from_name(scale).map_err(|e| format!("--scale: {e}"))?;
+        }
+        Ok(match command {
+            "init" => Command::Init(if let Some(n) = args.flag("demo") {
+                InitFrom::Demo(n.parse().map_err(|e| format!("--demo {n:?}: {e}"))?)
+            } else if args.flag("suite").is_some() {
+                InitFrom::Suite(args.flag("scale").unwrap_or("smoke").to_string())
+            } else if let Some(path) = args.flag("specs") {
+                InitFrom::Specs(path.to_string())
+            } else {
+                return Err("init needs --demo N, --suite or --specs FILE".to_string());
+            }),
+            "run" | "resume" => Command::Run(fleet_config(args)?),
+            "status" => Command::Status,
+            _ => Command::Worker(
+                args.flag("spec")
+                    .ok_or("worker needs --spec ID")?
+                    .to_string(),
+            ),
+        })
+    }
+}
+
 fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
     let defaults = FleetConfig::default();
     Ok(FleetConfig {
@@ -132,40 +176,32 @@ fn read_specs_file(path: &str) -> Result<Vec<Spec>, String> {
     Ok(specs)
 }
 
-fn cmd_init(args: &Args) -> Result<(), String> {
-    let specs = if let Some(n) = args.flag("demo") {
-        let n: u64 = n.parse().map_err(|e| format!("--demo {n:?}: {e}"))?;
-        (0..n)
+fn cmd_init(fleet_dir: &Path, from: InitFrom) -> Result<(), String> {
+    let specs = match from {
+        InitFrom::Demo(n) => (0..n)
             .map(|i| Spec::demo(format!("demo-{i:03}"), 100 + i))
-            .collect()
-    } else if args.flag("suite").is_some() {
-        let scale = args.flag("scale").unwrap_or("smoke").to_string();
-        cap_bench::ExperimentScale::from_name(&scale).map_err(|e| format!("--scale: {e}"))?;
-        cap_bench::specs::suite_specs()
+            .collect(),
+        InitFrom::Suite(scale) => cap_bench::specs::suite_specs()
             .into_iter()
             .map(|s| Spec::suite(s.id, scale.clone()))
-            .collect()
-    } else if let Some(path) = args.flag("specs") {
-        read_specs_file(path)?
-    } else {
-        return Err("init needs --demo N, --suite or --specs FILE".to_string());
+            .collect(),
+        InitFrom::Specs(path) => read_specs_file(&path)?,
     };
     let n = specs.len();
-    Queue::create(&args.fleet_dir, &specs)?;
+    Queue::create(fleet_dir, &specs)?;
     println!(
         "initialised fleet at {} with {n} spec(s); `capfleet run --fleet-dir {}` starts it",
-        args.fleet_dir.display(),
-        args.fleet_dir.display()
+        fleet_dir.display(),
+        fleet_dir.display()
     );
     Ok(())
 }
 
-fn cmd_run(args: &Args) -> Result<ExitCode, String> {
-    let cfg = fleet_config(args)?;
+fn cmd_run(fleet_dir: &Path, cfg: &FleetConfig) -> Result<ExitCode, String> {
     if let Some(addr) = cap_obs::init_telemetry(None)?.serving {
         eprintln!("capfleet: supervisor metrics on http://{addr}/metrics");
     }
-    let report = run_fleet(&args.fleet_dir, &cfg)?;
+    let report = run_fleet(fleet_dir, cfg)?;
     println!(
         "{} done, {} poisoned, {} restarts",
         report.done, report.poisoned, report.restarts
@@ -177,17 +213,10 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_status(args: &Args) -> Result<(), String> {
-    let queue = Queue::load(&args.fleet_dir)?;
+fn cmd_status(fleet_dir: &Path) -> Result<(), String> {
+    let queue = Queue::load(fleet_dir)?;
     print!("{}", render_status(&queue));
     Ok(())
-}
-
-fn cmd_worker(args: &Args) -> Result<(), String> {
-    let spec_id = args
-        .flag("spec")
-        .ok_or_else(|| "worker needs --spec ID".to_string())?;
-    cap_fleet::worker::run_worker(&args.fleet_dir, spec_id)
 }
 
 fn main() -> ExitCode {
@@ -201,22 +230,25 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
-    let args = match Args::parse(&raw[1..], known) {
-        Ok(args) => args,
+    let parsed = Args::parse(&raw[1..], known)
+        .and_then(|args| Ok((Command::parse(&command, &args)?, args.fleet_dir)));
+    let (cmd, fleet_dir) = match parsed {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("capfleet {command}: {e}");
             eprint!("{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let result = match command.as_str() {
-        "init" => cmd_init(&args).map(|()| ExitCode::SUCCESS),
+    let result = match cmd {
+        Command::Init(from) => cmd_init(&fleet_dir, from).map(|()| ExitCode::SUCCESS),
         // `run` and `resume` share one path: run_fleet always
         // reconciles, so resuming a SIGKILLed sweep is the same loop.
-        "run" | "resume" => cmd_run(&args),
-        "status" => cmd_status(&args).map(|()| ExitCode::SUCCESS),
-        // `known_flags` admitted no other command.
-        _ => cmd_worker(&args).map(|()| ExitCode::SUCCESS),
+        Command::Run(cfg) => cmd_run(&fleet_dir, &cfg),
+        Command::Status => cmd_status(&fleet_dir).map(|()| ExitCode::SUCCESS),
+        Command::Worker(spec_id) => {
+            cap_fleet::worker::run_worker(&fleet_dir, &spec_id).map(|()| ExitCode::SUCCESS)
+        }
     };
     cap_obs::finalize_process();
     match result {

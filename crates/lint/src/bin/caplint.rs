@@ -1,5 +1,5 @@
 //! `caplint` — mechanical enforcement of the workspace's determinism,
-//! atomic-IO, and threading contracts (rules R001–R011).
+//! atomic-IO, and threading contracts (rules R001–R012).
 //!
 //! ```text
 //! caplint [--root DIR] [--allow FILE] [--json] [--list-rules]
@@ -49,7 +49,7 @@ fn parse_args() -> Result<Opts, String> {
                     "caplint [--root DIR] [--allow FILE] [--json] [--list-rules]\n\
                      caplint graph [--root DIR] [--json]\n\n\
                      Checks every Rust source and Cargo.toml under DIR (default .)\n\
-                     against rules R001-R011; see --list-rules. R008-R010 run on an\n\
+                     against rules R001-R012; see --list-rules. R008-R010 run on an\n\
                      approximate workspace call graph built from an item-level parse\n\
                      of every non-test source. The baseline defaults to\n\
                      DIR/caplint.allow when present.\n\n\

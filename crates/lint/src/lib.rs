@@ -236,6 +236,7 @@ fn short(rule: RuleId) -> &'static str {
         RuleId::R009 => "rename without fsync evidence",
         RuleId::R010 => "order-sensitive parallel float fold",
         RuleId::R011 => "unsafe outside its designated homes",
+        RuleId::R012 => "element pass may not inline",
     }
 }
 

@@ -1,10 +1,10 @@
-//! Rule set R001–R007: each rule encodes one load-bearing workspace
-//! contract (see DESIGN.md §11). Rules operate on
-//! [`MaskedFile`](crate::lexer::MaskedFile)s, so string literals and
+//! The per-file rules (R001–R007, R011 and R012): each encodes one
+//! load-bearing workspace contract (see DESIGN.md §11). Rules operate on
+//! [`MaskedFile`]s, so string literals and
 //! comments never trigger false positives, and test regions are
 //! exempted where the contract only binds shipping code.
 
-use crate::lexer::{find_word, mask};
+use crate::lexer::{find_word, mask, MaskedFile};
 
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,11 +31,13 @@ pub enum RuleId {
     R010,
     /// `unsafe` only in `simd.rs` or `crates/par`, even with SAFETY.
     R011,
+    /// Every element-pass body is `#[inline(always)]`.
+    R012,
 }
 
 impl RuleId {
     /// All rules, in order.
-    pub const ALL: [RuleId; 11] = [
+    pub const ALL: [RuleId; 12] = [
         RuleId::R001,
         RuleId::R002,
         RuleId::R003,
@@ -47,6 +49,7 @@ impl RuleId {
         RuleId::R009,
         RuleId::R010,
         RuleId::R011,
+        RuleId::R012,
     ];
 
     /// The stable `Rnnn` code.
@@ -63,6 +66,7 @@ impl RuleId {
             RuleId::R009 => "R009",
             RuleId::R010 => "R010",
             RuleId::R011 => "R011",
+            RuleId::R012 => "R012",
         }
     }
 
@@ -80,6 +84,7 @@ impl RuleId {
             RuleId::R009 => "rename-without-fsync",
             RuleId::R010 => "order-sensitive-reduction",
             RuleId::R011 => "unsafe-outside-simd",
+            RuleId::R012 => "element-pass-inline",
         }
     }
 
@@ -136,6 +141,12 @@ impl RuleId {
                 "unsafe is confined to simd.rs and crates/par even with a SAFETY \
                  comment; anywhere else it must be explicitly baselined in \
                  caplint.allow with a justification"
+            }
+            RuleId::R012 => {
+                "the `run` of every `impl ElementPass` must be #[inline(always)]: \
+                 cap_tensor::run_pass compiles a pass for the pinned SIMD width only \
+                 when its body inlines into the frame, and one that does not runs \
+                 at the baseline ISA with no other sign"
             }
         }
     }
@@ -307,8 +318,106 @@ pub fn check_rust(path: &str, src: &str) -> Vec<Violation> {
         }
     }
 
+    if !whole_file_test {
+        out.extend(element_pass_inline(path, &masked, &raw_lines));
+    }
+
     out.sort_by_key(|v| (v.line, v.rule));
     out
+}
+
+/// R012: in shipping code, every `fn run` directly inside an `impl`
+/// block whose header names `ElementPass` before `for` must carry
+/// `#[inline(always)]`, among the attributes above it or on its own
+/// line. A header may span lines up to its `{`.
+fn element_pass_inline(path: &str, masked: &MaskedFile, raw_lines: &[&str]) -> Vec<Violation> {
+    let code = &masked.code;
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < code.len() {
+        if masked.test[i] || find_word(&code[i], "impl").is_none() {
+            i += 1;
+            continue;
+        }
+        let mut header = String::new();
+        let mut end = i;
+        while end < code.len() {
+            header.push_str(&code[end]);
+            header.push(' ');
+            if code[end].contains(['{', ';']) {
+                break;
+            }
+            end += 1;
+        }
+        let header = header.split(['{', ';']).next().unwrap_or("");
+        let is_pass = find_word(header, "ElementPass")
+            .is_some_and(|at| find_word(&header[at..], "for").is_some());
+        if !is_pass {
+            i += 1;
+            continue;
+        }
+        // Walk the block; a `fn run` at depth 1 is one of its items.
+        let mut depth = 0i64;
+        let mut k = i;
+        while k < code.len() {
+            if depth == 1 {
+                if let Some(run) = fn_run_at(&code[k]) {
+                    let inline = attrs_above(code, k, &code[k][..run])
+                        .any(|attr| attr.replace(' ', "").contains("#[inline(always)]"));
+                    if !inline {
+                        let col = char_col(&code[k], run);
+                        out.push(Violation {
+                            rule: RuleId::R012,
+                            path: path.to_string(),
+                            line: k + 1,
+                            col,
+                            end_col: col + "run".len(),
+                            snippet: raw_lines.get(k).copied().unwrap_or("").to_string(),
+                            what: "element-pass `run` without `#[inline(always)]`".to_string(),
+                        });
+                    }
+                }
+            }
+            for c in code[k].chars() {
+                match c {
+                    '{' => depth += 1,
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+            }
+            if depth <= 0 && k >= end {
+                break;
+            }
+            k += 1;
+        }
+        i = k + 1;
+    }
+    out
+}
+
+/// The byte offset of `run` when `line` declares `fn run`.
+fn fn_run_at(line: &str) -> Option<usize> {
+    let at = find_word(line, "fn")?;
+    let rest = &line[at + 2..];
+    let name = at + 2 + (rest.len() - rest.trim_start().len());
+    (find_word(&line[name..], "run") == Some(0)).then_some(name)
+}
+
+/// The attribute text that applies to the item on line `k`: `before`
+/// (the part of that line ahead of the item), then each line above that
+/// is an attribute or holds no code (a comment or a blank line).
+fn attrs_above<'a>(
+    code: &'a [String],
+    k: usize,
+    before: &'a str,
+) -> impl Iterator<Item = &'a str> + 'a {
+    let above = code[..k]
+        .iter()
+        .rev()
+        .map(|l| l.trim())
+        .take_while(|l| l.is_empty() || l.starts_with("#["))
+        .filter(|l| !l.is_empty());
+    std::iter::once(before).chain(above)
 }
 
 /// A `SAFETY:` marker counts when it appears in a comment on the

@@ -1,4 +1,4 @@
-//! Table-driven fixture tests: every rule R001–R007 must fire exactly
+//! Table-driven fixture tests: every per-file rule must fire exactly
 //! on the lines its `*_violation` fixture marks with `//~ Rnnn` (or
 //! `#~ Rnnn` in TOML fixtures) and stay silent on its `*_clean`
 //! fixture. A marker may append `@start..end` to also assert the
@@ -86,6 +86,8 @@ const RUST_CASES: &[(&str, &str)] = &[
     ("r006_clean.rs", "crates/demo/src/simd.rs"),
     ("r011_violation.rs", "crates/demo/src/lib.rs"),
     ("r011_clean.rs", "crates/demo/src/lib.rs"),
+    ("r012_violation.rs", "crates/demo/src/lib.rs"),
+    ("r012_clean.rs", "crates/demo/src/lib.rs"),
 ];
 
 #[test]

@@ -34,9 +34,9 @@ fn caplint_is_clean_on_this_workspace() {
         outcome.graph_fns,
         outcome.graph_edges
     );
-    // R008-R011 are active rules, not future work.
-    assert_eq!(cap_lint::rules::RuleId::ALL.len(), 11);
-    for code in ["R008", "R009", "R010", "R011"] {
+    // R008-R012 are active rules, not future work.
+    assert_eq!(cap_lint::rules::RuleId::ALL.len(), 12);
+    for code in ["R008", "R009", "R010", "R011", "R012"] {
         assert!(
             cap_lint::render_rule_list().contains(code),
             "{code} missing from --list-rules"

@@ -14,12 +14,16 @@ impl Relu {
     }
 
     /// Forward pass: `max(x, 0)` element-wise, in place over an input
-    /// taken by value, caching the active mask.
+    /// taken by value, caching the active mask. Every inactive input
+    /// (`x ≤ 0`, `−0.0` and NaN included) maps to `+0.0`.
     pub fn forward(&mut self, mut x: Tensor) -> Tensor {
         let mask = self.cached_mask.get_or_insert_with(Vec::new);
         mask.clear();
-        mask.extend(x.data().iter().map(|&v| v > 0.0));
-        x.map_inplace(|v| v.max(0.0));
+        mask.resize(x.numel(), false);
+        cap_tensor::run_pass(ReluForward {
+            x: x.data_mut(),
+            mask,
+        });
         x
     }
 
@@ -43,12 +47,47 @@ impl Relu {
                 got: grad_out.shape().to_vec(),
             });
         }
+        cap_tensor::run_pass(ReluBackward {
+            g: grad_out.data_mut(),
+            mask,
+        });
+        Ok(grad_out)
+    }
+}
+
+/// `x = x > 0 ? x : +0`, recording `x > 0` in `mask`.
+struct ReluForward<'a> {
+    x: &'a mut [f32],
+    mask: &'a mut [bool],
+}
+
+impl cap_tensor::ElementPass for ReluForward<'_> {
+    #[inline(always)]
+    fn run(self) {
+        // A select, not `f32::max`, which leaves the sign of a zero
+        // result unspecified.
+        for (v, m) in self.x.iter_mut().zip(self.mask) {
+            let on = *v > 0.0;
+            *m = on;
+            *v = if on { *v } else { 0.0 };
+        }
+    }
+}
+
+/// `g = mask ? g : +0`.
+struct ReluBackward<'a> {
+    g: &'a mut [f32],
+    mask: &'a [bool],
+}
+
+impl cap_tensor::ElementPass for ReluBackward<'_> {
+    #[inline(always)]
+    fn run(self) {
         // A select per element: a branch on the data-dependent mask
         // mispredicts.
-        for (g, &m) in grad_out.data_mut().iter_mut().zip(mask) {
+        for (g, &m) in self.g.iter_mut().zip(self.mask) {
             *g = if m { *g } else { 0.0 };
         }
-        Ok(grad_out)
     }
 }
 

@@ -42,7 +42,7 @@ fn channel_partials(n: usize, c: usize, f: impl Fn(usize) -> [f64; 2] + Sync) ->
 
 /// `(x − μ)·σ⁻¹` in f64: the forward rounds it to x̂ and scales it into
 /// `y`, and an eval-mode `Grads::Full` backward recomputes x̂ from it.
-#[inline]
+#[inline(always)]
 fn normalise(x: f32, mean: f64, inv_std: f64) -> f64 {
     (f64::from(x) - mean) * inv_std
 }
@@ -57,6 +57,111 @@ fn grad_sums(g: &[f32], xhat: impl Iterator<Item = f32>) -> [f64; 2] {
         acc[1] += g * f64::from(xh);
     }
     acc
+}
+
+/// One sample's normalisation, channel plane by channel plane: `y =
+/// γ·x̂ + β` with `x̂ = (x − μ)·σ⁻¹` in f64, and in training x̂ (rounded)
+/// written over `x`.
+struct NormaliseSample<'a> {
+    x: &'a mut [f32],
+    out: &'a mut [f32],
+    plane: usize,
+    means: &'a [f64],
+    inv_stds: &'a [f64],
+    gamma: &'a [f32],
+    beta: &'a [f32],
+    training: bool,
+}
+
+impl cap_tensor::ElementPass for NormaliseSample<'_> {
+    #[inline(always)]
+    fn run(self) {
+        match self.plane {
+            4 => self.planes::<4>(),
+            16 => self.planes::<16>(),
+            _ => self.planes::<0>(),
+        }
+    }
+}
+
+impl NormaliseSample<'_> {
+    /// The pass over planes of `P` elements, or of `self.plane` for
+    /// `P = 0`. A constant plane lets the 2×2 and 4×4 maps compile to a
+    /// few whole vectors; a loop of unknown length runs planes shorter
+    /// than its vector step one element at a time.
+    #[inline(always)]
+    fn planes<const P: usize>(self) {
+        let plane = if P == 0 { self.plane } else { P };
+        let planes = self
+            .x
+            .chunks_exact_mut(plane)
+            .zip(self.out.chunks_exact_mut(plane));
+        for (ch, (x, out)) in planes.enumerate() {
+            let (mean, inv_std) = (self.means[ch], self.inv_stds[ch]);
+            let (g, b) = (f64::from(self.gamma[ch]), f64::from(self.beta[ch]));
+            if self.training {
+                for (xh, y) in x.iter_mut().zip(out) {
+                    let norm = normalise(*xh, mean, inv_std);
+                    *xh = norm as f32;
+                    *y = (g * norm + b) as f32;
+                }
+            } else {
+                for (&mut v, y) in x.iter_mut().zip(out) {
+                    *y = (g * normalise(v, mean, inv_std) + b) as f32;
+                }
+            }
+        }
+    }
+}
+
+/// One sample's input gradient, written over its output gradient `g`:
+/// `k·g` per channel after an eval-mode forward, and with x̂ (training)
+/// `k·(g − Σg/n − x̂·Σg·x̂/n)`, where `k = γ·σ⁻¹`.
+struct InputGradSample<'a> {
+    g: &'a mut [f32],
+    xhat: Option<&'a [f32]>,
+    plane: usize,
+    ks: &'a [f64],
+    sums: &'a [[f64; 2]],
+    count: f64,
+}
+
+impl cap_tensor::ElementPass for InputGradSample<'_> {
+    #[inline(always)]
+    fn run(self) {
+        match self.plane {
+            4 => self.planes::<4>(),
+            16 => self.planes::<16>(),
+            _ => self.planes::<0>(),
+        }
+    }
+}
+
+impl InputGradSample<'_> {
+    /// The pass over planes of `P` elements, or of `self.plane` for
+    /// `P = 0`, as in [`NormaliseSample::planes`].
+    #[inline(always)]
+    fn planes<const P: usize>(self) {
+        let (plane, count) = (if P == 0 { self.plane } else { P }, self.count);
+        for (ch, g) in self.g.chunks_exact_mut(plane).enumerate() {
+            let k = self.ks[ch];
+            match self.xhat {
+                Some(xhat) => {
+                    let [sum_g, sum_gx] = self.sums[ch];
+                    let mean_g = sum_g / count;
+                    for (gi, &xh) in g.iter_mut().zip(&xhat[ch * plane..][..plane]) {
+                        *gi =
+                            (k * (f64::from(*gi) - mean_g - f64::from(xh) * sum_gx / count)) as f32;
+                    }
+                }
+                None => {
+                    for gi in g {
+                        *gi = (k * f64::from(*gi)) as f32;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Batch normalisation over the channel dimension of an NCHW tensor.
@@ -262,25 +367,18 @@ impl BatchNorm2d {
                 .data_mut()
                 .chunks_mut(sample)
                 .zip(out.data_mut().chunks_mut(sample))
-                .map(|(x_chunk, out_chunk)| {
+                .map(|(x, out)| {
                     let task: cap_par::ScopedTask<'_> = Box::new(move || {
-                        for ch in 0..c {
-                            let span = ch * plane..(ch + 1) * plane;
-                            let (mean, inv_std) = (means[ch], inv_stds[ch]);
-                            let (g, b) = (f64::from(gamma[ch]), f64::from(beta[ch]));
-                            let planes = x_chunk[span.clone()].iter_mut().zip(&mut out_chunk[span]);
-                            if training {
-                                for (xh, y) in planes {
-                                    let norm = normalise(*xh, mean, inv_std);
-                                    *xh = norm as f32;
-                                    *y = (g * norm + b) as f32;
-                                }
-                            } else {
-                                for (&mut v, y) in planes {
-                                    *y = (g * normalise(v, mean, inv_std) + b) as f32;
-                                }
-                            }
-                        }
+                        cap_tensor::run_pass(NormaliseSample {
+                            x,
+                            out,
+                            plane,
+                            means,
+                            inv_stds,
+                            gamma,
+                            beta,
+                            training,
+                        });
                     });
                     task
                 })
@@ -363,24 +461,16 @@ impl BatchNorm2d {
         let ks: Vec<f64> = (0..c)
             .map(|ch| f64::from(self.gamma.data()[ch]) * self.cached_inv_std[ch])
             .collect();
-        cap_par::parallel_chunks_mut(grad_out.data_mut(), c * plane, |s, chunk| {
-            for ch in 0..c {
-                let span = (s * c + ch) * plane..(s * c + ch + 1) * plane;
-                let g_plane = &mut chunk[ch * plane..(ch + 1) * plane];
-                let k = ks[ch];
-                if training {
-                    let [sum_g, sum_gx] = sums[ch];
-                    let mean_g = sum_g / count;
-                    for (gi, &xh) in g_plane.iter_mut().zip(&cached_data[span]) {
-                        *gi =
-                            (k * (f64::from(*gi) - mean_g - f64::from(xh) * sum_gx / count)) as f32;
-                    }
-                } else {
-                    for gi in g_plane {
-                        *gi = (k * f64::from(*gi)) as f32;
-                    }
-                }
-            }
+        let (ks, sums) = (&ks, &sums);
+        cap_par::parallel_chunks_mut(grad_out.data_mut(), c * plane, |s, g| {
+            cap_tensor::run_pass(InputGradSample {
+                g,
+                xhat: training.then(|| &cached_data[s * c * plane..(s + 1) * c * plane]),
+                plane,
+                ks,
+                sums,
+                count,
+            });
         });
         Ok(grad_out)
     }

@@ -61,41 +61,15 @@ impl MaxPool2d {
         let ow = conv_output_size(w, self.kernel, self.stride, 0).map_err(NnError::Tensor)?;
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
         self.cached_argmax = vec![0; n * c * oh * ow];
-        let data = x.data();
-        // One pass over the input decides whether the NaN rule below can
-        // fire; without a NaN the window test stays a single compare.
-        let input_has_nan = data.iter().fold(false, |any, v| any | v.is_nan());
-        for s in 0..n {
-            for ch in 0..c {
-                for ph in 0..oh {
-                    for pw in 0..ow {
-                        // The argmax starts at the window's own first
-                        // element, and the first NaN wins, as in torch's
-                        // max_pool2d: an all-NaN or all −∞ window keeps
-                        // its gradient in its own sample, and a NaN
-                        // reaches the loss.
-                        let first = ((s * c + ch) * h + ph * self.stride) * w + pw * self.stride;
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = first;
-                        for kh in 0..self.kernel {
-                            for kw in 0..self.kernel {
-                                let ih = ph * self.stride + kh;
-                                let iw = pw * self.stride + kw;
-                                let idx = ((s * c + ch) * h + ih) * w + iw;
-                                let v = data[idx];
-                                if v > best || (input_has_nan && v.is_nan() && !best.is_nan()) {
-                                    best = v;
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let oidx = ((s * c + ch) * oh + ph) * ow + pw;
-                        out.data_mut()[oidx] = best;
-                        self.cached_argmax[oidx] = best_idx;
-                    }
-                }
-            }
-        }
+        cap_tensor::run_pass(MaxPoolWindows {
+            x: x.data(),
+            out: out.data_mut(),
+            argmax: &mut self.cached_argmax,
+            hw: (h, w),
+            ohw: (oh, ow),
+            kernel: self.kernel,
+            stride: self.stride,
+        });
         self.cached_in_shape = x.shape().to_vec();
         self.cached_out_shape = out.shape().to_vec();
         Ok(out)
@@ -126,10 +100,80 @@ impl MaxPool2d {
             });
         }
         let mut grad_in = Tensor::zeros(&self.cached_in_shape);
-        for (oidx, &iidx) in self.cached_argmax.iter().enumerate() {
-            grad_in.data_mut()[iidx] += grad_out.data()[oidx];
-        }
+        cap_tensor::run_pass(ScatterToArgmax {
+            grad_in: grad_in.data_mut(),
+            grad_out: grad_out.data(),
+            argmax: &self.cached_argmax,
+        });
         Ok(grad_in)
+    }
+}
+
+/// Each window's maximum and the index of its first maximal element.
+struct MaxPoolWindows<'a> {
+    x: &'a [f32],
+    out: &'a mut [f32],
+    argmax: &'a mut [usize],
+    hw: (usize, usize),
+    ohw: (usize, usize),
+    kernel: usize,
+    stride: usize,
+}
+
+impl cap_tensor::ElementPass for MaxPoolWindows<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let ((h, w), (oh, ow), stride) = (self.hw, self.ohw, self.stride);
+        let data = self.x;
+        // One pass over the input decides whether the NaN rule below can
+        // fire; without a NaN the window test stays a single compare.
+        let input_has_nan = data.iter().fold(false, |any, v| any | v.is_nan());
+        let outs = self
+            .out
+            .chunks_mut(oh * ow)
+            .zip(self.argmax.chunks_mut(oh * ow));
+        for (p, (out, argmax)) in outs.enumerate() {
+            for ph in 0..oh {
+                for pw in 0..ow {
+                    // The argmax starts at the window's own first
+                    // element, and the first NaN wins, as in torch's
+                    // max_pool2d: an all-NaN or all −∞ window keeps its
+                    // gradient in its own sample, and a NaN reaches the
+                    // loss.
+                    let first = (p * h + ph * stride) * w + pw * stride;
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = first;
+                    for kh in 0..self.kernel {
+                        for kw in 0..self.kernel {
+                            let idx = first + kh * w + kw;
+                            let v = data[idx];
+                            if v > best || (input_has_nan && v.is_nan() && !best.is_nan()) {
+                                best = v;
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    out[ph * ow + pw] = best;
+                    argmax[ph * ow + pw] = best_idx;
+                }
+            }
+        }
+    }
+}
+
+/// `grad_in[argmax[o]] += grad_out[o]`, ascending `o`.
+struct ScatterToArgmax<'a> {
+    grad_in: &'a mut [f32],
+    grad_out: &'a [f32],
+    argmax: &'a [usize],
+}
+
+impl cap_tensor::ElementPass for ScatterToArgmax<'_> {
+    #[inline(always)]
+    fn run(self) {
+        for (&g, &i) in self.grad_out.iter().zip(self.argmax) {
+            self.grad_in[i] += g;
+        }
     }
 }
 
@@ -158,19 +202,12 @@ impl GlobalAvgPool {
                 got: x.shape().to_vec(),
             });
         }
-        let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-        let plane = h * w;
+        let (n, c) = (x.dim(0), x.dim(1));
         let mut out = Tensor::zeros(&[n, c]);
-        for s in 0..n {
-            for ch in 0..c {
-                let base = (s * c + ch) * plane;
-                let sum: f64 = x.data()[base..base + plane]
-                    .iter()
-                    .map(|&v| f64::from(v))
-                    .sum();
-                out.data_mut()[s * c + ch] = (sum / plane as f64) as f32;
-            }
-        }
+        cap_tensor::run_pass(PlaneMeans {
+            x: x.data(),
+            out: out.data_mut(),
+        });
         self.cached_in_shape = x.shape().to_vec();
         Ok(out)
     }
@@ -200,19 +237,55 @@ impl GlobalAvgPool {
                 got: grad_out.shape().to_vec(),
             });
         }
-        let plane = h * w;
-        let scale = 1.0 / plane as f32;
         let mut grad_in = Tensor::zeros(&self.cached_in_shape);
-        for s in 0..n {
-            for ch in 0..c {
-                let g = grad_out.data()[s * c + ch] * scale;
-                let base = (s * c + ch) * plane;
-                for v in &mut grad_in.data_mut()[base..base + plane] {
-                    *v = g;
-                }
-            }
-        }
+        cap_tensor::run_pass(SpreadOverPlanes {
+            grad_in: grad_in.data_mut(),
+            grad_out: grad_out.data(),
+            scale: 1.0 / (h * w) as f32,
+        });
         Ok(grad_in)
+    }
+}
+
+/// `out[p]` is the mean of plane `p` of `x`, summed in f64 in ascending
+/// order.
+struct PlaneMeans<'a> {
+    x: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl cap_tensor::ElementPass for PlaneMeans<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let plane = self.x.len().checked_div(self.out.len()).unwrap_or(0);
+        for (p, out) in self.out.iter_mut().enumerate() {
+            let sum: f64 = self.x[p * plane..(p + 1) * plane]
+                .iter()
+                .map(|&v| f64::from(v))
+                .sum();
+            *out = (sum / plane as f64) as f32;
+        }
+    }
+}
+
+/// Fills plane `p` of `grad_in` with `grad_out[p] · scale`.
+struct SpreadOverPlanes<'a> {
+    grad_in: &'a mut [f32],
+    grad_out: &'a [f32],
+    scale: f32,
+}
+
+impl cap_tensor::ElementPass for SpreadOverPlanes<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let plane = self
+            .grad_in
+            .len()
+            .checked_div(self.grad_out.len())
+            .unwrap_or(0);
+        for (p, &g) in self.grad_out.iter().enumerate() {
+            self.grad_in[p * plane..(p + 1) * plane].fill(g * self.scale);
+        }
     }
 }
 

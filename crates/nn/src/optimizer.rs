@@ -75,17 +75,15 @@ impl Sgd {
             if velocities[idx].shape() != w.shape() {
                 velocities[idx] = Tensor::zeros(w.shape());
             }
-            let v = &mut velocities[idx];
             let wd_active = wd > 0.0 && w.ndim() > 1; // no decay on biases/BN
-            for i in 0..w.numel() {
-                let mut grad = g.data()[i];
-                if wd_active {
-                    grad += wd * w.data()[i];
-                }
-                let vel = momentum * v.data()[i] + grad;
-                v.data_mut()[i] = vel;
-                w.data_mut()[i] -= lr * vel;
-            }
+            cap_tensor::run_pass(MomentumStep {
+                w: w.data_mut(),
+                g: g.data(),
+                v: velocities[idx].data_mut(),
+                lr,
+                momentum,
+                wd: wd_active.then_some(wd),
+            });
             idx += 1;
         });
         velocities.truncate(idx);
@@ -95,6 +93,35 @@ impl Sgd {
     /// restart is desired; `step` also self-heals on shape mismatch).
     pub fn reset(&mut self) {
         self.velocities.clear();
+    }
+}
+
+/// One parameter's update: `grad = g (+ wd·w)`, `v = momentum·v +
+/// grad`, `w −= lr·v`.
+struct MomentumStep<'a> {
+    w: &'a mut [f32],
+    g: &'a [f32],
+    v: &'a mut [f32],
+    lr: f32,
+    momentum: f32,
+    /// The weight decay, on parameters that take it.
+    wd: Option<f32>,
+}
+
+impl cap_tensor::ElementPass for MomentumStep<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let (lr, momentum) = (self.lr, self.momentum);
+        let params = self.w.iter_mut().zip(self.g).zip(self.v.iter_mut());
+        for ((w, &g), v) in params {
+            let grad = match self.wd {
+                Some(wd) => g + wd * *w,
+                None => g,
+            };
+            let vel = momentum * *v + grad;
+            *v = vel;
+            *w -= lr * vel;
+        }
     }
 }
 

@@ -623,16 +623,35 @@ impl Padded {
             self.buf.resize(planes * hp * wp + slack, 0.0);
             self.layout = Some(layout);
         }
-        for c in 0..planes {
-            for y in 0..h {
-                copy_row(
-                    &mut self.buf[(c * hp + y + pad) * wp + pad..],
-                    &src[(c * h + y) * w..],
-                    w,
-                );
-            }
-        }
+        simd::run_pass(PadRows {
+            buf: &mut self.buf,
+            src,
+            planes,
+            hw: (h, w),
+            pad,
+        });
         &self.buf
+    }
+}
+
+/// Copies each `h × w` plane of `src` into the interior of its padded
+/// plane in `buf`, `pad` rows and columns in.
+struct PadRows<'a> {
+    buf: &'a mut [f32],
+    src: &'a [f32],
+    planes: usize,
+    hw: (usize, usize),
+    pad: usize,
+}
+
+impl simd::ElementPass for PadRows<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let ((h, w), pad) = (self.hw, self.pad);
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        copy_rows(self.buf, self.src, (self.planes, h, w), |c, y| {
+            ((c * hp + y + pad) * wp + pad, (c * h + y) * w)
+        });
     }
 }
 
@@ -647,28 +666,69 @@ fn wide_rows(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 
 /// Copies `h × w` planes out of wide rows `qr` apart whose image rows
 /// are `wp` apart, dropping each row's extra columns.
-fn copy_out(wide: &[f32], qr: usize, wp: usize, (h, w): (usize, usize), dst: &mut [f32]) {
-    for (c, row) in wide.chunks_exact(qr).enumerate() {
-        for y in 0..h {
-            copy_row(&mut dst[(c * h + y) * w..], &row[y * wp..], w);
-        }
+fn copy_out(wide: &[f32], qr: usize, wp: usize, hw: (usize, usize), dst: &mut [f32]) {
+    simd::run_pass(CopyOut {
+        wide,
+        qr,
+        wp,
+        hw,
+        dst,
+    });
+}
+
+/// [`copy_out`]'s loop.
+struct CopyOut<'a> {
+    wide: &'a [f32],
+    qr: usize,
+    wp: usize,
+    hw: (usize, usize),
+    dst: &'a mut [f32],
+}
+
+impl simd::ElementPass for CopyOut<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let ((h, w), qr, wp) = (self.hw, self.qr, self.wp);
+        let planes = self.wide.len() / qr;
+        copy_rows(self.dst, self.wide, (planes, h, w), |c, y| {
+            ((c * h + y) * w, c * qr + y * wp)
+        });
     }
 }
 
-/// Copies the first `w` elements of `src` to `dst`. The map widths of
-/// the small nets (4, 8 and 16) copy as fixed-size arrays, inline,
-/// instead of one `memcpy` call per row.
-#[inline]
-fn copy_row(dst: &mut [f32], src: &[f32], w: usize) {
-    // A constant length: the copy compiles to a few vector moves.
-    fn fixed<const W: usize>(dst: &mut [f32], src: &[f32]) {
-        dst[..W].copy_from_slice(&src[..W]);
+/// Copies row `y < h` of plane `c < planes`, `w` elements, from `src`
+/// to `dst` at the offsets `at(c, y)` gives, `(dst, src)`. The map
+/// widths of the small nets (4, 8 and 16) each get a loop of their own,
+/// whose constant-length copies compile to a few vector moves; one
+/// shared loop would merge them into one `memcpy` call per row.
+#[inline(always)]
+fn copy_rows(
+    dst: &mut [f32],
+    src: &[f32],
+    (planes, h, w): (usize, usize, usize),
+    at: impl Fn(usize, usize) -> (usize, usize),
+) {
+    /// `W` is the row length, or 0 for any other `w`.
+    #[inline(always)]
+    fn rows<const W: usize>(
+        dst: &mut [f32],
+        src: &[f32],
+        (planes, h, w): (usize, usize, usize),
+        at: impl Fn(usize, usize) -> (usize, usize),
+    ) {
+        let w = if W == 0 { w } else { W };
+        for c in 0..planes {
+            for y in 0..h {
+                let (d, s) = at(c, y);
+                dst[d..d + w].copy_from_slice(&src[s..s + w]);
+            }
+        }
     }
     match w {
-        4 => fixed::<4>(dst, src),
-        8 => fixed::<8>(dst, src),
-        16 => fixed::<16>(dst, src),
-        _ => dst[..w].copy_from_slice(&src[..w]),
+        4 => rows::<4>(dst, src, (planes, h, w), at),
+        8 => rows::<8>(dst, src, (planes, h, w), at),
+        16 => rows::<16>(dst, src, (planes, h, w), at),
+        _ => rows::<0>(dst, src, (planes, h, w), at),
     }
 }
 
@@ -1035,6 +1095,43 @@ mod tests {
                 .map(|(&a, &b)| f64::from(a) * f64::from(b))
                 .sum();
             assert!((lhs - rhs).abs() < 1e-6, "{g:?}: {lhs} vs {rhs}");
+        }
+    }
+
+    /// The direct kernels' row copies give the same bits in both frames:
+    /// the zero-padded fill, then [`copy_out`] of the padded planes read
+    /// as wide rows, at every row width from 1 to 17 and 67 (the fixed
+    /// widths 4, 8 and 16 have loops of their own).
+    #[test]
+    fn padded_fill_and_copy_out_match_across_frames() {
+        use crate::simd::{assert_frames_agree, specials};
+        for w in (1..=17).chain([67]) {
+            for (planes, h, pad) in [(1, 1, 0), (2, 3, 1), (3, 2, 2)] {
+                let src = specials(planes * h * w, w);
+                let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+                let run = || {
+                    let mut padded = Padded {
+                        buf: Vec::new(),
+                        layout: None,
+                    };
+                    let buf = padded.fill(&src, planes, (h, w), pad, 5).to_vec();
+                    for c in 0..planes {
+                        for y in 0..h {
+                            let at = (c * hp + y + pad) * wp + pad;
+                            let want = &src[(c * h + y) * w..][..w];
+                            let got = &buf[at..at + w];
+                            assert!(got
+                                .iter()
+                                .zip(want)
+                                .all(|(g, s)| g.to_bits() == s.to_bits()));
+                        }
+                    }
+                    let mut out = vec![f32::NAN; planes * h * w];
+                    copy_out(&buf[..planes * hp * wp], hp * wp, wp, (h, w), &mut out);
+                    buf.into_iter().chain(out).collect()
+                };
+                assert_frames_agree(&format!("fill/copy_out {planes}×{h}×{w} pad {pad}"), run);
+            }
         }
     }
 

@@ -46,5 +46,5 @@ pub use init::{kaiming_normal, randn, uniform};
 pub use matmul::{matmul, matmul_transpose_a, matmul_transpose_b, transpose2d};
 pub use reduce::{argmax_rows, max_all, mean_all, softmax_rows, sum_all};
 pub use select::gemm_plan_summary;
-pub use simd::{avx2_available, set_simd_mode, simd_mode, SimdMode};
+pub use simd::{avx2_available, run_pass, set_simd_mode, simd_mode, ElementPass, SimdMode};
 pub use tensor::Tensor;

@@ -16,6 +16,12 @@
 //! callers only have to guarantee slice bounds, which the safe wrappers
 //! assert. Other architectures run the scalar reference path.
 //!
+//! [`run_pass`] is the one dispatcher for the plain loops around those
+//! kernels (BatchNorm, ReLU, residual adds, pooling, the optimiser
+//! update, the direct convolutions' row copies and the Eq. 5 count): it
+//! runs an [`ElementPass`] in a frame compiled for the pinned mode, at
+//! the direct kernels' width.
+//!
 //! # Mode pin
 //!
 //! The instruction set is resolved **once per process** from the
@@ -215,6 +221,125 @@ pub(crate) fn mode_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+// ---------------------------------------------------------------------------
+// Element passes at the pin's width.
+// ---------------------------------------------------------------------------
+
+/// A loop over slices that [`run_pass`] compiles for the pinned mode:
+/// BatchNorm, ReLU, residual adds, pooling, the optimiser update, the
+/// direct convolutions' row copies and the Eq. 5 count.
+///
+/// Every output element of a pass must be a fixed sequence of IEEE
+/// operations on its inputs, with any sum kept in its written order.
+/// Element-wise arithmetic rounds the same at any vector width, rustc
+/// never fuses a multiply and an add on its own, and LLVM does not
+/// reorder a float reduction, so the pass gives the same bits in every
+/// frame. One thing is not pinned: when both operands of an addition or
+/// a multiplication are NaN, which one's payload the result carries.
+/// IEEE 754 leaves it open, and LLVM may order the operands of such an
+/// instruction one way in the plain build and the other way in a wide
+/// frame (NaN + −NaN reads `0x7fc00000` in one and `0xffc00000` in the
+/// other). No output the determinism contract covers can hold a NaN.
+pub trait ElementPass {
+    /// The loop. Mark every implementation `#[inline(always)]` (caplint
+    /// R012): a body LLVM does not inline into the frame compiles for
+    /// the baseline ISA, and the frame only calls it.
+    fn run(self);
+}
+
+/// Runs `pass` in a frame compiled for the pinned mode: AVX-512F with
+/// AVX2+FMA where the direct conv kernels run their 512-bit twins (a CPU
+/// with AVX-512F), AVX2+FMA elsewhere under the `Avx2` pin, and the
+/// plain build under `Scalar`. Each frame gives the same bits.
+pub fn run_pass(pass: impl ElementPass) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_mode() == SimdMode::Avx2 {
+        match direct_width() {
+            // SAFETY: `direct_width` reports `Avx512` only after
+            // detecting AVX-512F on top of AVX2+FMA.
+            Width::Avx512 => unsafe { avx512_frame(pass) },
+            // SAFETY: the pin reports `Avx2` only after detecting
+            // AVX2+FMA.
+            Width::Avx2 => unsafe { avx2_frame(pass) },
+        }
+        return;
+    }
+    pass.run();
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+// SAFETY: callers must guarantee AVX2+FMA support.
+unsafe fn avx2_frame(pass: impl ElementPass) {
+    pass.run();
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+// SAFETY: callers must guarantee AVX-512F and AVX2+FMA support.
+unsafe fn avx512_frame(pass: impl ElementPass) {
+    pass.run();
+}
+
+/// The values this crate's element passes are checked on, as bit
+/// patterns: NaNs of both signs and two payloads, ±0, ±∞, the smallest
+/// subnormals and the neighbours of ±1.
+#[cfg(test)]
+pub(crate) const SPECIALS: [u32; 16] = [
+    0x7fc0_0000,
+    0xffc0_0000,
+    0x7fc0_1234,
+    0xffc0_1234,
+    0x0000_0000,
+    0x8000_0000,
+    0x7f80_0000,
+    0xff80_0000,
+    0x0000_0001,
+    0x8000_0001,
+    0x3f7f_ffff,
+    0x3f80_0000,
+    0x3f80_0001,
+    0xbf7f_ffff,
+    0xbf80_0000,
+    0xbf80_0001,
+];
+
+/// `len` of [`SPECIALS`], starting at entry `shift`, with a stride
+/// coprime to the table length so neighbours differ.
+#[cfg(test)]
+pub(crate) fn specials(len: usize, shift: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| f32::from_bits(SPECIALS[(i * 7 + shift) % SPECIALS.len()]))
+        .collect()
+}
+
+/// Runs `f` under the `Scalar` pin (the plain build) and under `Avx2`
+/// (the wide frame) and asserts both return the same bits, except that
+/// two NaNs may differ: which operand's NaN survives when two NaNs meet
+/// in one addition is not pinned (see [`ElementPass`]). Without AVX2
+/// there is no wide frame, and the check passes vacuously.
+#[cfg(test)]
+pub(crate) fn assert_frames_agree(what: &str, f: impl Fn() -> Vec<f32>) {
+    let _guard = mode_test_lock();
+    let prior = simd_mode();
+    set_simd_mode(SimdMode::Scalar).expect("scalar always runs");
+    let plain = f();
+    if set_simd_mode(SimdMode::Avx2).is_ok() {
+        let wide = f();
+        assert_eq!(plain.len(), wide.len(), "{what}");
+        let differ =
+            |(p, w): (&f32, &f32)| p.to_bits() != w.to_bits() && !(p.is_nan() && w.is_nan());
+        if let Some(i) = plain.iter().zip(&wide).position(differ) {
+            panic!(
+                "{what}: element {i}: plain {:#010x}, wide {:#010x}",
+                plain[i].to_bits(),
+                wide[i].to_bits()
+            );
+        }
+    }
+    set_simd_mode(prior).expect("the prior mode was available");
 }
 
 // ---------------------------------------------------------------------------

@@ -201,9 +201,10 @@ impl Tensor {
                 op: "add",
             });
         }
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
+        crate::run_pass(AddInPlace {
+            acc: &mut self.data,
+            other: &other.data,
+        });
         Ok(())
     }
 
@@ -311,6 +312,21 @@ impl Tensor {
     }
 }
 
+/// `acc += other`, element by element: the residual blocks' adds.
+struct AddInPlace<'a> {
+    acc: &'a mut [f32],
+    other: &'a [f32],
+}
+
+impl crate::ElementPass for AddInPlace<'_> {
+    #[inline(always)]
+    fn run(self) {
+        for (a, &b) in self.acc.iter_mut().zip(self.other) {
+            *a += b;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,6 +371,23 @@ mod tests {
         assert_eq!(a.sub(&b).unwrap().data(), &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(a.mul(&a).unwrap().data(), &[1.0, 4.0, 9.0, 16.0]);
         assert!(a.add(&Tensor::ones(&[3])).is_err());
+    }
+
+    /// The residual add gives the same bits in both frames, over every
+    /// pairing of two special values and every vector tail.
+    #[test]
+    fn add_in_place_matches_across_frames() {
+        use crate::simd::{assert_frames_agree, specials, SPECIALS};
+        for len in (1..=17).chain([67]) {
+            for shift in 0..SPECIALS.len() {
+                assert_frames_agree(&format!("add_in_place len {len} shift {shift}"), || {
+                    let mut a = Tensor::from_vec(vec![len], specials(len, 0)).unwrap();
+                    let b = Tensor::from_vec(vec![len], specials(len, shift)).unwrap();
+                    a.add_in_place(&b).unwrap();
+                    a.data().to_vec()
+                });
+            }
+        }
     }
 
     #[test]
