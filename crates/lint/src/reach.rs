@@ -18,9 +18,10 @@
 //!   rename of an unsynced file is not durable after power loss.
 //!   `fsx.rs` itself is the blessed implementation.
 //! - **R010** `order-sensitive-reduction` — a float `+=` fold over
-//!   results produced by `parallel_map`/`run_tasks` is flagged unless
-//!   the fn routes through a blessed fixed-order `tree_reduce*`
-//!   helper. Summation order must not depend on thread count.
+//!   results produced by `parallel_map`/`run_tasks`/`run_region` is
+//!   flagged unless the fn routes through a blessed fixed-order
+//!   `tree_reduce*` helper. Summation order must not depend on thread
+//!   count.
 //!
 //! All three are over-approximations tuned to be *quiet on this
 //! workspace*: unknown accumulator types don't fire R010, unknown
@@ -376,7 +377,7 @@ fn float_class(text: &str) -> Option<bool> {
 }
 
 /// Trigger calls whose results must not be folded with bare `+=`.
-const TRIGGERS: &[&str] = &["parallel_map", "run_tasks"];
+const TRIGGERS: &[&str] = &["parallel_map", "run_tasks", "run_region"];
 
 /// Fixed-order reduction helpers that bless the whole fn.
 fn is_blessed_call(name: &str) -> bool {
@@ -423,10 +424,10 @@ fn check_r010(files: &[ParsedFile], graph: &Graph, out: &mut Vec<Violation>) {
             let lets = let_bindings(&stmt);
             if !lets.is_empty() {
                 bindings.extend(lets);
-            } else if t.name == "run_tasks" {
-                // run_tasks returns (); its results live in captured
+            } else if t.name == "run_tasks" || t.name == "run_region" {
+                // Both return (); their results live in captured
                 // buffers. Track `let mut X = <vec-ish>` bindings that
-                // the task closure captures.
+                // the task closures capture.
                 let arg_text: String = body[open..span_end].iter().map(|b| b.c).collect();
                 for line_no in start..t.line {
                     let Some(code) = f.masked.code.get(line_no - 1) else {
@@ -731,6 +732,16 @@ mod tests {
         let v = run(vec![parse_file(
             "crates/x/src/red.rs",
             "pub fn s() -> f32 {\n    let mut parts = vec![0.0f32; 4];\n    cap_par::run_tasks(make(&mut parts));\n    let mut acc = 0.0f32;\n    for p in &parts {\n        acc += p;\n    }\n    acc\n}\n",
+        )]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, RuleId::R010);
+    }
+
+    #[test]
+    fn r010_tracks_run_region_captured_buffers() {
+        let v = run(vec![parse_file(
+            "crates/x/src/red.rs",
+            "pub fn s(n: usize) -> f32 {\n    let mut parts = vec![0.0f32; n];\n    cap_par::run_region(n, parts.iter_mut().map(|p| move || *p = 1.0));\n    let mut acc = 0.0f32;\n    for p in &parts {\n        acc += p;\n    }\n    acc\n}\n",
         )]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, RuleId::R010);

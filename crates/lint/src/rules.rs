@@ -133,8 +133,8 @@ impl RuleId {
                  callee — renaming an unsynced file is not crash-durable"
             }
             RuleId::R010 => {
-                "float `+=` folds over parallel_map/run_tasks results depend on thread \
-                 count unless routed through a fixed-order tree/wave reduction \
+                "float `+=` folds over parallel_map/run_tasks/run_region results depend on \
+                 thread count unless routed through a fixed-order tree/wave reduction \
                  (tree_reduce*); bit-identical replay at any CAP_THREADS forbids them"
             }
             RuleId::R011 => {

@@ -2,9 +2,22 @@ use crate::layer::Grads;
 use crate::NnError;
 use cap_tensor::{
     conv_forward, conv_input_grad, im2col, kaiming_normal, matmul_transpose_b, Conv2dGeometry,
-    Tensor,
+    Tensor, TensorError,
 };
 use rand::Rng;
+
+/// Work of copying one weight element in channel surgery, in FLOPs of
+/// the direct conv kernels (the unit of `cap_par::WORK_FLOOR`): on one
+/// thread of an AVX-512 VM a filter element took 0.3–0.7 ns and a
+/// kept-channel plane element 0.6–3 ns, and 40 FLOPs take 1 ns at the
+/// kernels' 40 GFLOP/s.
+const COPY_COST_PER_ELEMENT: usize = 20;
+
+/// Bytes of per-sample weight gradients one wave of the weight gradient
+/// holds before they are summed, whatever the thread count: a whole
+/// batch of 32 for every ResNet56 conv at width 0.25, six or seven
+/// samples for a width-0.25 VGG16's 128-filter convs.
+const WEIGHT_GRAD_WAVE_BYTES: usize = 4 << 20;
 
 /// A 2-D convolution layer with square kernels. cap-tensor's
 /// [`conv_forward`] and [`conv_input_grad`] pick the kernel per
@@ -329,32 +342,38 @@ impl Conv2d {
         let k = geom.kernel;
         let mut grad_wmat = Tensor::zeros(&[geom.out_channels, geom.in_channels * k * k]);
         let per_sample = geom.out_channels * geom.out_h * geom.out_w;
-        // Per-sample weight gradients run in parallel waves and are
-        // reduced serially in ascending sample order below — the exact
-        // summation order of the serial loop — so results are
-        // bit-identical for any thread count. The wave bounds memory to
-        // `threads` per-sample gw tensors instead of the whole batch.
-        let wave = cap_par::effective_parallelism().max(1);
+        // Per-sample weight gradients run in waves, each wave one
+        // region, and are reduced serially in ascending sample order
+        // below — the exact summation order of the serial loop — so
+        // results are bit-identical for any wave size and thread count.
+        let wave = weight_grad_wave(n, grad_wmat.numel(), geom.sample_flops());
         let x = self
             .cached_input
             .as_ref()
             .ok_or(NnError::MissingCache { layer: "Conv2d" })?;
-        let mut s0 = 0;
-        while s0 < n {
+        for s0 in (0..n).step_by(wave) {
             let count = wave.min(n - s0);
-            let gws = cap_par::parallel_map(count, |i| {
-                let s = s0 + i;
-                let g = Tensor::from_vec(
-                    vec![geom.out_channels, geom.out_h * geom.out_w],
-                    grad_out.data()[s * per_sample..(s + 1) * per_sample].to_vec(),
-                )?;
-                // dW contribution: g · colsᵀ, lowered from the input.
-                matmul_transpose_b(&g, &im2col(x, s, geom)?)
+            let mut gws: Vec<Option<Result<Tensor, TensorError>>> =
+                std::iter::repeat_with(|| None).take(count).collect();
+            let samples = gws.iter_mut().zip(s0..).map(|(gw, s)| {
+                move || {
+                    *gw = Some(
+                        Tensor::from_vec(
+                            vec![geom.out_channels, geom.out_h * geom.out_w],
+                            grad_out.data()[s * per_sample..(s + 1) * per_sample].to_vec(),
+                        )
+                        .and_then(|g| {
+                            // dW contribution: g · colsᵀ, lowered from the input.
+                            matmul_transpose_b(&g, &im2col(x, s, geom)?)
+                        }),
+                    );
+                }
             });
-            for gw in gws {
+            cap_par::run_region(count * geom.sample_flops(), samples);
+            // `run_region` has run every task, so every slot is filled.
+            for gw in gws.into_iter().flatten() {
                 grad_wmat.axpy(1.0, &gw?)?;
             }
-            s0 += count;
         }
         let gw4 = grad_wmat.reshape(self.weight.shape())?;
         self.grad_weight.axpy(1.0, &gw4)?;
@@ -390,15 +409,17 @@ impl Conv2d {
         validate_keep(keep, self.out_channels(), "output channels")?;
         let (in_c, k) = (self.in_channels(), self.kernel());
         let fsize = in_c * k * k;
-        // Surviving filters copy in parallel: chunk i is exactly filter
-        // keep[i], so writes are disjoint and the result is a pure
+        // Surviving filters copy as one region: chunk i is exactly
+        // filter keep[i], so writes are disjoint and the result is a pure
         // permutation-select — identical for any thread count.
         let mut w = vec![0.0f32; keep.len() * fsize];
+        let work = w.len() * COPY_COST_PER_ELEMENT;
         let src = self.weight.data();
-        cap_par::parallel_chunks_mut(&mut w, fsize, |i, chunk| {
-            let f = keep[i];
-            chunk.copy_from_slice(&src[f * fsize..(f + 1) * fsize]);
-        });
+        let filters = w
+            .chunks_mut(fsize)
+            .zip(keep)
+            .map(|(chunk, &f)| move || chunk.copy_from_slice(&src[f * fsize..(f + 1) * fsize]));
+        cap_par::run_region(work, filters);
         self.weight = Tensor::from_vec(vec![keep.len(), in_c, k, k], w)?;
         self.grad_weight = Tensor::zeros(self.weight.shape());
         if let Some(b) = &self.bias {
@@ -424,16 +445,16 @@ impl Conv2d {
         let plane = k * k;
         // Each chunk is one (filter, kept-channel) kernel plane; the
         // chunk index determines both source and destination, so the
-        // parallel copy is a pure select.
+        // copy is a pure select.
         let in_c = self.in_channels();
         let mut w = vec![0.0f32; out_c * keep.len() * plane];
+        let work = w.len() * COPY_COST_PER_ELEMENT;
         let src = self.weight.data();
-        cap_par::parallel_chunks_mut(&mut w, plane, |i, chunk| {
-            let f = i / keep.len();
-            let c = keep[i % keep.len()];
-            let base = (f * in_c + c) * plane;
-            chunk.copy_from_slice(&src[base..base + plane]);
+        let planes = w.chunks_mut(plane).enumerate().map(|(i, chunk)| {
+            let base = ((i / keep.len()) * in_c + keep[i % keep.len()]) * plane;
+            move || chunk.copy_from_slice(&src[base..base + plane])
         });
+        cap_par::run_region(work, planes);
         self.weight = Tensor::from_vec(vec![out_c, keep.len(), k, k], w)?;
         self.grad_weight = Tensor::zeros(self.weight.shape());
         self.clear_cache();
@@ -472,6 +493,23 @@ pub(crate) fn validate_keep(keep: &[usize], limit: usize, what: &str) -> Result<
         });
     }
     Ok(())
+}
+
+/// Samples per wave of the weight gradient: as many `product_len`-float
+/// products as fit in [`WEIGHT_GRAD_WAVE_BYTES`], at least one and at
+/// most the batch of `n`. When the batch takes several waves, a wave
+/// that the pool splits is trimmed to a multiple of its ways, so that
+/// every thread gets as many samples (seven 128-filter products would
+/// split 4/3 over two threads).
+fn weight_grad_wave(n: usize, product_len: usize, sample_flops: usize) -> usize {
+    let wave = (WEIGHT_GRAD_WAVE_BYTES / (product_len * std::mem::size_of::<f32>()).max(1))
+        .clamp(1, n.max(1));
+    let ways = cap_par::parallelism_for(wave * sample_flops);
+    if wave < n && wave > ways {
+        wave - wave % ways
+    } else {
+        wave
+    }
 }
 
 #[cfg(test)]
@@ -555,10 +593,14 @@ mod tests {
 
     #[test]
     fn weight_gradient_lowers_the_cached_input_in_ascending_sample_order() {
-        // A direct-kernel geometry and a strided one that lowers.
-        for stride in [1, 2] {
-            let mut conv = Conv2d::new(3, 5, 3, stride, 1, false, &mut rng()).unwrap();
-            let x = cap_tensor::randn(&[4, 3, 6, 6], 0.0, 1.0, &mut rng());
+        // A direct-kernel geometry, a strided one that lowers, and 128
+        // filters of 128 channels, whose 590 KB per-sample gradients
+        // split a batch of 9 into two waves.
+        for (in_c, out_c, side, batch, stride) in
+            [(3, 5, 6, 4, 1), (3, 5, 6, 4, 2), (128, 128, 2, 9, 1)]
+        {
+            let mut conv = Conv2d::new(in_c, out_c, 3, stride, 1, false, &mut rng()).unwrap();
+            let x = cap_tensor::randn(&[batch, in_c, side, side], 0.0, 1.0, &mut rng());
             let y = conv.forward(x.clone()).unwrap();
             let g = Tensor::from_fn(y.shape(), |i| ((i as f32) * 0.37).sin());
             conv.zero_grad();
@@ -566,7 +608,7 @@ mod tests {
             let geom = conv.cached_geom.unwrap();
             let per_out = geom.out_channels * geom.col_cols();
             let mut want = Tensor::zeros(&[geom.out_channels, geom.col_rows()]);
-            for s in 0..4 {
+            for s in 0..batch {
                 let gs = Tensor::from_vec(
                     vec![geom.out_channels, geom.col_cols()],
                     g.data()[s * per_out..(s + 1) * per_out].to_vec(),
@@ -582,6 +624,21 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "stride {stride}, element {i}");
             }
         }
+    }
+
+    #[test]
+    fn empty_input_map_has_zero_weight_gradient() {
+        // A 1×1 kernel with padding 1 turns a 0×0 map into a 2×2 output
+        // of padding alone: every lowered column is zero.
+        let mut conv = Conv2d::new(2, 3, 1, 1, 1, true, &mut rng()).unwrap();
+        let y = conv.forward(Tensor::zeros(&[2, 2, 0, 0])).unwrap();
+        assert_eq!(y.shape(), [2, 3, 2, 2]);
+        conv.zero_grad();
+        let gin = conv
+            .backward(Tensor::full(y.shape(), 0.5), Grads::Full)
+            .unwrap();
+        assert_eq!(gin.shape(), [2, 2, 0, 0]);
+        assert!(conv.grad_weight().data().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -42,6 +42,14 @@
 //! without continuation stealing and avoids oversubscription when e.g.
 //! a per-sample-parallel convolution calls the row-parallel matmul.
 //!
+//! # Work floor
+//!
+//! Handing a region to the pool costs a worker wake-up whatever the
+//! region holds, so a fine-grained region states its work in FLOPs and
+//! [`run_region`] runs it inline below [`WORK_FLOOR`], as a region of
+//! one: every region it starts runs inline too. At or above the floor
+//! each of its tasks is one pool task.
+//!
 //! # Telemetry
 //!
 //! When `cap-obs` instrumentation is enabled, the pool publishes live
@@ -56,11 +64,14 @@
 //!
 //! ```
 //! let mut out = vec![0u64; 1000];
-//! cap_par::parallel_chunks_mut(&mut out, 100, |chunk_idx, chunk| {
-//!     for (i, v) in chunk.iter_mut().enumerate() {
-//!         *v = (chunk_idx * 100 + i) as u64 * 2;
+//! // 1000 element writes: far below the floor, so this runs inline.
+//! cap_par::run_region(out.len(), out.chunks_mut(100).enumerate().map(|(c, chunk)| {
+//!     move || {
+//!         for (i, v) in chunk.iter_mut().enumerate() {
+//!             *v = (c * 100 + i) as u64 * 2;
+//!         }
 //!     }
-//! });
+//! }));
 //! assert_eq!(out[777], 1554);
 //! ```
 
@@ -83,8 +94,8 @@ thread_local! {
     /// True on pool worker threads (everything they run is already
     /// inside a parallel region).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// Nesting depth of [`Pool::run`] dispatches on this (non-worker)
-    /// thread.
+    /// Nesting depth of [`Pool::run`] dispatches and inline
+    /// [`run_region`]s on this (non-worker) thread.
     static RUN_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -141,6 +152,49 @@ pub fn effective_parallelism() -> usize {
         1
     } else {
         threads()
+    }
+}
+
+/// Work, in FLOPs, below which [`run_region`] runs a region inline on
+/// the calling thread: about 100 µs of one-thread work at the direct
+/// conv kernels' 40 GFLOP/s. Call sites whose work runs slower per
+/// element or per FLOP scale it by a measured cost.
+///
+/// Measured on a 2-vCPU AVX-512 VM at `CAP_THREADS=2`, two runs, 32
+/// tasks per region between stretches of serial work: handing a region
+/// of 8–96 µs of work to the pool cost 15–33 µs more CPU than running
+/// it on one thread (the worker's wake-up, the boxed tasks, the queue
+/// lock). Wall time fell only from 30–45 µs of work on: by 12–26 µs at
+/// 64 µs, 34–42 µs at 96 µs and 65–85 µs at 160 µs. At the floor a
+/// split buys back about as much wall time as the CPU it adds; below
+/// it the extra CPU is mostly wake-up.
+pub const WORK_FLOOR: usize = 4_000_000;
+
+/// How many ways a region doing `work` FLOPs, started now, would split:
+/// 1 below [`WORK_FLOOR`], else [`effective_parallelism`]. Use this to
+/// size the tasks of such a region.
+pub fn parallelism_for(work: usize) -> usize {
+    if work < WORK_FLOOR {
+        1
+    } else {
+        effective_parallelism()
+    }
+}
+
+/// Marks the current thread as inside a parallel region until dropped,
+/// also when a task unwinds through it.
+struct RegionGuard;
+
+impl RegionGuard {
+    fn enter() -> Self {
+        RUN_DEPTH.with(|d| d.set(d.get() + 1));
+        RegionGuard
+    }
+}
+
+impl Drop for RegionGuard {
+    fn drop(&mut self) {
+        RUN_DEPTH.with(|d| d.set(d.get() - 1));
     }
 }
 
@@ -207,9 +261,9 @@ struct Shared {
 }
 
 /// A scoped thread pool. Most callers want the process-global
-/// [`Pool::global`] through the free helpers ([`run_tasks`],
-/// [`parallel_chunks_mut`], [`parallel_map`]); constructing private
-/// pools is supported for tests.
+/// [`Pool::global`] through the free helpers ([`run_region`],
+/// [`parallel_map`]); constructing private pools is supported for
+/// tests.
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -311,24 +365,25 @@ impl Pool {
         // Participate: drain jobs until this batch is complete. The FIFO
         // may interleave jobs of concurrent batches; helping them is
         // harmless and keeps every runnable task moving.
-        RUN_DEPTH.with(|d| d.set(d.get() + 1));
-        loop {
-            if latch.done() {
-                break;
-            }
-            let job = self.shared.state.lock().unwrap().queue.pop_front();
-            match job {
-                Some(job) => {
-                    job();
-                    cap_obs::counter_add("par.caller_tasks_total", 1);
-                }
-                None => {
-                    latch.wait();
+        {
+            let _region = RegionGuard::enter();
+            loop {
+                if latch.done() {
                     break;
+                }
+                let job = self.shared.state.lock().unwrap().queue.pop_front();
+                match job {
+                    Some(job) => {
+                        job();
+                        cap_obs::counter_add("par.caller_tasks_total", 1);
+                    }
+                    None => {
+                        latch.wait();
+                        break;
+                    }
                 }
             }
         }
-        RUN_DEPTH.with(|d| d.set(d.get() - 1));
         if let Some(payload) = latch.take_panic() {
             resume_unwind(payload);
         }
@@ -388,7 +443,7 @@ fn worker_loop(shared: &Shared, index: usize) {
 /// Runs a batch of scoped tasks on the global pool (inline when the
 /// batch is trivial or parallelism is unavailable). The global pool is
 /// not instantiated for inline execution.
-pub fn run_tasks(tasks: Vec<ScopedTask<'_>>) {
+fn run_tasks(tasks: Vec<ScopedTask<'_>>) {
     if tasks.len() <= 1 || effective_parallelism() == 1 {
         for task in tasks {
             task();
@@ -398,34 +453,39 @@ pub fn run_tasks(tasks: Vec<ScopedTask<'_>>) {
     Pool::global().run(tasks);
 }
 
-/// Splits `data` into contiguous chunks of `chunk_len` elements (the
-/// last chunk may be shorter) and calls `f(chunk_index, chunk)` for each,
-/// in parallel. Chunk boundaries depend only on `data.len()` and
-/// `chunk_len` — never on the thread count — so exclusive ownership of
-/// each output range is deterministic.
-pub fn parallel_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
+/// Runs `tasks` as one parallel region that does `work` FLOPs in all.
+///
+/// This is the pool's one entry point for fine-grained regions. At or
+/// above [`WORK_FLOOR`] each task is one pool task (a region of one
+/// task runs inline). Below it the tasks run in order on the calling
+/// thread, none of them boxed, with [`in_parallel`] true, so every
+/// region they start runs inline as well. A task's panic reaches the
+/// caller with its payload either way; inline, the tasks after it do
+/// not run.
+pub fn run_region<'scope, T>(work: usize, tasks: impl IntoIterator<Item = T>)
 where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    T: FnOnce() + Send + 'scope,
 {
-    let chunk_len = chunk_len.max(1);
-    if data.len() <= chunk_len || effective_parallelism() == 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
+    if parallelism_for(work) > 1 {
+        run_tasks(
+            tasks
+                .into_iter()
+                .map(|task| Box::new(task) as ScopedTask<'scope>)
+                .collect(),
+        );
         return;
     }
-    let f = &f;
-    let tasks: Vec<ScopedTask<'_>> = data
-        .chunks_mut(chunk_len)
-        .enumerate()
-        .map(|(i, chunk)| Box::new(move || f(i, chunk)) as ScopedTask<'_>)
-        .collect();
-    Pool::global().run(tasks);
+    let _region = RegionGuard::enter();
+    for task in tasks {
+        task();
+    }
 }
 
 /// Evaluates `f(0..n)` in parallel (one task per index — size tasks
-/// accordingly) and collects the results in index order.
+/// accordingly) and collects the results in index order. It has no
+/// work floor: it is for regions whose every task is worth a wake-up,
+/// such as a scoring shard; state a fine-grained region's work with
+/// [`run_region`].
 pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -460,12 +520,49 @@ mod tests {
             .unwrap_or_else(|p| p.into_inner())
     }
 
+    /// `f(chunk_index, chunk)` over `data` in chunks of `chunk_len`, as
+    /// one region of `work` FLOPs.
+    fn region_over_chunks<T: Send>(
+        work: usize,
+        data: &mut [T],
+        chunk_len: usize,
+        f: impl Fn(usize, &mut [T]) + Sync,
+    ) {
+        let f = &f;
+        run_region(
+            work,
+            data.chunks_mut(chunk_len)
+                .enumerate()
+                .map(|(i, chunk)| move || f(i, chunk)),
+        );
+    }
+
+    /// `par.batches_total` after `body` runs with instrumentation on:
+    /// how many batches it handed the pool.
+    fn pool_batches(body: impl FnOnce()) -> u64 {
+        let _obs = cap_obs::test_lock();
+        cap_obs::reset();
+        cap_obs::enable();
+        body();
+        cap_obs::disable();
+        let batches = cap_obs::registry()
+            .snapshot()
+            .into_iter()
+            .find_map(|(name, m)| match (name.as_str(), m) {
+                ("par.batches_total", cap_obs::Metric::Counter(n)) => Some(n),
+                _ => None,
+            })
+            .unwrap_or(0);
+        cap_obs::reset();
+        batches
+    }
+
     #[test]
     fn chunks_cover_every_index_exactly_once() {
         let _guard = threads_lock();
         set_threads(4);
         let mut data = vec![0u32; 1003];
-        parallel_chunks_mut(&mut data, 17, |ci, chunk| {
+        region_over_chunks(WORK_FLOOR, &mut data, 17, |ci, chunk| {
             for (i, v) in chunk.iter_mut().enumerate() {
                 *v += (ci * 17 + i) as u32 + 1;
             }
@@ -494,7 +591,7 @@ mod tests {
         for t in [1usize, 4, 7] {
             set_threads(t);
             let mut out = vec![0.0f32; input.len()];
-            parallel_chunks_mut(&mut out, 129, |ci, chunk| {
+            region_over_chunks(WORK_FLOOR, &mut out, 129, |ci, chunk| {
                 for (i, v) in chunk.iter_mut().enumerate() {
                     let x = input[ci * 129 + i];
                     *v = x.mul_add(1.5, x * x);
@@ -540,6 +637,100 @@ mod tests {
         assert_eq!(saw_nested_parallel.load(Ordering::Relaxed), 0);
         assert_eq!(counter.load(Ordering::Relaxed), 24);
         assert!(!in_parallel(), "caller flag must be restored");
+    }
+
+    #[test]
+    fn region_below_the_floor_runs_inline_as_a_region_of_one() {
+        let _guard = threads_lock();
+        set_threads(4);
+        let caller = std::thread::current().id();
+        let nested = AtomicU64::new(0);
+        let batches = pool_batches(|| {
+            run_region(
+                WORK_FLOOR - 1,
+                (0..8).map(|_| {
+                    || {
+                        assert_eq!(std::thread::current().id(), caller);
+                        assert!(in_parallel() && effective_parallelism() == 1);
+                        assert_eq!(parallelism_for(usize::MAX), 1);
+                        // A region at the floor, started inside, stays
+                        // on this thread too.
+                        run_region(
+                            WORK_FLOOR,
+                            (0..3).map(|_| {
+                                || {
+                                    assert_eq!(std::thread::current().id(), caller);
+                                    nested.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }),
+                        );
+                    }
+                }),
+            );
+        });
+        assert_eq!(batches, 0, "an inline region handed work to the pool");
+        assert_eq!(nested.load(Ordering::Relaxed), 24);
+        assert!(!in_parallel(), "caller flag must be restored");
+        set_threads(default_threads());
+    }
+
+    #[test]
+    fn region_at_the_floor_dispatches() {
+        let _guard = threads_lock();
+        set_threads(4);
+        assert_eq!(parallelism_for(WORK_FLOOR), 4);
+        let sum = AtomicU64::new(0);
+        let region = |work: usize| {
+            pool_batches(|| {
+                run_region(
+                    work,
+                    (0..8u64).map(|i| {
+                        let sum = &sum;
+                        move || {
+                            sum.fetch_add(i, Ordering::Relaxed);
+                        }
+                    }),
+                );
+            })
+        };
+        assert_eq!(
+            region(WORK_FLOOR),
+            1,
+            "a region at the floor runs on the pool"
+        );
+        assert_eq!(region(WORK_FLOOR - 1), 0, "a region below it does not");
+        assert_eq!(sum.load(Ordering::Relaxed), 56);
+        set_threads(1);
+        assert_eq!(region(WORK_FLOOR), 0, "one thread never dispatches");
+        set_threads(default_threads());
+    }
+
+    #[test]
+    fn panic_in_an_inline_region_reaches_the_caller_with_its_payload() {
+        let _guard = threads_lock();
+        set_threads(4);
+        for work in [WORK_FLOOR - 1, WORK_FLOOR] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_region(
+                    work,
+                    (0..6).map(|i| {
+                        move || {
+                            if i == 2 {
+                                panic!("task 2 exploded");
+                            }
+                        }
+                    }),
+                );
+            }));
+            let payload = result.expect_err("the panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"task 2 exploded"),
+                "work {work}: payload lost"
+            );
+            assert!(!in_parallel(), "work {work}: caller flag must be restored");
+        }
+        set_threads(default_threads());
     }
 
     #[test]

@@ -117,6 +117,13 @@ impl Conv2dGeometry {
     pub fn col_cols(&self) -> usize {
         self.out_h * self.out_w
     }
+
+    /// FLOPs of one sample's GEMM, `2 · out_channels · col_rows ·
+    /// col_cols`: the work of its forward, of its input gradient and of
+    /// its weight gradient alike.
+    pub fn sample_flops(&self) -> usize {
+        2 * self.out_channels * self.col_rows() * self.col_cols()
+    }
 }
 
 /// One contiguous run of the im2col lowering: row `row` of the column
@@ -388,7 +395,9 @@ fn slices_mismatch(lens: &[usize]) -> TensorError {
 /// `x` holds the samples `[count, in_channels, in_h, in_w]`, `weight`
 /// the filters `[out_channels, in_channels, k, k]`, and `out` their
 /// `[count, out_channels, out_h, out_w]` outputs, which are
-/// overwritten. Each sample is one task on the pool. A stride-1 conv
+/// overwritten. The samples are one region of `count` sample GEMMs'
+/// FLOPs; at or above the pool's work floor each sample is one pool
+/// task, and below it they run on the calling thread. A stride-1 conv
 /// whose per-sample GEMM would take the direct path runs a direct
 /// kernel over shifted windows of the zero-padded sample; any other
 /// conv lowers the sample with [`im2col`] into a per-thread buffer and
@@ -416,21 +425,17 @@ pub fn conv_forward(
         return Err(slices_mismatch(&[x.len(), weight.len(), out.len()]));
     }
     let direct = runs_direct(geom);
-    let tasks: Vec<cap_par::ScopedTask<'_>> = out
-        .chunks_mut(per_out)
-        .enumerate()
-        .map(|(s, out)| {
-            let x = &x[s * per_in..(s + 1) * per_in];
-            Box::new(move || {
-                if direct {
-                    forward_direct(x, weight, geom, out);
-                } else {
-                    forward_lowered(x, weight, geom, out);
-                }
-            }) as cap_par::ScopedTask<'_>
-        })
-        .collect();
-    cap_par::run_tasks(tasks);
+    let samples = out.chunks_mut(per_out).enumerate().map(|(s, out)| {
+        let x = &x[s * per_in..(s + 1) * per_in];
+        move || {
+            if direct {
+                forward_direct(x, weight, geom, out);
+            } else {
+                forward_lowered(x, weight, geom, out);
+            }
+        }
+    });
+    cap_par::run_region(n * geom.sample_flops(), samples);
     Ok(())
 }
 
@@ -466,7 +471,8 @@ fn forward_lowered(x: &[f32], weight: &[f32], geom: &Conv2dGeometry, out: &mut [
 /// `grad_out` holds the samples' output gradients
 /// `[count, out_channels, out_h, out_w]`, `weight` the filters and
 /// `grad_in` their `[count, in_channels, in_h, in_w]` input gradients,
-/// which are overwritten. The samples run on the pool. On the direct
+/// which are overwritten. The samples are one region, run on the pool
+/// or on the calling thread as [`conv_forward`]'s are. On the direct
 /// path each sample is one task: every tap's sum over the output
 /// channels is taken from shifted windows of the zero-padded output
 /// gradient and added in `(kh, kw)` order, the order of col2im. Any
@@ -501,25 +507,25 @@ pub fn conv_input_grad(
         return Ok(());
     }
     let direct = runs_direct(geom);
+    let work = n * geom.sample_flops();
     let group = if direct {
         1
     } else {
-        dx_group_size(n, geom.col_cols())
+        dx_group_size(n, geom.col_cols(), cap_par::parallelism_for(work))
     };
-    let tasks: Vec<cap_par::ScopedTask<'_>> = grad_in
+    let groups = grad_in
         .chunks_mut(group * per_in)
         .zip(grad_out.chunks(group * per_out))
         .map(|(gin, g)| {
-            Box::new(move || {
+            move || {
                 if direct {
                     input_grad_direct(g, weight, geom, gin);
                 } else {
                     input_grad_group(g, weight, geom, gin);
                 }
-            }) as cap_par::ScopedTask<'_>
-        })
-        .collect();
-    cap_par::run_tasks(tasks);
+            }
+        });
+    cap_par::run_region(work, groups);
     Ok(())
 }
 
@@ -849,13 +855,10 @@ impl TapRows<'_> {
 const DX_GROUP_COLS: usize = 256;
 
 /// Samples per lowered dX GEMM: enough for [`DX_GROUP_COLS`] output
-/// columns, but no more than an even share of the batch per pool
-/// thread, so the groups still spread across the pool.
-fn dx_group_size(n: usize, plane: usize) -> usize {
-    DX_GROUP_COLS
-        .div_ceil(plane)
-        .min(n.div_ceil(cap_par::effective_parallelism()))
-        .max(1)
+/// columns, but no more than an even share of the batch per way the
+/// region splits, so the groups still spread across the pool.
+fn dx_group_size(n: usize, plane: usize, ways: usize) -> usize {
+    DX_GROUP_COLS.div_ceil(plane).min(n.div_ceil(ways)).max(1)
 }
 
 /// One group of the lowered input gradient: the samples of `grad_out`

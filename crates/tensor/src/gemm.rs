@@ -32,11 +32,6 @@ use crate::simd::{self, SimdMode, ACC_LEN};
 
 pub(crate) use crate::select::KC;
 
-/// Below this many flops (`2·m·n·k`) the dispatch overhead of the pool
-/// outweighs the work and the packed kernel stays on the calling
-/// thread.
-const PARALLEL_FLOP_THRESHOLD: usize = 1 << 17;
-
 /// A borrowed matrix of logical shape `rows × cols` with arbitrary
 /// strides, letting one kernel serve `A`, `Aᵀ`, `B` and `Bᵀ` without
 /// copying.
@@ -205,7 +200,7 @@ fn packed(
         Micro::Avx2_8x8 => "tensor.gemm.kernel.avx2_8x8_total",
     });
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if flops < PARALLEL_FLOP_THRESHOLD || cap_par::effective_parallelism() == 1 {
+    if cap_par::parallelism_for(flops) == 1 {
         packed_serial(m, n, k, a, b, out, cfg);
     } else {
         packed_parallel(m, n, k, a, b, out, cfg);
@@ -246,12 +241,12 @@ fn packed_serial(
 }
 
 /// Parallel blocked kernel with double-buffered B packing: per
-/// `(jc, pc)` panel, one pool task packs the *next* panel while the
-/// row-block tasks compute against the current one. B is packed once
-/// per panel (the serial-per-task design packed it once per row
-/// block).
+/// `(jc, pc)` panel, one region of the panel's FLOPs, in which one task
+/// packs the *next* panel while the row-block tasks compute against the
+/// current one. B is packed once per panel (the serial-per-task design
+/// packed it once per row block).
 fn packed_parallel(
-    _m: usize,
+    m: usize,
     n: usize,
     k: usize,
     a: MatRef<'_>,
@@ -303,7 +298,7 @@ fn packed_parallel(
                     );
                 }));
             }
-            cap_par::run_tasks(tasks);
+            cap_par::run_region(2 * m * ncc * kcc, tasks);
         }
         std::mem::swap(&mut cur, &mut next);
     }

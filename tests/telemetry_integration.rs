@@ -8,13 +8,16 @@ use cap_nn::layer::{Conv2d, GlobalAvgPool, Linear, Relu};
 use cap_nn::{fit, Network, TrainConfig};
 use rand::SeedableRng;
 
+/// A conv of 32 filters over 16×16 images: a batch of 15 is 6.6 MFLOP
+/// a pass, above the pool's work floor, so training at 4 threads hands
+/// its conv to the pool and the determinism check below crosses it.
 fn toy_net(seed: u64) -> Network {
     let mut r = rand::rngs::StdRng::seed_from_u64(seed);
     let mut net = Network::new();
-    net.push(Conv2d::new(3, 8, 3, 1, 1, true, &mut r).unwrap());
+    net.push(Conv2d::new(3, 32, 3, 1, 1, true, &mut r).unwrap());
     net.push(Relu::new());
     net.push(GlobalAvgPool::new());
-    net.push(Linear::new(8, 10, &mut r).unwrap());
+    net.push(Linear::new(32, 10, &mut r).unwrap());
     net
 }
 
@@ -23,7 +26,7 @@ fn training_weights(threads: usize, data: &SyntheticDataset) -> Vec<u8> {
     let mut net = toy_net(42);
     let cfg = TrainConfig {
         epochs: 2,
-        batch_size: 4,
+        batch_size: 15,
         ..TrainConfig::default()
     };
     fit(&mut net, data.train().images(), data.train().labels(), &cfg).expect("fit");
@@ -35,29 +38,62 @@ fn training_weights(threads: usize, data: &SyntheticDataset) -> Vec<u8> {
     bytes
 }
 
+/// Value of counter `name` in the metrics registry (0 when absent).
+fn counter(name: &str) -> u64 {
+    cap_obs::registry()
+        .snapshot()
+        .into_iter()
+        .find_map(|(n, m)| match m {
+            cap_obs::Metric::Counter(v) if n == name => Some(v),
+            _ => None,
+        })
+        .unwrap_or(0)
+}
+
 /// Runs one 2-task batch arranged so a pool worker definitely executes
-/// a task (the caller-side task spins until a worker raises the flag) —
-/// per-worker gauges then exist even on single-core machines where the
-/// submitting thread usually wins the whole queue.
-fn force_worker_task() {
+/// a task (the caller-side task spins until a worker claims it), then
+/// waits until that worker has published its gauges, which it does
+/// only after its task has released the caller. Returns the worker's
+/// index: whichever worker wakes first takes the task, so it need not
+/// be worker 0.
+fn force_worker_task() -> usize {
     let caller = std::thread::current().id();
-    let worker_busy = std::sync::atomic::AtomicBool::new(false);
+    let worker = std::sync::OnceLock::new();
     let task = |_| {
-        if std::thread::current().id() == caller {
+        let me = std::thread::current();
+        if me.id() == caller {
             let patience = std::time::Instant::now();
-            while !worker_busy.load(std::sync::atomic::Ordering::Acquire)
-                && patience.elapsed() < std::time::Duration::from_secs(5)
-            {
+            while worker.get().is_none() && patience.elapsed() < std::time::Duration::from_secs(5) {
                 std::thread::yield_now();
             }
         } else {
-            worker_busy.store(true, std::sync::atomic::Ordering::Release);
+            let index = me.name().and_then(|n| n.strip_prefix("cap-par-"));
+            let _ = worker.set(index.and_then(|i| i.parse::<usize>().ok()));
         }
     };
     let tasks: Vec<cap_par::ScopedTask<'_>> = (0..2)
         .map(|i| Box::new(move || task(i)) as cap_par::ScopedTask<'_>)
         .collect();
     cap_par::Pool::global().run(tasks);
+    let index = worker
+        .get()
+        .copied()
+        .flatten()
+        .expect("a pool worker ran the task");
+    let gauge = format!("par.worker.{index}.tasks_total");
+    let patience = std::time::Instant::now();
+    while !cap_obs::registry()
+        .snapshot()
+        .iter()
+        .any(|(name, _)| *name == gauge)
+    {
+        assert!(
+            patience.elapsed() < std::time::Duration::from_secs(5),
+            "worker {index} never published {gauge}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    index
 }
 
 #[test]
@@ -69,7 +105,7 @@ fn smoke_training_under_live_server_is_deterministic_and_scrapable() {
 
     let data = SyntheticDataset::generate(
         &DatasetSpec::cifar10_like()
-            .with_image_size(8)
+            .with_image_size(16)
             .with_counts(3, 1),
     )
     .expect("synthetic data");
@@ -92,7 +128,11 @@ fn smoke_training_under_live_server_is_deterministic_and_scrapable() {
     };
     let w1 = training_weights(1, &data);
     let w4 = training_weights(4, &data);
-    force_worker_task();
+    assert!(
+        counter("par.batches_total") > 0,
+        "training at 4 threads never reached the pool"
+    );
+    let worker = force_worker_task();
     cap_par::set_threads(prior_threads);
     assert_eq!(w1.len(), w4.len());
     assert!(
@@ -110,10 +150,15 @@ fn smoke_training_under_live_server_is_deterministic_and_scrapable() {
     assert!(body.contains("cap_nn_epochs_total"), "{body}");
     assert!(body.contains("cap_nn_fit_loss"), "{body}");
     assert!(
-        body.contains("# TYPE cap_par_worker_0_busy_seconds gauge"),
+        body.contains(&format!(
+            "# TYPE cap_par_worker_{worker}_busy_seconds gauge"
+        )),
         "per-worker pool gauges missing:\n{body}"
     );
-    assert!(body.contains("cap_par_worker_0_tasks_total"), "{body}");
+    assert!(
+        body.contains(&format!("cap_par_worker_{worker}_tasks_total")),
+        "{body}"
+    );
     assert!(body.contains("cap_par_batches_total"), "{body}");
 
     // The span tree recorded the live run: /prof renders it, with the
